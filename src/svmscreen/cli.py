@@ -113,7 +113,7 @@ def cmd_screen(args):
     if lam2 >= lam1:
         raise ValueError("lambda2 must be < lambda1")
     theta1 = _theta_for(args, dataset, lam1, lam_max, bias0)
-    ctx = screening.build_context(theta1, lam1, lam2, dataset)
+    ctx = screening.build_context(theta1, lam1, lam2, dataset, lam_max=lam_max)
     stats = compute_feature_stats(dataset)
     report = screening.screen_all(ctx, dataset, stats, threads=args.threads)
     _emit(report.to_json(), args.output)
@@ -162,7 +162,7 @@ def cmd_verify(args):
     uncertified = 0
     total = 0
     for lam2 in lam2_list:
-        ctx = screening.build_context(theta1, lam1, lam2, dataset)
+        ctx = screening.build_context(theta1, lam1, lam2, dataset, lam_max=lam_max)
         for j in range(dataset.n_features):
             fb = screening.screen_feature(ctx, j, stats)
             fhat = dataset.labels * dense[:, j]

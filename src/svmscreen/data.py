@@ -12,6 +12,7 @@ feature-wise.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,8 @@ class Dataset:
 
     Columns are stored in CSC form: column j occupies the half-open slice
     ``col_ptr[j]:col_ptr[j+1]`` of ``row_idx``/``values``, with row indices
-    strictly increasing inside each column.
+    strictly increasing inside each column.  Dense data also gets a dense
+    copy for its products (see ``dense_block``).
     """
 
     n_samples: int
@@ -117,6 +119,47 @@ class Dataset:
             idx = np.flatnonzero(matrix[:, j] != 0.0)
             cols.append((idx, matrix[idx, j]))
         return cls.from_columns(cols, labels, n_samples=matrix.shape[0])
+
+    @cached_property
+    def dense_block(self):
+        """Fortran-ordered n x m copy of X when at least half its cells are
+        stored, else None; built on first use.
+
+        From that density on the block takes no more memory than the
+        ``row_idx`` and ``values`` arrays it mirrors (8 bytes per cell
+        against 16 per stored entry), and its products run as BLAS gemv.
+        """
+        n, m = self.n_samples, self.n_features
+        if 2 * self.values.shape[0] < n * m:
+            return None
+        block = np.zeros((n, m), order="F")
+        for j in range(m):
+            idx, vals = self.column(j)
+            block[idx, j] = vals
+        return block
+
+    def matvec(self, v):
+        """X @ v for a weight vector v of length n_features."""
+        return kernels.csc_matvec(
+            self.col_ptr, self.row_idx, self.values, v, self.n_samples, block=self.dense_block
+        )
+
+    def rmatvec(self, u):
+        """X.T @ u for a sample vector u of length n_samples."""
+        return kernels.csc_rmatvec(
+            self.col_ptr, self.row_idx, self.values, u, block=self.dense_block
+        )
+
+    def memo(self, key, compute):
+        """``compute(self)``, evaluated on the first call with ``key`` only.
+
+        A Dataset is immutable, so whatever is derived from it alone holds
+        for its whole lifetime.
+        """
+        cache = self.__dict__.setdefault("_memo", {})
+        if key not in cache:
+            cache[key] = compute(self)
+        return cache[key]
 
     def column(self, j):
         """Row indices and values of feature j as array views."""

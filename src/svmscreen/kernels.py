@@ -7,6 +7,10 @@ at import time.  Set the environment variable ``SVMSCREEN_JIT=0`` before
 importing the package to force the numpy path even when numba is
 installed; both variants stay importable under their ``*_numpy`` /
 ``*_numba`` names so they can be compared directly (see benchmarks/).
+
+The matrix-vector products ``csc_matvec`` / ``csc_rmatvec`` also accept
+the dense column block a Dataset keeps for dense data, and then run as
+BLAS products on it instead of either sparse kernel.
 """
 
 import math
@@ -402,15 +406,30 @@ else:  # pragma: no cover - exercised only without numba
 
 
 if USING_NUMBA:
-    csc_matvec = csc_matvec_numba
-    csc_rmatvec = csc_rmatvec_numba
+    sparse_matvec = csc_matvec_numba
+    sparse_rmatvec = csc_rmatvec_numba
     feature_stats = feature_stats_numba
     screen_bulk = screen_bulk_numba
 else:
-    csc_matvec = csc_matvec_numpy
-    csc_rmatvec = csc_rmatvec_numpy
+    sparse_matvec = csc_matvec_numpy
+    sparse_rmatvec = csc_rmatvec_numpy
     feature_stats = feature_stats_numpy
     screen_bulk = screen_bulk_numpy
+
+
+def csc_matvec(col_ptr, row_idx, values, v, n_rows, block=None):
+    """X @ v; on ``block``, the dense n x m copy of X, when one is given."""
+    if block is not None:
+        return block @ v
+    return sparse_matvec(col_ptr, row_idx, values, v, n_rows)
+
+
+def csc_rmatvec(col_ptr, row_idx, values, u, block=None):
+    """X.T @ u; on ``block``, the dense n x m copy of X, when one is given."""
+    if block is not None:
+        return u @ block
+    return sparse_rmatvec(col_ptr, row_idx, values, u)
+
 
 #: name -> (numpy implementation, numba implementation or None)
 IMPLEMENTATIONS = {

@@ -179,7 +179,9 @@ def run_path(dataset, config=None):
         trusted = prev_converged
         if cfg.screen:
             try:
-                ctx = screening.build_context(theta_prev, lam_prev, lam2, dataset)
+                ctx = screening.build_context(
+                    theta_prev, lam_prev, lam2, dataset, lam_max=lam_max
+                )
             except ValueError:
                 # Unconverged previous step can leave theta slightly
                 # infeasible; keep everything rather than abort the path.
@@ -190,20 +192,21 @@ def run_path(dataset, config=None):
                 screen_ms = report.elapsed_seconds * 1000.0
 
         t0 = time.perf_counter()
-        if kept_idx.size == m:
-            reduced = dataset
-            warm = (w_prev, b_prev)
-        else:
-            reduced = dataset.subset(kept_idx)
-            warm = (w_prev[kept_idx], b_prev)
         if kept_idx.size == 0:
             # No features survive: optimal bias has the closed form used
             # at lambda_max, since the hinge stays active on both classes.
             w_full = np.zeros(m)
             b_full = float(bias0)
-            objective = solver.objective_value(dataset, w_full, b_full, lam2)
+            xi = np.maximum(1.0 - dataset.labels * b_full, 0.0)
+            objective = 0.5 * float(xi @ xi)
             converged = True
         else:
+            if kept_idx.size == m:
+                reduced = dataset
+                warm = (w_prev, b_prev)
+            else:
+                reduced = dataset.subset(kept_idx)
+                warm = (w_prev[kept_idx], b_prev)
             model = solver.solve_primal(reduced, lam2, options=cfg.solver, warm=warm)
             w_full = np.zeros(m)
             w_full[kept_idx] = model.weights
@@ -243,7 +246,12 @@ def run_path(dataset, config=None):
             )
         )
 
-        theta_prev = solver.theta_from_primal(dataset, w_full, b_full, lam2)
+        # The next dual point comes from the reduced problem: the discarded
+        # weights are 0, so its margins are those of the full data.
+        if kept_idx.size == 0:
+            theta_prev = solver.ThetaVector(values=xi / lam2, lam=lam2)
+        else:
+            theta_prev = solver.theta_from_primal(reduced, model.weights, b_full, lam2)
         lam_prev = lam2
         w_prev = w_full
         b_prev = float(b_full)

@@ -76,8 +76,6 @@ class ScreeningContext:
     ball0: geometry.Ball
     t_star: float | None
     min_ball: geometry.Ball | None
-    pa_one: np.ndarray | None
-    nested_pa_one: np.ndarray | None
 
     @property
     def has_normal(self):
@@ -141,7 +139,7 @@ class ScreenReport:
         )
 
 
-def build_context(theta1, lambda1, lambda2, dataset):
+def build_context(theta1, lambda1, lambda2, dataset, lam_max=None):
     """Precompute the screening region for a lambda1 -> lambda2 step.
 
     Parameters
@@ -152,6 +150,9 @@ def build_context(theta1, lambda1, lambda2, dataset):
     lambda1, lambda2 : float
         Must satisfy lambda_max >= lambda1 > lambda2 > 0.
     dataset : Dataset
+    lam_max : float, optional
+        lambda_max of ``dataset`` when the caller already has it; it is
+        recomputed, with a full pass over the data, when absent.
 
     Returns
     -------
@@ -165,8 +166,9 @@ def build_context(theta1, lambda1, lambda2, dataset):
 
     if lambda2 <= 0 or lambda1 <= lambda2:
         raise ValueError("lambda ordering violated: require lambda1 > lambda2 > 0")
-    lam_cap, _, _ = lambda_max(dataset)
-    if lambda1 > lam_cap * (1.0 + 1e-9) + 1e-12:
+    if lam_max is None:
+        lam_max, _, _ = lambda_max(dataset)
+    if lambda1 > lam_max * (1.0 + 1e-9) + 1e-12:
         raise ValueError("lambda ordering violated: lambda1 exceeds lambda_max")
 
     y = dataset.labels
@@ -214,8 +216,7 @@ def build_context(theta1, lambda1, lambda2, dataset):
         pa_one = geometry.project_null(normal, np.ones(n))
         pa_y = geometry.project_null(normal, y)
         pa1y = float(pa_one @ pa_y)
-        nested_pa_one = geometry.project_null(pa_y, pa_one)
-        nested1_norm = float(np.linalg.norm(nested_pa_one))
+        nested1_norm = float(np.linalg.norm(geometry.project_null(pa_y, pa_one)))
         t_star, min_ball = geometry.min_radius_ball(theta1, lambda1, lambda2, normal)
     else:
         a_dot_y = a_dot_one = a_dot_theta1 = 0.0
@@ -224,8 +225,6 @@ def build_context(theta1, lambda1, lambda2, dataset):
         pay_sq = float(n)
         pa1y = 0.0
         nested1_norm = 0.0
-        pa_one = None
-        nested_pa_one = None
         t_star = None
         min_ball = None
 
@@ -256,8 +255,6 @@ def build_context(theta1, lambda1, lambda2, dataset):
         ball0=ball0,
         t_star=t_star,
         min_ball=min_ball,
-        pa_one=pa_one,
-        nested_pa_one=nested_pa_one,
     )
 
 
@@ -336,9 +333,7 @@ def screen_all(ctx, dataset, stats, threads=None):
         raise ValueError("context was built for a different dataset")
     kernels.set_threads(threads)
     start = time.perf_counter()
-    s_theta = kernels.csc_rmatvec(
-        dataset.col_ptr, dataset.row_idx, dataset.values, ctx.theta1 * ctx.labels
-    )
+    s_theta = dataset.rmatvec(ctx.theta1 * ctx.labels)
     m1, m2, branch1, branch2 = kernels.screen_bulk(
         stats.dot_y, stats.dot_one, stats.sq_norm, stats.proj_y_norm, s_theta,
         *_scalar_args(ctx),

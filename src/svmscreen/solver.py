@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -68,9 +66,7 @@ class KktReport:
 
 def _hinge(dataset, w, b):
     """xi_i = max(1 - y_i (w'x_i + b), 0) for all samples."""
-    scores = kernels.csc_matvec(
-        dataset.col_ptr, dataset.row_idx, dataset.values, w, dataset.n_samples
-    )
+    scores = dataset.matvec(w)
     return np.maximum(1.0 - dataset.labels * (scores + b), 0.0)
 
 
@@ -79,7 +75,7 @@ def grad_h(dataset, w, b):
     w = np.asarray(w, dtype=np.float64)
     xi = _hinge(dataset, w, b)
     g = xi * dataset.labels
-    grad_w = -kernels.csc_rmatvec(dataset.col_ptr, dataset.row_idx, dataset.values, g)
+    grad_w = -dataset.rmatvec(g)
     return grad_w, -float(g.sum())
 
 
@@ -101,12 +97,10 @@ def _spectral_bound(dataset, iters=80, seed=0):
     v /= np.linalg.norm(v)
     estimate = 0.0
     for _ in range(iters):
-        av = kernels.csc_matvec(
-            dataset.col_ptr, dataset.row_idx, dataset.values, v[:m], dataset.n_samples
-        )
+        av = dataset.matvec(v[:m])
         av += v[m]
         atav = np.empty(m + 1)
-        atav[:m] = kernels.csc_rmatvec(dataset.col_ptr, dataset.row_idx, dataset.values, av)
+        atav[:m] = dataset.rmatvec(av)
         atav[m] = av.sum()
         new_estimate = float(np.linalg.norm(atav))
         if new_estimate == 0.0:
@@ -121,9 +115,7 @@ def _spectral_bound(dataset, iters=80, seed=0):
 
 def _kkt_residuals(dataset, w, xi, lam):
     theta = xi / lam
-    corr = kernels.csc_rmatvec(
-        dataset.col_ptr, dataset.row_idx, dataset.values, theta * dataset.labels
-    )
+    corr = dataset.rmatvec(theta * dataset.labels)
     r1 = max(0.0, float(np.max(np.abs(corr))) - 1.0) if corr.size else 0.0
     active = w != 0.0
     if np.any(active):
@@ -166,7 +158,8 @@ def solve_primal(dataset, lam, options=None, warm=None):
         w = np.zeros(m)
         b = 0.0
 
-    step = 1.0 / _spectral_bound(dataset)
+    # The Dataset is immutable, so one power iteration serves all its solves.
+    step = 1.0 / dataset.memo("spectral_bound", _spectral_bound)
     xi = _hinge(dataset, w, b)
     f_x = 0.5 * float(xi @ xi) + lam * float(np.abs(w).sum())
     trace = [f_x] if opts.keep_trace else None
@@ -199,7 +192,7 @@ def solve_primal(dataset, lam, options=None, warm=None):
         xi_z = _hinge(dataset, wz, bz)
         h_z = 0.5 * float(xi_z @ xi_z)
         g = xi_z * dataset.labels
-        grad_w = -kernels.csc_rmatvec(dataset.col_ptr, dataset.row_idx, dataset.values, g)
+        grad_w = -dataset.rmatvec(g)
         grad_b = -float(g.sum())
 
         w_new, b_new, xi_new, h_new = prox_step(wz, bz, grad_w, grad_b, h_z)
@@ -210,7 +203,7 @@ def solve_primal(dataset, lam, options=None, warm=None):
             # accepted point, which the majorant makes non-increasing, and
             # drop the accumulated momentum.
             g = xi * dataset.labels
-            grad_w = -kernels.csc_rmatvec(dataset.col_ptr, dataset.row_idx, dataset.values, g)
+            grad_w = -dataset.rmatvec(g)
             grad_b = -float(g.sum())
             h_x = 0.5 * float(xi @ xi)
             w_new, b_new, xi_new, h_new = prox_step(w, b, grad_w, grad_b, h_x)
@@ -269,9 +262,7 @@ def lambda_max(dataset):
     """
     n = dataset.n_samples
     bias = (dataset.n_pos - dataset.n_neg) / n
-    direction = kernels.csc_rmatvec(
-        dataset.col_ptr, dataset.row_idx, dataset.values, dataset.labels - bias
-    )
+    direction = dataset.rmatvec(dataset.labels - bias)
     return float(np.max(np.abs(direction))), float(bias), direction
 
 

@@ -111,6 +111,29 @@ def test_subset_preserves_columns_and_order():
     np.testing.assert_array_equal(sub.labels, ds.labels)
 
 
+def test_dense_block_from_half_the_cells_stored():
+    # 4 x 3 = 12 cells: 6 stored entries get a block, 5 do not.
+    x = np.zeros((4, 3))
+    x[:2, :] = [[1.0, -2.0, 3.0], [4.0, 5.0, -6.0]]
+    y = [1.0, -1.0, 1.0, -1.0]
+    half = Dataset.from_dense(x, y)
+    assert half.values.size == 6
+    block = half.dense_block
+    assert block.flags.f_contiguous
+    np.testing.assert_array_equal(block, x)
+    x[1, 2] = 0.0
+    assert Dataset.from_dense(x, y).dense_block is None
+
+    # A dense subset of a sparse dataset gets a block of its own.
+    rng = np.random.default_rng(29)
+    wide = rng.normal(size=(20, 30))
+    wide[rng.random(size=wide.shape) >= 0.1] = 0.0
+    wide[:, [4, 17]] = rng.normal(size=(20, 2))
+    ds = Dataset.from_dense(wide, random_dataset(rng, 20, 1).labels)
+    assert ds.dense_block is None
+    np.testing.assert_array_equal(ds.subset([17, 4]).dense_block, wide[:, [17, 4]])
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [

@@ -1,6 +1,7 @@
-"""The numpy kernels must match dense arithmetic, column by column, to
-round-off, also on badly scaled data; the numba kernels, where installed,
-must be interchangeable with them bit-for-bit-ish."""
+"""The numpy kernels, and the BLAS products on a Dataset's dense block,
+must match dense arithmetic, column by column, to round-off, also on badly
+scaled data; the numba kernels, where installed, must be interchangeable
+with them bit-for-bit-ish."""
 
 import math
 import subprocess
@@ -50,8 +51,9 @@ def _assert_columns_close(out, ref, scale, rtol=1e-13):
 def _mixed_scale_datasets(rng):
     """Dense arrays and datasets with a 1e7 column before unit-scale ones.
 
-    Columns 0, m // 2 and m - 1 are empty; the last dataset stores no
-    entries at all.
+    In the sparse ones columns 0, m // 2 and m - 1 are empty; then comes
+    one fully stored dataset, which gets a dense block, with the 1e7 column
+    first; the last dataset stores no entries at all.
     """
     for _ in range(10):
         n, m = int(rng.integers(2, 12)), int(rng.integers(6, 30))
@@ -61,6 +63,12 @@ def _mixed_scale_datasets(rng):
         x[:, 1] = 1e7 * y
         x[:, [0, m // 2, m - 1]] = 0.0
         yield x, Dataset.from_dense(x, y)
+    y = random_labels(rng, 11)
+    x = rng.normal(size=(11, 17))
+    x[:, 0] = 1e7 * y
+    dense = Dataset.from_dense(x, y)
+    assert dense.dense_block is not None
+    yield x, dense
     y = random_labels(rng, 5)
     yield np.zeros((5, 4)), Dataset.from_dense(np.zeros((5, 4)), y)
 
@@ -74,9 +82,17 @@ def test_numpy_kernels_match_dense_on_mixed_scale_columns():
         empty = np.diff(ds.col_ptr) == 0
 
         u = rng.normal(size=ds.n_samples)
-        out = kernels.csc_rmatvec_numpy(ds.col_ptr, ds.row_idx, ds.values, u)
-        _assert_columns_close(out, _exact_column_sums(x * u[:, None]), ax.T @ np.abs(u))
-        assert np.all(out[empty] == 0.0)
+        ref = _exact_column_sums(x * u[:, None])
+        csc = (ds.col_ptr, ds.row_idx, ds.values)
+        for out in (kernels.csc_rmatvec_numpy(*csc, u), ds.rmatvec(u)):
+            _assert_columns_close(out, ref, ax.T @ np.abs(u))
+            assert np.all(out[empty] == 0.0)
+
+        # X @ v row by row, each against its own magnitude
+        v = rng.normal(size=ds.n_features)
+        ref = _exact_column_sums((x * v).T)
+        for out in (kernels.csc_matvec_numpy(*csc, v, ds.n_samples), ds.matvec(v)):
+            _assert_columns_close(out, ref, ax @ np.abs(v))
 
         stats = kernels.feature_stats_numpy(ds.col_ptr, ds.row_idx, ds.values, y)
         dot_y, dot_one, sq_norm, proj_y_norm = stats
@@ -188,10 +204,33 @@ def test_jit_env_flag_selects_numpy_path():
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
-def test_active_dispatch_consistent():
+def test_active_dispatch_consistent(monkeypatch):
     if kernels.USING_NUMBA:
         assert kernels.screen_bulk is kernels.screen_bulk_numba
-        assert kernels.csc_matvec is kernels.csc_matvec_numba
+        assert kernels.sparse_matvec is kernels.csc_matvec_numba
+        assert kernels.sparse_rmatvec is kernels.csc_rmatvec_numba
     else:
         assert kernels.screen_bulk is kernels.screen_bulk_numpy
-        assert kernels.csc_matvec is kernels.csc_matvec_numpy
+        assert kernels.sparse_matvec is kernels.csc_matvec_numpy
+        assert kernels.sparse_rmatvec is kernels.csc_rmatvec_numpy
+
+    # The products run the active sparse kernel without a block and BLAS
+    # on the block alone when one is given.
+    rng = np.random.default_rng(73)
+    ds = random_dataset(rng, 9, 14, 0.3)
+    assert ds.dense_block is None
+    v, u = rng.normal(size=ds.n_features), rng.normal(size=ds.n_samples)
+    csc = (ds.col_ptr, ds.row_idx, ds.values)
+    np.testing.assert_array_equal(
+        kernels.csc_matvec(*csc, v, ds.n_samples), kernels.sparse_matvec(*csc, v, ds.n_samples)
+    )
+    np.testing.assert_array_equal(kernels.csc_rmatvec(*csc, u), kernels.sparse_rmatvec(*csc, u))
+
+    def unused(*args):
+        raise AssertionError("sparse kernel called despite a dense block")
+
+    monkeypatch.setattr(kernels, "sparse_matvec", unused)
+    monkeypatch.setattr(kernels, "sparse_rmatvec", unused)
+    block = np.asfortranarray(ds.to_dense())
+    np.testing.assert_array_equal(kernels.csc_matvec(*csc, v, ds.n_samples, block=block), block @ v)
+    np.testing.assert_array_equal(kernels.csc_rmatvec(*csc, u, block=block), u @ block)

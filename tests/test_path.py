@@ -14,7 +14,9 @@ from svmscreen import (
     lambda_grid,
     lambda_max,
     run_path,
+    theta_from_primal,
 )
+from svmscreen import screening, solver
 
 from conftest import random_dataset
 
@@ -156,3 +158,55 @@ def test_csv_and_json_serialization():
         assert entry["kept"] == step.kept
         assert entry["converged"] is True
         assert entry["trusted"] is True
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_one_lambda_max_pass_per_path(monkeypatch):
+    rng = np.random.default_rng(31)
+    ds = random_dataset(rng, 12, 60, density=0.3)
+    calls = _counting(monkeypatch, solver, "lambda_max")
+    calls += _counting(monkeypatch, screening, "lambda_max")
+    report = run_path(ds, PathConfig(grid_size=5, ratio=0.8))
+    assert len(calls) == 1
+    assert all(s.trusted for s in report.steps)
+
+
+def test_spectral_bound_once_per_dataset(monkeypatch):
+    # Tall and dense: screening keeps every feature, so every solve runs
+    # on the same Dataset.
+    rng = np.random.default_rng(37)
+    ds = random_dataset(rng, 80, 4)
+    calls = _counting(monkeypatch, solver, "_spectral_bound")
+    report = run_path(ds, PathConfig(grid_size=4, ratio=0.5))
+    assert all(s.kept == ds.n_features for s in report.steps)
+    assert len(calls) == 1
+    again = run_path(ds, PathConfig(grid_size=4, ratio=0.5))
+    assert len(calls) == 1
+    for s, t in zip(report.steps, again.steps):
+        np.testing.assert_array_equal(s.weights, t.weights)
+
+
+@pytest.mark.parametrize("density", [0.15, 1.0])
+def test_next_theta_from_reduced_solve_matches_full_data(monkeypatch, density):
+    rng = np.random.default_rng(41)
+    ds = random_dataset(rng, 15, 120, density=density)
+    calls = _counting(monkeypatch, screening, "build_context")
+    report = run_path(ds, PathConfig(grid_size=6, ratio=0.7))
+    assert any(s.kept < ds.n_features for s in report.steps)
+    assert len(calls) == len(report.steps)
+    for step, (theta, *_) in zip(report.steps, calls[1:]):
+        full = theta_from_primal(ds, step.weights, step.bias, step.lam)
+        assert theta.lam == step.lam
+        scale = np.max(np.abs(full.values))
+        np.testing.assert_allclose(theta.values, full.values, rtol=0.0, atol=1e-12 * scale)

@@ -99,6 +99,8 @@ def test_build_context_validation():
         build_context(theta1, 0.5, -0.1, ds)
     with pytest.raises(ValueError, match="exceeds lambda_max"):
         build_context(theta1, 10.0, 1.0, ds)
+    with pytest.raises(ValueError, match="exceeds lambda_max"):
+        build_context(theta1, 10.0, 1.0, ds, lam_max=2.0 / 3.0)
     with pytest.raises(ValueError, match="length"):
         build_context(np.ones(2), 2.0 / 3.0, 0.3, ds)
     with pytest.raises(ValueError, match="negative"):
