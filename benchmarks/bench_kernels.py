@@ -2,8 +2,9 @@
 
 Builds one random screening problem, checks that both implementations of
 every kernel agree on it, then reports median wall times and the speedup.
-The active implementation inside the library is chosen at import time via
-the SVMSCREEN_JIT environment variable; this script always times both.
+The CSC kernels get the per-entry column index, as a sparse Dataset passes
+it.  The active implementation inside the library is chosen at import time
+via the SVMSCREEN_JIT environment variable; this script always times both.
 
 Usage:
     python3 benchmarks/bench_kernels.py --n 1000 --m 10000 --density 0.1
@@ -21,16 +22,16 @@ from svmscreen import (
     lambda_max,
     theta_at_lambda_max,
 )
-from svmscreen.kernels import IMPLEMENTATIONS
+from svmscreen.kernels import IMPLEMENTATIONS, column_index
 from svmscreen.screening import _scalar_args
 
 
-def median_time(fn, args, repeat):
-    fn(*args)  # warm-up; compiles on the first call of a numba kernel
+def median_time(fn, args, kwargs, repeat):
+    fn(*args, **kwargs)  # warm-up; compiles on the first call of a numba kernel
     times = []
     for _ in range(repeat):
         start = time.perf_counter()
-        fn(*args)
+        fn(*args, **kwargs)
         times.append(time.perf_counter() - start)
     return float(np.median(times))
 
@@ -68,13 +69,16 @@ def main():
          (ds.column(j) for j in range(ds.n_features))]
     )
 
+    csc = (ds.col_ptr, ds.row_idx, ds.values)
+    index = {"cols": column_index(ds.col_ptr)}
     calls = {
-        "csc_matvec": (ds.col_ptr, ds.row_idx, ds.values, rng.normal(size=args.m), args.n),
-        "csc_rmatvec": (ds.col_ptr, ds.row_idx, ds.values, rng.normal(size=args.n)),
-        "feature_stats": (ds.col_ptr, ds.row_idx, ds.values, y),
+        "csc_matvec": ((*csc, rng.normal(size=args.m), args.n), index),
+        "csc_rmatvec": ((*csc, rng.normal(size=args.n)), index),
+        "feature_stats": ((*csc, y), index),
         "screen_bulk": (
-            stats.dot_y, stats.dot_one, stats.sq_norm, stats.proj_y_norm, s_theta,
-            *_scalar_args(ctx),
+            (stats.dot_y, stats.dot_one, stats.sq_norm, stats.proj_y_norm, s_theta,
+             *_scalar_args(ctx)),
+            {},
         ),
     }
 
@@ -83,13 +87,13 @@ def main():
     print(header)
     print("-" * len(header))
     for name, (numpy_impl, numba_impl) in IMPLEMENTATIONS.items():
-        call = calls[name]
-        t_numpy = median_time(numpy_impl, call, args.repeat)
+        call, kwargs = calls[name]
+        t_numpy = median_time(numpy_impl, call, kwargs, args.repeat)
         if numba_impl is None:
             print(f"{name:<16}{t_numpy * 1e3:>10.3f}ms{'-':>12}{'-':>10}{'-':>12}")
             continue
-        deviation = max_deviation(numpy_impl(*call), numba_impl(*call))
-        t_numba = median_time(numba_impl, call, args.repeat)
+        deviation = max_deviation(numpy_impl(*call, **kwargs), numba_impl(*call, **kwargs))
+        t_numba = median_time(numba_impl, call, kwargs, args.repeat)
         print(
             f"{name:<16}{t_numpy * 1e3:>10.3f}ms{t_numba * 1e3:>10.3f}ms"
             f"{t_numpy / t_numba:>9.2f}x{deviation:>12.2e}"

@@ -30,7 +30,8 @@ class Dataset:
     Columns are stored in CSC form: column j occupies the half-open slice
     ``col_ptr[j]:col_ptr[j+1]`` of ``row_idx``/``values``, with row indices
     strictly increasing inside each column.  Dense data also gets a dense
-    copy for its products (see ``dense_block``).
+    copy for its products (see ``dense_block``), sparse data the column of
+    every stored entry (see ``column_index``).
     """
 
     n_samples: int
@@ -138,16 +139,30 @@ class Dataset:
             block[idx, j] = vals
         return block
 
+    @cached_property
+    def column_index(self):
+        """Column of every stored entry (8 bytes each) when the products
+        run on the CSC arrays, else None; built on first use.
+
+        The sparse products and the feature statistics sum per column
+        through it, instead of rebuilding it on every call.
+        """
+        if self.dense_block is not None:
+            return None
+        return kernels.column_index(self.col_ptr)
+
     def matvec(self, v):
         """X @ v for a weight vector v of length n_features."""
         return kernels.csc_matvec(
-            self.col_ptr, self.row_idx, self.values, v, self.n_samples, block=self.dense_block
+            self.col_ptr, self.row_idx, self.values, v, self.n_samples,
+            block=self.dense_block, cols=self.column_index,
         )
 
     def rmatvec(self, u):
         """X.T @ u for a sample vector u of length n_samples."""
         return kernels.csc_rmatvec(
-            self.col_ptr, self.row_idx, self.values, u, block=self.dense_block
+            self.col_ptr, self.row_idx, self.values, u,
+            block=self.dense_block, cols=self.column_index,
         )
 
     def memo(self, key, compute):
@@ -198,7 +213,8 @@ class FeatureStats:
 def compute_feature_stats(dataset):
     """One O(nnz) pass producing the FeatureStats table for all features."""
     dot_y, dot_one, sq_norm, proj_y_norm = kernels.feature_stats(
-        dataset.col_ptr, dataset.row_idx, dataset.values, dataset.labels
+        dataset.col_ptr, dataset.row_idx, dataset.values, dataset.labels,
+        cols=dataset.column_index,
     )
     return FeatureStats(dot_y, dot_one, sq_norm, proj_y_norm)
 

@@ -8,9 +8,14 @@ importing the package to force the numpy path even when numba is
 installed; both variants stay importable under their ``*_numpy`` /
 ``*_numba`` names so they can be compared directly (see benchmarks/).
 
-The matrix-vector products ``csc_matvec`` / ``csc_rmatvec`` also accept
-the dense column block a Dataset keeps for dense data, and then run as
-BLAS products on it instead of either sparse kernel.
+The numpy products and feature statistics sum per column with
+``np.bincount`` over the column of every stored entry (``column_index``),
+which a sparse Dataset builds once and passes as ``cols``.  The
+matrix-vector products ``csc_matvec`` / ``csc_rmatvec`` also accept the
+dense column block a Dataset keeps for dense data, and then run as BLAS
+products on it instead of either sparse kernel.  The bulk bound
+``screen_bulk_numpy`` forms both signs of every feature from shared even
+and odd parts.
 """
 
 import math
@@ -61,40 +66,50 @@ def set_threads(count):
 # ---------------------------------------------------------------------------
 
 
-def _column_sums(col_ptr, per_entry):
-    # Each column is reduced on its own, so a large-scale column cannot
-    # swamp the ones after it, as differences of one running sum would.
-    # reduceat gives no 0 for an empty segment and rejects an offset equal
-    # to nnz, so it runs over the non-empty columns and empty ones stay 0.
-    sums = np.zeros(col_ptr.shape[0] - 1)
-    nonempty = col_ptr[1:] > col_ptr[:-1]
-    sums[nonempty] = np.add.reduceat(per_entry, col_ptr[:-1][nonempty])
-    return sums
+def column_index(col_ptr):
+    """Column of every stored entry: ``j`` repeated ``col_ptr[j+1] - col_ptr[j]`` times."""
+    m = col_ptr.shape[0] - 1
+    return np.repeat(np.arange(m, dtype=np.int64), np.diff(col_ptr))
 
 
-def csc_matvec_numpy(col_ptr, row_idx, values, v, n_rows):
-    """X @ v where X is given by CSC arrays (columns are features)."""
-    counts = np.diff(col_ptr)
-    weights = values * np.repeat(v, counts)
-    return np.bincount(row_idx, weights=weights, minlength=n_rows)
+def _sums_by(index, weights, size):
+    # Adds each weight into its own bin, in entry order, so a large-scale
+    # column cannot swamp the ones after it.  bincount gives integer zeros
+    # when there are no entries at all.
+    return np.bincount(index, weights=weights, minlength=size).astype(np.float64, copy=False)
 
 
-def csc_rmatvec_numpy(col_ptr, row_idx, values, u):
+def csc_matvec_numpy(col_ptr, row_idx, values, v, n_rows, cols=None):
+    """X @ v where X is given by CSC arrays (columns are features).
+
+    ``cols`` is ``column_index(col_ptr)``, built here when not given.
+    """
+    if cols is None:
+        cols = column_index(col_ptr)
+    return _sums_by(row_idx, values * v[cols], n_rows)
+
+
+def csc_rmatvec_numpy(col_ptr, row_idx, values, u, cols=None):
     """X.T @ u: one sparse dot product per column."""
-    return _column_sums(col_ptr, values * u[row_idx])
+    if cols is None:
+        cols = column_index(col_ptr)
+    return _sums_by(cols, values * u[row_idx], col_ptr.shape[0] - 1)
 
 
-def feature_stats_numpy(col_ptr, row_idx, values, y):
+def feature_stats_numpy(col_ptr, row_idx, values, y, cols=None):
     """Per-column statistics of the label-weighted features fhat_j = y * f_j.
 
     Returns (dot_y, dot_one, sq_norm, proj_y_norm) where dot_y = fhat' y,
     dot_one = fhat' 1, sq_norm = ||fhat||^2 and proj_y_norm is the norm of
     fhat after removing its component along y.
     """
+    if cols is None:
+        cols = column_index(col_ptr)
+    m = col_ptr.shape[0] - 1
     n = y.shape[0]
-    dot_y = _column_sums(col_ptr, values)  # fhat' y == sum of f values
-    dot_one = _column_sums(col_ptr, values * y[row_idx])  # fhat' 1 == f' y
-    sq_norm = _column_sums(col_ptr, values * values)
+    dot_y = _sums_by(cols, values, m)  # fhat' y == sum of f values
+    dot_one = _sums_by(cols, values * y[row_idx], m)  # fhat' 1 == f' y
+    sq_norm = _sums_by(cols, values * values, m)
     proj_y_norm = np.sqrt(np.maximum(sq_norm - dot_y * dot_y / n, 0.0))
     return dot_y, dot_one, sq_norm, proj_y_norm
 
@@ -197,76 +212,86 @@ def screen_bulk_numpy(
 
     Returns (m1, m2, branch1, branch2): the bound components for +fhat and
     -fhat with the branch taken for each.
+
+    Every quantity neg_min_scalar derives from fhat is odd or even in it:
+    for -fhat the odd ones (af, pyaf, bf, pybf, paf_y, nested_dot) are the
+    exact negations of those for +fhat and the even ones (pyf,
+    nested_f_sq) are equal.  So each is computed once, and both signs are
+    formed from them in the scalar's order of operations, which keeps
+    every value and branch equal to neg_min_scalar's.  A branch is
+    evaluated only when some feature takes it for some sign.
     """
+    pyf = proj_y_norm
+    m = pyf.shape[0]
+    m1 = np.zeros(m)
+    m2 = np.zeros(m)
+    branch1 = np.full(m, DEGENERATE_F, dtype=np.int8)
+    branch2 = np.full(m, DEGENERATE_F, dtype=np.int8)
 
-    def one_sign(sign):
-        syf = sign * dot_y
-        s1f = sign * dot_one
-        sth = sign * s_theta
-        pyf = proj_y_norm
+    def take(mask1, mask2, code, v1, v2):
+        np.copyto(m1, v1, where=mask1)
+        np.copyto(m2, v2, where=mask2)
+        np.copyto(branch1, np.int8(code), where=mask1)
+        np.copyto(branch2, np.int8(code), where=mask2)
 
-        degenerate = pyf <= 1e-12 * np.sqrt(sq_norm)
-        pyf_safe = np.where(pyf > 0.0, pyf, 1.0)
+    def ball_values():
+        bf = 0.5 * (dot_one * inv_l2 - s_theta)
+        pybf = bf - b_dot_y * dot_y / n
+        ball_f = pyb_norm * pyf
+        return ball_f - pybf - s_theta, ball_f + pybf + s_theta
 
-        if has_normal:
-            af = (s1f * inv_l1 - sth) / norm_u
-            pyaf = af - a_dot_y * syf / n
-            cosv = pyaf / (pya_norm * pyf_safe)
-            beta = ~degenerate & (cosv <= -1.0 + EPS_COS)
-        else:
-            af = np.zeros_like(syf)
-            pyaf = np.zeros_like(syf)
-            beta = np.zeros_like(degenerate)
-        v_beta = (pyf / pya_norm) * a_dot_theta1 if has_normal else np.zeros_like(pyf)
-
-        taken = degenerate | beta
+    # Degenerate features keep 0; the rest take one of the other branches.
+    live = ~(pyf <= 1e-12 * np.sqrt(sq_norm))
+    if not has_normal:
         if slice_degenerate:
-            if has_normal:
-                ball = np.zeros_like(degenerate)
-            else:
-                ball = ~taken
-            v_ball = -sth
+            take(live, live, ALPHA_ZERO, -s_theta, s_theta)
         else:
-            if has_normal:
-                ball = ~taken & (py_a_dot_py_b / pyb_norm - pyaf / pyf_safe <= 0.0)
-            else:
-                ball = ~taken
-            bf = 0.5 * (s1f * inv_l2 - sth)
-            pybf = bf - b_dot_y * syf / n
-            v_ball = pyb_norm * pyf - pybf - sth
+            take(live, live, ALPHA_ZERO, *ball_values())
+        return m1, m2, branch1, branch2
 
-        paf_y = syf - af * a_dot_y
+    # pyf is 0 only on degenerate features, whose quotients are never read.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        af = (dot_one * inv_l1 - s_theta) / norm_u
+        pyaf = af - a_dot_y * dot_y / n
+        cosv = pyaf / (pya_norm * pyf)
+        beta1 = live & (cosv <= -1.0 + EPS_COS)
+        beta2 = live & (-cosv <= -1.0 + EPS_COS)
+        if beta1.any() or beta2.any():
+            v_beta = (pyf / pya_norm) * a_dot_theta1
+            take(beta1, beta2, BETA_ZERO, v_beta, v_beta)
+        rest1 = live & ~beta1
+        rest2 = live & ~beta2
+        if not slice_degenerate:
+            lead = py_a_dot_py_b / pyb_norm
+            pyaf_pyf = pyaf / pyf
+            ball1 = rest1 & (lead - pyaf_pyf <= 0.0)
+            ball2 = rest2 & (lead + pyaf_pyf <= 0.0)
+            if ball1.any() or ball2.any():
+                take(ball1, ball2, ALPHA_ZERO, *ball_values())
+                rest1 &= ~ball1
+                rest2 &= ~ball2
+
+    # The rest meet the halfspace at the rim of the ball slice.
+    if rest1.any() or rest2.any():
+        paf_y = dot_y - af * a_dot_y
         nested_f_sq = np.maximum(sq_norm - af * af - paf_y * paf_y / pay_sq, 0.0)
-        nested_dot = (s1f - af * a_dot_one) - pa1y * paf_y / pay_sq
-        v_corner = half_dl * (nested1_norm * np.sqrt(nested_f_sq) - nested_dot) - sth
-
-        value = np.select(
-            [degenerate, beta, ball], [np.zeros_like(pyf), v_beta, v_ball], default=v_corner
-        )
-        branch = np.select(
-            [degenerate, beta, ball],
-            [
-                np.int8(DEGENERATE_F),
-                np.int8(BETA_ZERO),
-                np.int8(ALPHA_ZERO),
-            ],
-            default=np.int8(INTERIOR_CORNER),
-        )
-        return value, branch
-
-    m1, branch1 = one_sign(1.0)
-    m2, branch2 = one_sign(-1.0)
+        nested_dot = (dot_one - af * a_dot_one) - pa1y * paf_y / pay_sq
+        rim = nested1_norm * np.sqrt(nested_f_sq)
+        v1 = half_dl * (rim - nested_dot) - s_theta
+        v2 = half_dl * (rim + nested_dot) + s_theta
+        take(rest1, rest2, INTERIOR_CORNER, v1, v2)
     return m1, m2, branch1, branch2
 
 
 # ---------------------------------------------------------------------------
-# Numba variants.
+# Numba variants.  The CSC kernels take ``cols`` for the same call as their
+# numpy twins and ignore it: their loops walk col_ptr directly.
 # ---------------------------------------------------------------------------
 
 if HAS_NUMBA:
 
     @njit(cache=True)
-    def csc_matvec_numba(col_ptr, row_idx, values, v, n_rows):
+    def csc_matvec_numba(col_ptr, row_idx, values, v, n_rows, cols=None):
         out = np.zeros(n_rows)
         for j in range(col_ptr.shape[0] - 1):
             vj = v[j]
@@ -276,7 +301,7 @@ if HAS_NUMBA:
         return out
 
     @njit(cache=True)
-    def csc_rmatvec_numba(col_ptr, row_idx, values, u):
+    def csc_rmatvec_numba(col_ptr, row_idx, values, u, cols=None):
         m = col_ptr.shape[0] - 1
         out = np.empty(m)
         for j in range(m):
@@ -287,7 +312,7 @@ if HAS_NUMBA:
         return out
 
     @njit(cache=True)
-    def feature_stats_numba(col_ptr, row_idx, values, y):
+    def feature_stats_numba(col_ptr, row_idx, values, y, cols=None):
         n = y.shape[0]
         m = col_ptr.shape[0] - 1
         dot_y = np.empty(m)
@@ -417,18 +442,20 @@ else:
     screen_bulk = screen_bulk_numpy
 
 
-def csc_matvec(col_ptr, row_idx, values, v, n_rows, block=None):
-    """X @ v; on ``block``, the dense n x m copy of X, when one is given."""
+def csc_matvec(col_ptr, row_idx, values, v, n_rows, block=None, cols=None):
+    """X @ v; on ``block``, the dense n x m copy of X, when one is given,
+    else by the sparse kernel with the column index ``cols``."""
     if block is not None:
         return block @ v
-    return sparse_matvec(col_ptr, row_idx, values, v, n_rows)
+    return sparse_matvec(col_ptr, row_idx, values, v, n_rows, cols=cols)
 
 
-def csc_rmatvec(col_ptr, row_idx, values, u, block=None):
-    """X.T @ u; on ``block``, the dense n x m copy of X, when one is given."""
+def csc_rmatvec(col_ptr, row_idx, values, u, block=None, cols=None):
+    """X.T @ u; on ``block``, the dense n x m copy of X, when one is given,
+    else by the sparse kernel with the column index ``cols``."""
     if block is not None:
         return u @ block
-    return sparse_rmatvec(col_ptr, row_idx, values, u)
+    return sparse_rmatvec(col_ptr, row_idx, values, u, cols=cols)
 
 
 #: name -> (numpy implementation, numba implementation or None)

@@ -46,6 +46,14 @@ class PathConfig:
 
 @dataclass(frozen=True)
 class PathStep:
+    """One grid value of a path.
+
+    ``screen_ms`` is the wall time of screening for this step: building
+    the screening region, bounding every feature and copying out the kept
+    columns; it is 0 when screening is off.  ``solve_ms`` is the solve on
+    the kept columns alone (or the closed form when none are kept).
+    """
+
     lam: float
     kept: int
     active: int
@@ -175,9 +183,11 @@ def run_path(dataset, config=None):
     for lam2 in grid:
         lam2 = float(lam2)
         kept_idx = np.arange(m, dtype=np.int64)
+        reduced, warm = dataset, (w_prev, b_prev)
         screen_ms = 0.0
         trusted = prev_converged
         if cfg.screen:
+            t0 = time.perf_counter()
             try:
                 ctx = screening.build_context(
                     theta_prev, lam_prev, lam2, dataset, lam_max=lam_max
@@ -187,9 +197,11 @@ def run_path(dataset, config=None):
                 # infeasible; keep everything rather than abort the path.
                 trusted = False
             else:
-                report = screening.screen_all(ctx, dataset, stats, threads=cfg.threads)
-                kept_idx = report.kept
-                screen_ms = report.elapsed_seconds * 1000.0
+                kept_idx = screening.screen_all(ctx, dataset, stats, threads=cfg.threads).kept
+                if 0 < kept_idx.size < m:
+                    reduced = dataset.subset(kept_idx)
+                    warm = (w_prev[kept_idx], b_prev)
+            screen_ms = (time.perf_counter() - t0) * 1000.0
 
         t0 = time.perf_counter()
         if kept_idx.size == 0:
@@ -201,12 +213,6 @@ def run_path(dataset, config=None):
             objective = 0.5 * float(xi @ xi)
             converged = True
         else:
-            if kept_idx.size == m:
-                reduced = dataset
-                warm = (w_prev, b_prev)
-            else:
-                reduced = dataset.subset(kept_idx)
-                warm = (w_prev[kept_idx], b_prev)
             model = solver.solve_primal(reduced, lam2, options=cfg.solver, warm=warm)
             w_full = np.zeros(m)
             w_full[kept_idx] = model.weights

@@ -134,6 +134,24 @@ def test_dense_block_from_half_the_cells_stored():
     np.testing.assert_array_equal(ds.subset([17, 4]).dense_block, wide[:, [17, 4]])
 
 
+def test_column_index_for_sparse_data_only():
+    # The column of every stored entry; dense data runs on its block and
+    # builds none.
+    x = np.array([[0.0, 1.0, 0.0, 2.0], [0.0, 0.0, 0.0, 3.0], [4.0, 0.0, 0.0, 5.0]])
+    ds = Dataset.from_dense(x, [1.0, -1.0, 1.0])
+    assert ds.dense_block is None
+    np.testing.assert_array_equal(ds.column_index, [0, 1, 3, 3, 3])
+    assert ds.column_index is ds.column_index
+    assert Dataset.from_dense(np.ones((3, 2)), [1.0, -1.0, 1.0]).column_index is None
+
+    # A sparse subset indexes its own entries, not its parent's.
+    sub = ds.subset([1, 2, 0])
+    assert sub.dense_block is None
+    np.testing.assert_array_equal(sub.column_index, [0, 2])
+    assert not np.shares_memory(sub.column_index, ds.column_index)
+    np.testing.assert_array_equal(sub.rmatvec(np.array([1.0, 2.0, 3.0])), [1.0, 0.0, 12.0])
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [

@@ -4,8 +4,10 @@ scaled data; the numba kernels, where installed, must be interchangeable
 with them bit-for-bit-ish."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,6 +109,26 @@ def test_numpy_kernels_match_dense_on_mixed_scale_columns():
             assert np.all(column[empty] == 0.0)
 
 
+def test_numpy_kernels_equal_with_and_without_column_index():
+    rng = np.random.default_rng(101)
+    datasets = [ds for _, ds in _mixed_scale_datasets(rng)]
+    datasets += [random_dataset(rng, 12, 40, 0.2), random_dataset(rng, 7, 5)]
+    for ds in datasets:
+        csc = (ds.col_ptr, ds.row_idx, ds.values)
+        cols = kernels.column_index(ds.col_ptr)
+        assert cols.shape == ds.values.shape
+        v, u = rng.normal(size=ds.n_features), rng.normal(size=ds.n_samples)
+        for out, ref in (
+            (kernels.csc_matvec_numpy(*csc, v, ds.n_samples, cols=cols),
+             kernels.csc_matvec_numpy(*csc, v, ds.n_samples)),
+            (kernels.csc_rmatvec_numpy(*csc, u, cols=cols), kernels.csc_rmatvec_numpy(*csc, u)),
+            *zip(kernels.feature_stats_numpy(*csc, ds.labels, cols=cols),
+                 kernels.feature_stats_numpy(*csc, ds.labels)),
+        ):
+            assert out.dtype == np.float64
+            np.testing.assert_array_equal(out, ref)
+
+
 @needs_numba
 def test_matvec_implementations_agree():
     rng = np.random.default_rng(47)
@@ -137,6 +159,71 @@ def test_feature_stats_implementations_agree():
             np.testing.assert_allclose(left, right, atol=1e-12)
 
 
+def _bound_inputs(kind, lam1=1.2, lam2=0.7):
+    """(context, stats, s_theta) of one kind of screening context.
+
+    ``generic`` has a hand-made feasible theta1; ``no_normal`` has balanced
+    labels and theta1 = 1/lambda1, so the halfspace drops out;
+    ``slice_degenerate`` has theta1 = (1 - mean(y) y) / lambda2, whose
+    ball center offset b is a multiple of y.  Beside random columns each
+    dataset holds the 1e7 anchor that keeps lambda1 legal, a constant and
+    an empty column (degenerate), and the column whose fhat is -P_y(a),
+    anti-parallel to the normal a off y (0 without a normal).
+    """
+    rng = np.random.default_rng(59)
+    n = 10
+    if kind == "generic":
+        y = random_labels(rng, n)
+        theta1 = feasible_theta(rng, y)
+    elif kind == "no_normal":
+        y = rng.permutation(np.repeat([1.0, -1.0], n // 2))
+        theta1 = np.full(n, 1.0 / lam1)
+    else:
+        y = rng.permutation(np.repeat([1.0, -1.0], [7, 3]))
+        theta1 = (1.0 - y.mean() * y) / lam2
+    x = rng.normal(size=(n, 24))
+    x[:, 0] = 1e7 * y
+    x[:, 1] = 3.7
+    x[:, 2] = 0.0
+    a = 1.0 / lam1 - theta1
+    x[:, 3] = -y * (a - (a @ y / n) * y)
+    ds = Dataset.from_dense(x, y)
+    ctx = build_context(theta1, lam1, lam2, ds)
+    stats = compute_feature_stats(ds)
+    return ctx, stats, ds.rmatvec(theta1 * y)
+
+
+def test_bulk_numpy_matches_scalar_reference():
+    deg, beta, ball, corner = (
+        kernels.DEGENERATE_F, kernels.BETA_ZERO, kernels.ALPHA_ZERO, kernels.INTERIOR_CORNER
+    )
+    cases = []
+    for kind, reached in (
+        ("generic", {deg, beta, ball, corner}),
+        ("no_normal", {deg, ball}),
+        ("slice_degenerate", {deg, beta, corner}),
+    ):
+        ctx, stats, s_theta = _bound_inputs(kind)
+        assert (ctx.normal is None) == (kind == "no_normal")
+        assert ctx.slice_degenerate == (kind == "slice_degenerate")
+        cases.append((stats, s_theta, _scalar_args(ctx), reached))
+    # No valid labels make a context without a normal whose slice is
+    # degenerate (that needs 1 parallel to y), but the kernel takes one.
+    stats, s_theta, args, _ = cases[-1]
+    cases.append((stats, s_theta, args[:3] + (False,) + args[4:], {deg, ball}))
+
+    for stats, s_theta, args, reached in cases:
+        columns = (stats.dot_y, stats.dot_one, stats.sq_norm, stats.proj_y_norm, s_theta)
+        m1, m2, br1, br2 = kernels.screen_bulk_numpy(*columns, *args)
+        for sign, values, branches in ((1.0, m1, br1), (-1.0, m2, br2)):
+            # fhat' y, fhat' 1 and theta1' fhat flip with the sign of fhat
+            flip = np.array([sign, sign, 1.0, 1.0, sign])
+            ref = [kernels.neg_min_scalar(*(flip * row), *args) for row in np.column_stack(columns)]
+            np.testing.assert_array_equal(values, [v for v, _ in ref])
+            np.testing.assert_array_equal(branches, [b for _, b in ref])
+        assert set(np.concatenate([br1, br2]).tolist()) == reached
+
+
 def _context_and_stats(seed, n=8, m=40):
     rng = np.random.default_rng(seed)
     ds = anchored_dataset(rng, n, m)
@@ -147,27 +234,6 @@ def _context_and_stats(seed, n=8, m=40):
         ds.col_ptr, ds.row_idx, ds.values, theta1 * ds.labels
     )
     return ctx, stats, s_theta
-
-
-def test_bulk_numpy_matches_scalar_reference():
-    ctx, stats, s_theta = _context_and_stats(59)
-    args = _scalar_args(ctx)
-    m1, m2, br1, br2 = kernels.screen_bulk_numpy(
-        stats.dot_y, stats.dot_one, stats.sq_norm, stats.proj_y_norm, s_theta, *args
-    )
-    for j in range(stats.dot_y.shape[0]):
-        v1, b1 = kernels.neg_min_scalar(
-            stats.dot_y[j], stats.dot_one[j], stats.sq_norm[j],
-            stats.proj_y_norm[j], s_theta[j], *args,
-        )
-        v2, b2 = kernels.neg_min_scalar(
-            -stats.dot_y[j], -stats.dot_one[j], stats.sq_norm[j],
-            stats.proj_y_norm[j], -s_theta[j], *args,
-        )
-        assert m1[j] == pytest.approx(v1, abs=1e-12)
-        assert m2[j] == pytest.approx(v2, abs=1e-12)
-        assert br1[j] == b1
-        assert br2[j] == b2
 
 
 @needs_numba
@@ -204,6 +270,17 @@ def test_jit_env_flag_selects_numpy_path():
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
+def test_kernel_bench_runs():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "bench_kernels.py"),
+         "--n", "20", "--m", "50", "--repeat", "1"],
+        check=True, env=env, capture_output=True, timeout=120,
+    )
+
+
 def test_active_dispatch_consistent(monkeypatch):
     if kernels.USING_NUMBA:
         assert kernels.screen_bulk is kernels.screen_bulk_numba
@@ -214,19 +291,37 @@ def test_active_dispatch_consistent(monkeypatch):
         assert kernels.sparse_matvec is kernels.csc_matvec_numpy
         assert kernels.sparse_rmatvec is kernels.csc_rmatvec_numpy
 
-    # The products run the active sparse kernel without a block and BLAS
-    # on the block alone when one is given.
+    # The products run the active sparse kernel, with the column index,
+    # without a block, and BLAS on the block alone when one is given.
     rng = np.random.default_rng(73)
     ds = random_dataset(rng, 9, 14, 0.3)
     assert ds.dense_block is None
     v, u = rng.normal(size=ds.n_features), rng.normal(size=ds.n_samples)
     csc = (ds.col_ptr, ds.row_idx, ds.values)
-    np.testing.assert_array_equal(
-        kernels.csc_matvec(*csc, v, ds.n_samples), kernels.sparse_matvec(*csc, v, ds.n_samples)
-    )
-    np.testing.assert_array_equal(kernels.csc_rmatvec(*csc, u), kernels.sparse_rmatvec(*csc, u))
+    cols = ds.column_index
+    ref_v = kernels.sparse_matvec(*csc, v, ds.n_samples)
+    ref_u = kernels.sparse_rmatvec(*csc, u)
+    passed = []
 
-    def unused(*args):
+    def recording(kernel):
+        def run(*args, cols=None):
+            passed.append(cols)
+            return kernel(*args, cols=cols)
+
+        return run
+
+    monkeypatch.setattr(kernels, "sparse_matvec", recording(kernels.sparse_matvec))
+    monkeypatch.setattr(kernels, "sparse_rmatvec", recording(kernels.sparse_rmatvec))
+    for out, ref in (
+        (kernels.csc_matvec(*csc, v, ds.n_samples, cols=cols), ref_v),
+        (kernels.csc_rmatvec(*csc, u, cols=cols), ref_u),
+        (ds.matvec(v), ref_v),
+        (ds.rmatvec(u), ref_u),
+    ):
+        np.testing.assert_array_equal(out, ref)
+    assert len(passed) == 4 and all(c is cols for c in passed)
+
+    def unused(*args, **kwargs):
         raise AssertionError("sparse kernel called despite a dense block")
 
     monkeypatch.setattr(kernels, "sparse_matvec", unused)

@@ -1,6 +1,7 @@
 """Path driver: grid handling, screening A/B equivalence, verify mode."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -210,3 +211,33 @@ def test_next_theta_from_reduced_solve_matches_full_data(monkeypatch, density):
         assert theta.lam == step.lam
         scale = np.max(np.abs(full.values))
         np.testing.assert_allclose(theta.values, full.values, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_screen_ms_covers_context_and_subset(monkeypatch):
+    # Sleeps in build_context and in the subset of the kept columns must
+    # land in screen_ms, and neither in solve_ms.
+    context_s, subset_s = 0.05, 0.1
+
+    def slowed(owner, name, seconds):
+        original = getattr(owner, name)
+        calls = []
+
+        def slow(*args, **kwargs):
+            calls.append(args)
+            time.sleep(seconds)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, slow)
+        return calls
+
+    rng = np.random.default_rng(43)
+    ds = random_dataset(rng, 15, 120, density=0.15)
+    contexts = slowed(screening, "build_context", context_s)
+    subsets = slowed(Dataset, "subset", subset_s)
+    report = run_path(ds, PathConfig(grid_size=4, ratio=0.7))
+    assert len(contexts) == len(report.steps)
+    subset_steps = [0 < s.kept < ds.n_features for s in report.steps]
+    assert sum(subset_steps) == len(subsets) > 0
+    for step, subset in zip(report.steps, subset_steps):
+        assert step.screen_ms >= 1000.0 * (context_s + subset * subset_s)
+        assert step.solve_ms < 1000.0 * min(context_s, subset_s)
