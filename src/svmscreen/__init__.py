@@ -17,7 +17,6 @@ from .data import (
     serialize_sparse_text,
 )
 from .geometry import Ball, Halfspace, ball_at_t, min_radius_ball, project_null
-from .kernels import USING_NUMBA
 from .oracle import OracleResult, null_space_basis, oracle_max, oracle_neg_min
 from .path import DegenerateProblemError, PathConfig, PathReport, lambda_grid, run_path
 from .screening import (
@@ -67,7 +66,6 @@ __all__ = [
     "ScreeningContext",
     "SolverOptions",
     "ThetaVector",
-    "USING_NUMBA",
     "ball_at_t",
     "build_context",
     "compute_feature_stats",

@@ -115,7 +115,7 @@ def cmd_screen(args):
     theta1 = _theta_for(args, dataset, lam1, lam_max, bias0)
     ctx = screening.build_context(theta1, lam1, lam2, dataset, lam_max=lam_max)
     stats = compute_feature_stats(dataset)
-    report = screening.screen_all(ctx, dataset, stats, threads=args.threads)
+    report = screening.screen_all(ctx, dataset, stats)
     _emit(report.to_json(), args.output)
     return 0
 
@@ -128,7 +128,6 @@ def cmd_path(args):
         solver=_solver_options(args),
         verify=args.verify,
         screen=args.screen,
-        threads=args.threads,
     )
     report = run_path(dataset, cfg)
     text = report.to_csv() if args.format == "csv" else report.to_json()
@@ -207,7 +206,6 @@ def build_parser():
     def add_common(p):
         p.add_argument("data", help="training file, '<label> idx:val ...' per line")
         p.add_argument("--output", help="write the result to this file instead of stdout")
-        p.add_argument("--threads", type=int, default=None, help="cap kernel parallelism")
 
     def add_solver_flags(p):
         p.add_argument("--tol", type=float, default=1e-9, help="optimality tolerance")

@@ -1,44 +1,25 @@
-"""Compute kernels over compressed sparse columns, with optional JIT.
+"""Compute kernels over compressed sparse columns.
 
-Every hot loop of the library lives here in two interchangeable
-implementations: a vectorized pure-numpy version and a numba-compiled
-version of the same arithmetic.  The active implementation is chosen once
-at import time.  Set the environment variable ``SVMSCREEN_JIT=0`` before
-importing the package to force the numpy path even when numba is
-installed; both variants stay importable under their ``*_numpy`` /
-``*_numba`` names so they can be compared directly (see benchmarks/).
+Every hot loop of the library lives here, each in one vectorized numpy
+implementation.
 
-The numpy products and feature statistics sum per column with
-``np.bincount`` over the column of every stored entry (``column_index``),
-which a sparse Dataset builds once and passes as ``cols``.  The
-matrix-vector products ``csc_matvec`` / ``csc_rmatvec`` also accept the
-dense column block a Dataset keeps for dense data, and then run as BLAS
-products on it instead of either sparse kernel.  The bulk bound
-``screen_bulk_numpy`` forms both signs of every feature from shared even
-and odd parts.
+The products and feature statistics sum per column with ``np.bincount``
+over the column of every stored entry (``column_index``), which a sparse
+Dataset builds once and passes as ``cols``.  The matrix-vector products
+``csc_matvec`` / ``csc_rmatvec`` also accept the dense column block a
+Dataset keeps for dense data, and then run as BLAS products on it
+instead.  The bulk bound ``screen_bulk`` forms both signs of every
+feature from shared even and odd parts; ``neg_min_scalar`` is the
+per-feature reference it transcribes.
 """
 
 import math
-import os
 
 import numpy as np
 
-JIT_ENV_VAR = "SVMSCREEN_JIT"
-
-try:
-    import numba
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAS_NUMBA = False
-
-USING_NUMBA = HAS_NUMBA and os.environ.get(JIT_ENV_VAR, "1") != "0"
-
 # Branch codes for the per-feature bound evaluation.  screening.Branch
-# mirrors these values; they are plain ints here so compiled code can
-# return them.
+# mirrors these values; they are plain ints here so the kernels can store
+# them in int8 arrays.
 DEGENERATE_F = 0
 BETA_ZERO = 1
 ALPHA_ZERO = 2
@@ -51,18 +32,8 @@ INTERIOR_CORNER = 3
 EPS_COS = 1e-12
 
 
-def set_threads(count):
-    """Cap internal parallelism.  No-op on the numpy path."""
-    if count is None:
-        return
-    if count < 1:
-        raise ValueError("thread count must be >= 1")
-    if USING_NUMBA:
-        numba.set_num_threads(count)
-
-
 # ---------------------------------------------------------------------------
-# CSC matrix-vector products and per-column statistics, numpy versions.
+# CSC matrix-vector products and per-column statistics.
 # ---------------------------------------------------------------------------
 
 
@@ -79,24 +50,30 @@ def _sums_by(index, weights, size):
     return np.bincount(index, weights=weights, minlength=size).astype(np.float64, copy=False)
 
 
-def csc_matvec_numpy(col_ptr, row_idx, values, v, n_rows, cols=None):
+def csc_matvec(col_ptr, row_idx, values, v, n_rows, block=None, cols=None):
     """X @ v where X is given by CSC arrays (columns are features).
 
-    ``cols`` is ``column_index(col_ptr)``, built here when not given.
+    With ``block``, the dense n x m copy of X, this is the BLAS product
+    ``block @ v``.  Otherwise it sums through ``cols``, the
+    ``column_index(col_ptr)``, built here when not given.
     """
+    if block is not None:
+        return block @ v
     if cols is None:
         cols = column_index(col_ptr)
     return _sums_by(row_idx, values * v[cols], n_rows)
 
 
-def csc_rmatvec_numpy(col_ptr, row_idx, values, u, cols=None):
-    """X.T @ u: one sparse dot product per column."""
+def csc_rmatvec(col_ptr, row_idx, values, u, block=None, cols=None):
+    """X.T @ u: one dot product per column, on ``block`` when one is given."""
+    if block is not None:
+        return u @ block
     if cols is None:
         cols = column_index(col_ptr)
     return _sums_by(cols, values * u[row_idx], col_ptr.shape[0] - 1)
 
 
-def feature_stats_numpy(col_ptr, row_idx, values, y, cols=None):
+def feature_stats(col_ptr, row_idx, values, y, cols=None):
     """Per-column statistics of the label-weighted features fhat_j = y * f_j.
 
     Returns (dot_y, dot_one, sq_norm, proj_y_norm) where dot_y = fhat' y,
@@ -119,8 +96,7 @@ def feature_stats_numpy(col_ptr, row_idx, values, y, cols=None):
 #
 # Evaluates -min over the feasible region of theta' fhat from five
 # per-feature scalars plus shared context scalars.  This single function is
-# the reference implementation: the numba bulk kernel compiles it verbatim,
-# and screen_bulk_numpy is its vectorized transcription.
+# the reference implementation; screen_bulk is its vectorized transcription.
 # ---------------------------------------------------------------------------
 
 
@@ -184,7 +160,7 @@ def neg_min_scalar(
     return value, INTERIOR_CORNER
 
 
-def screen_bulk_numpy(
+def screen_bulk(
     dot_y,
     dot_one,
     sq_norm,
@@ -208,7 +184,7 @@ def screen_bulk_numpy(
     nested1_norm,
     half_dl,
 ):
-    """Vectorized twin of neg_min_scalar over all features and both signs.
+    """neg_min_scalar, vectorized over all features and both signs.
 
     Returns (m1, m2, branch1, branch2): the bound components for +fhat and
     -fhat with the branch taken for each.
@@ -281,187 +257,3 @@ def screen_bulk_numpy(
         v2 = half_dl * (rim + nested_dot) + s_theta
         take(rest1, rest2, INTERIOR_CORNER, v1, v2)
     return m1, m2, branch1, branch2
-
-
-# ---------------------------------------------------------------------------
-# Numba variants.  The CSC kernels take ``cols`` for the same call as their
-# numpy twins and ignore it: their loops walk col_ptr directly.
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def csc_matvec_numba(col_ptr, row_idx, values, v, n_rows, cols=None):
-        out = np.zeros(n_rows)
-        for j in range(col_ptr.shape[0] - 1):
-            vj = v[j]
-            if vj != 0.0:
-                for k in range(col_ptr[j], col_ptr[j + 1]):
-                    out[row_idx[k]] += vj * values[k]
-        return out
-
-    @njit(cache=True)
-    def csc_rmatvec_numba(col_ptr, row_idx, values, u, cols=None):
-        m = col_ptr.shape[0] - 1
-        out = np.empty(m)
-        for j in range(m):
-            acc = 0.0
-            for k in range(col_ptr[j], col_ptr[j + 1]):
-                acc += values[k] * u[row_idx[k]]
-            out[j] = acc
-        return out
-
-    @njit(cache=True)
-    def feature_stats_numba(col_ptr, row_idx, values, y, cols=None):
-        n = y.shape[0]
-        m = col_ptr.shape[0] - 1
-        dot_y = np.empty(m)
-        dot_one = np.empty(m)
-        sq_norm = np.empty(m)
-        proj_y_norm = np.empty(m)
-        for j in range(m):
-            sv = 0.0
-            svy = 0.0
-            sq = 0.0
-            for k in range(col_ptr[j], col_ptr[j + 1]):
-                val = values[k]
-                sv += val
-                svy += val * y[row_idx[k]]
-                sq += val * val
-            dot_y[j] = sv
-            dot_one[j] = svy
-            sq_norm[j] = sq
-            proj = sq - sv * sv / n
-            proj_y_norm[j] = np.sqrt(proj) if proj > 0.0 else 0.0
-        return dot_y, dot_one, sq_norm, proj_y_norm
-
-    _neg_min_scalar_jit = njit(cache=True)(neg_min_scalar)
-
-    @njit(cache=True, parallel=True)
-    def _screen_bulk_loop(
-        dot_y,
-        dot_one,
-        sq_norm,
-        proj_y_norm,
-        s_theta,
-        inv_l1,
-        inv_l2,
-        n,
-        has_normal,
-        slice_degenerate,
-        norm_u,
-        a_dot_y,
-        a_dot_one,
-        a_dot_theta1,
-        pya_norm,
-        pyb_norm,
-        b_dot_y,
-        py_a_dot_py_b,
-        pay_sq,
-        pa1y,
-        nested1_norm,
-        half_dl,
-        m1,
-        m2,
-        branch1,
-        branch2,
-    ):
-        m = dot_y.shape[0]
-        for j in prange(m):
-            v1, b1 = _neg_min_scalar_jit(
-                dot_y[j], dot_one[j], sq_norm[j], proj_y_norm[j], s_theta[j],
-                inv_l1, inv_l2, n, has_normal, slice_degenerate, norm_u,
-                a_dot_y, a_dot_one, a_dot_theta1, pya_norm, pyb_norm, b_dot_y,
-                py_a_dot_py_b, pay_sq, pa1y, nested1_norm, half_dl,
-            )
-            v2, b2 = _neg_min_scalar_jit(
-                -dot_y[j], -dot_one[j], sq_norm[j], proj_y_norm[j], -s_theta[j],
-                inv_l1, inv_l2, n, has_normal, slice_degenerate, norm_u,
-                a_dot_y, a_dot_one, a_dot_theta1, pya_norm, pyb_norm, b_dot_y,
-                py_a_dot_py_b, pay_sq, pa1y, nested1_norm, half_dl,
-            )
-            m1[j] = v1
-            m2[j] = v2
-            branch1[j] = b1
-            branch2[j] = b2
-
-    def screen_bulk_numba(
-        dot_y,
-        dot_one,
-        sq_norm,
-        proj_y_norm,
-        s_theta,
-        inv_l1,
-        inv_l2,
-        n,
-        has_normal,
-        slice_degenerate,
-        norm_u,
-        a_dot_y,
-        a_dot_one,
-        a_dot_theta1,
-        pya_norm,
-        pyb_norm,
-        b_dot_y,
-        py_a_dot_py_b,
-        pay_sq,
-        pa1y,
-        nested1_norm,
-        half_dl,
-    ):
-        m = dot_y.shape[0]
-        m1 = np.empty(m)
-        m2 = np.empty(m)
-        branch1 = np.empty(m, dtype=np.int8)
-        branch2 = np.empty(m, dtype=np.int8)
-        _screen_bulk_loop(
-            dot_y, dot_one, sq_norm, proj_y_norm, s_theta,
-            inv_l1, inv_l2, n, has_normal, slice_degenerate, norm_u,
-            a_dot_y, a_dot_one, a_dot_theta1, pya_norm, pyb_norm, b_dot_y,
-            py_a_dot_py_b, pay_sq, pa1y, nested1_norm, half_dl,
-            m1, m2, branch1, branch2,
-        )
-        return m1, m2, branch1, branch2
-
-else:  # pragma: no cover - exercised only without numba
-    csc_matvec_numba = None
-    csc_rmatvec_numba = None
-    feature_stats_numba = None
-    screen_bulk_numba = None
-
-
-if USING_NUMBA:
-    sparse_matvec = csc_matvec_numba
-    sparse_rmatvec = csc_rmatvec_numba
-    feature_stats = feature_stats_numba
-    screen_bulk = screen_bulk_numba
-else:
-    sparse_matvec = csc_matvec_numpy
-    sparse_rmatvec = csc_rmatvec_numpy
-    feature_stats = feature_stats_numpy
-    screen_bulk = screen_bulk_numpy
-
-
-def csc_matvec(col_ptr, row_idx, values, v, n_rows, block=None, cols=None):
-    """X @ v; on ``block``, the dense n x m copy of X, when one is given,
-    else by the sparse kernel with the column index ``cols``."""
-    if block is not None:
-        return block @ v
-    return sparse_matvec(col_ptr, row_idx, values, v, n_rows, cols=cols)
-
-
-def csc_rmatvec(col_ptr, row_idx, values, u, block=None, cols=None):
-    """X.T @ u; on ``block``, the dense n x m copy of X, when one is given,
-    else by the sparse kernel with the column index ``cols``."""
-    if block is not None:
-        return u @ block
-    return sparse_rmatvec(col_ptr, row_idx, values, u, cols=cols)
-
-
-#: name -> (numpy implementation, numba implementation or None)
-IMPLEMENTATIONS = {
-    "csc_matvec": (csc_matvec_numpy, csc_matvec_numba),
-    "csc_rmatvec": (csc_rmatvec_numpy, csc_rmatvec_numba),
-    "feature_stats": (feature_stats_numpy, feature_stats_numba),
-    "screen_bulk": (screen_bulk_numpy, screen_bulk_numba),
-}

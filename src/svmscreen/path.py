@@ -41,7 +41,6 @@ class PathConfig:
     solver: SolverOptions = field(default_factory=SolverOptions)
     verify: bool = False
     screen: bool = True
-    threads: object = None
 
 
 @dataclass(frozen=True)
@@ -197,7 +196,7 @@ def run_path(dataset, config=None):
                 # infeasible; keep everything rather than abort the path.
                 trusted = False
             else:
-                kept_idx = screening.screen_all(ctx, dataset, stats, threads=cfg.threads).kept
+                kept_idx = screening.screen_all(ctx, dataset, stats).kept
                 if 0 < kept_idx.size < m:
                     reduced = dataset.subset(kept_idx)
                     warm = (w_prev[kept_idx], b_prev)

@@ -66,7 +66,6 @@ class ScreeningContext:
     pya_norm: float  # ||P_y(a)||
     pyb_norm: float  # ||P_y(b_vec)||
     b_dot_y: float
-    y_dot_one: float
     py_a_dot_py_b: float
     pay_sq: float  # ||P_a(y)||^2
     pa1y: float  # P_a(1)' P_a(y)
@@ -74,8 +73,6 @@ class ScreeningContext:
     half_dl: float  # (1/lambda2 - 1/lambda1) / 2
     slice_degenerate: bool
     ball0: geometry.Ball
-    t_star: float | None
-    min_ball: geometry.Ball | None
 
     @property
     def has_normal(self):
@@ -200,7 +197,6 @@ def build_context(theta1, lambda1, lambda2, dataset, lam_max=None):
             normal = candidate
 
     b_dot_y = float(b_vec @ y)
-    y_dot_one = float(y.sum())
     norm_b = float(np.linalg.norm(b_vec))
     pyb_norm = float(np.linalg.norm(b_vec - (b_dot_y / n) * y))
     slice_degenerate = pyb_norm <= 1e-12 * norm_b
@@ -217,7 +213,6 @@ def build_context(theta1, lambda1, lambda2, dataset, lam_max=None):
         pa_y = geometry.project_null(normal, y)
         pa1y = float(pa_one @ pa_y)
         nested1_norm = float(np.linalg.norm(geometry.project_null(pa_y, pa_one)))
-        t_star, min_ball = geometry.min_radius_ball(theta1, lambda1, lambda2, normal)
     else:
         a_dot_y = a_dot_one = a_dot_theta1 = 0.0
         pya_norm = 0.0
@@ -225,8 +220,6 @@ def build_context(theta1, lambda1, lambda2, dataset, lam_max=None):
         pay_sq = float(n)
         pa1y = 0.0
         nested1_norm = 0.0
-        t_star = None
-        min_ball = None
 
     return ScreeningContext(
         lambda1=float(lambda1),
@@ -245,7 +238,6 @@ def build_context(theta1, lambda1, lambda2, dataset, lam_max=None):
         pya_norm=pya_norm,
         pyb_norm=pyb_norm,
         b_dot_y=b_dot_y,
-        y_dot_one=y_dot_one,
         py_a_dot_py_b=py_a_dot_py_b,
         pay_sq=pay_sq,
         pa1y=pa1y,
@@ -253,8 +245,6 @@ def build_context(theta1, lambda1, lambda2, dataset, lam_max=None):
         half_dl=0.5 * (inv_l2 - inv_l1),
         slice_degenerate=bool(slice_degenerate),
         ball0=ball0,
-        t_star=t_star,
-        min_ball=min_ball,
     )
 
 
@@ -323,15 +313,14 @@ def screen_feature(ctx, j, stats):
     )
 
 
-def screen_all(ctx, dataset, stats, threads=None):
+def screen_all(ctx, dataset, stats):
     """Screen every feature, returning a ScreenReport.
 
     Total cost is one O(nnz) pass for theta1' fhat plus O(1) work per
-    feature.  ``threads`` caps kernel parallelism for this call.
+    feature.
     """
     if dataset is not ctx.dataset:
         raise ValueError("context was built for a different dataset")
-    kernels.set_threads(threads)
     start = time.perf_counter()
     s_theta = dataset.rmatvec(ctx.theta1 * ctx.labels)
     m1, m2, branch1, branch2 = kernels.screen_bulk(

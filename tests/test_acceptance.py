@@ -419,7 +419,7 @@ def test_criterion_7_screening_scales_linearly():
         theta1 = theta_at_lambda_max(ds, lam_cap, bias)
         ctx = build_context(theta1, lam_cap, 0.5 * lam_cap, ds)
         setups[name] = (ctx, ds, compute_feature_stats(ds))
-        for _ in range(3):  # warm-up, including any jit compilation
+        for _ in range(3):  # warm-up, including the lazily built column index
             screen_all(*setups[name])
     # the sizes alternate run by run: timing all of one size and then all
     # of the other lets machine drift, or allocator state left by earlier

@@ -1,7 +1,6 @@
-"""The numpy kernels, and the BLAS products on a Dataset's dense block,
-must match dense arithmetic, column by column, to round-off, also on badly
-scaled data; the numba kernels, where installed, must be interchangeable
-with them bit-for-bit-ish."""
+"""The kernels, and the BLAS products on a Dataset's dense block, must
+match dense arithmetic, column by column, to round-off, also on badly
+scaled data; the bulk bound must equal the scalar reference exactly."""
 
 import math
 import os
@@ -10,15 +9,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from svmscreen import Dataset, build_context, compute_feature_stats
 from svmscreen import kernels
 from svmscreen.screening import _scalar_args
 
-from conftest import anchored_dataset, feasible_theta, random_dataset, random_labels
-
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
+from conftest import feasible_theta, random_dataset, random_labels
 
 
 def test_csc_matvec_numpy_matches_dense():
@@ -26,7 +22,7 @@ def test_csc_matvec_numpy_matches_dense():
     for _ in range(20):
         ds = random_dataset(rng, int(rng.integers(1, 10)), int(rng.integers(1, 12)), 0.5)
         v = rng.normal(size=ds.n_features)
-        out = kernels.csc_matvec_numpy(ds.col_ptr, ds.row_idx, ds.values, v, ds.n_samples)
+        out = kernels.csc_matvec(ds.col_ptr, ds.row_idx, ds.values, v, ds.n_samples)
         np.testing.assert_allclose(out, ds.to_dense() @ v, atol=1e-12)
 
 
@@ -35,7 +31,7 @@ def test_csc_rmatvec_numpy_matches_dense():
     for _ in range(20):
         ds = random_dataset(rng, int(rng.integers(1, 10)), int(rng.integers(1, 12)), 0.5)
         u = rng.normal(size=ds.n_samples)
-        out = kernels.csc_rmatvec_numpy(ds.col_ptr, ds.row_idx, ds.values, u)
+        out = kernels.csc_rmatvec(ds.col_ptr, ds.row_idx, ds.values, u)
         np.testing.assert_allclose(out, ds.to_dense().T @ u, atol=1e-12)
 
 
@@ -86,17 +82,17 @@ def test_numpy_kernels_match_dense_on_mixed_scale_columns():
         u = rng.normal(size=ds.n_samples)
         ref = _exact_column_sums(x * u[:, None])
         csc = (ds.col_ptr, ds.row_idx, ds.values)
-        for out in (kernels.csc_rmatvec_numpy(*csc, u), ds.rmatvec(u)):
+        for out in (kernels.csc_rmatvec(*csc, u), ds.rmatvec(u)):
             _assert_columns_close(out, ref, ax.T @ np.abs(u))
             assert np.all(out[empty] == 0.0)
 
         # X @ v row by row, each against its own magnitude
         v = rng.normal(size=ds.n_features)
         ref = _exact_column_sums((x * v).T)
-        for out in (kernels.csc_matvec_numpy(*csc, v, ds.n_samples), ds.matvec(v)):
+        for out in (kernels.csc_matvec(*csc, v, ds.n_samples), ds.matvec(v)):
             _assert_columns_close(out, ref, ax @ np.abs(v))
 
-        stats = kernels.feature_stats_numpy(ds.col_ptr, ds.row_idx, ds.values, y)
+        stats = kernels.feature_stats(ds.col_ptr, ds.row_idx, ds.values, y)
         dot_y, dot_one, sq_norm, proj_y_norm = stats
         _assert_columns_close(dot_y, _exact_column_sums(x), ax.sum(axis=0))
         _assert_columns_close(dot_one, _exact_column_sums(fhat), ax.sum(axis=0))
@@ -119,44 +115,14 @@ def test_numpy_kernels_equal_with_and_without_column_index():
         assert cols.shape == ds.values.shape
         v, u = rng.normal(size=ds.n_features), rng.normal(size=ds.n_samples)
         for out, ref in (
-            (kernels.csc_matvec_numpy(*csc, v, ds.n_samples, cols=cols),
-             kernels.csc_matvec_numpy(*csc, v, ds.n_samples)),
-            (kernels.csc_rmatvec_numpy(*csc, u, cols=cols), kernels.csc_rmatvec_numpy(*csc, u)),
-            *zip(kernels.feature_stats_numpy(*csc, ds.labels, cols=cols),
-                 kernels.feature_stats_numpy(*csc, ds.labels)),
+            (kernels.csc_matvec(*csc, v, ds.n_samples, cols=cols),
+             kernels.csc_matvec(*csc, v, ds.n_samples)),
+            (kernels.csc_rmatvec(*csc, u, cols=cols), kernels.csc_rmatvec(*csc, u)),
+            *zip(kernels.feature_stats(*csc, ds.labels, cols=cols),
+                 kernels.feature_stats(*csc, ds.labels)),
         ):
             assert out.dtype == np.float64
             np.testing.assert_array_equal(out, ref)
-
-
-@needs_numba
-def test_matvec_implementations_agree():
-    rng = np.random.default_rng(47)
-    for _ in range(10):
-        ds = random_dataset(rng, int(rng.integers(1, 20)), int(rng.integers(1, 30)), 0.4)
-        v = rng.normal(size=ds.n_features)
-        u = rng.normal(size=ds.n_samples)
-        np.testing.assert_allclose(
-            kernels.csc_matvec_numba(ds.col_ptr, ds.row_idx, ds.values, v, ds.n_samples),
-            kernels.csc_matvec_numpy(ds.col_ptr, ds.row_idx, ds.values, v, ds.n_samples),
-            atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            kernels.csc_rmatvec_numba(ds.col_ptr, ds.row_idx, ds.values, u),
-            kernels.csc_rmatvec_numpy(ds.col_ptr, ds.row_idx, ds.values, u),
-            atol=1e-12,
-        )
-
-
-@needs_numba
-def test_feature_stats_implementations_agree():
-    rng = np.random.default_rng(53)
-    for _ in range(10):
-        ds = random_dataset(rng, int(rng.integers(2, 20)), int(rng.integers(1, 30)), 0.4)
-        a = kernels.feature_stats_numpy(ds.col_ptr, ds.row_idx, ds.values, ds.labels)
-        b = kernels.feature_stats_numba(ds.col_ptr, ds.row_idx, ds.values, ds.labels)
-        for left, right in zip(a, b):
-            np.testing.assert_allclose(left, right, atol=1e-12)
 
 
 def _bound_inputs(kind, lam1=1.2, lam2=0.7):
@@ -214,7 +180,7 @@ def test_bulk_numpy_matches_scalar_reference():
 
     for stats, s_theta, args, reached in cases:
         columns = (stats.dot_y, stats.dot_one, stats.sq_norm, stats.proj_y_norm, s_theta)
-        m1, m2, br1, br2 = kernels.screen_bulk_numpy(*columns, *args)
+        m1, m2, br1, br2 = kernels.screen_bulk(*columns, *args)
         for sign, values, branches in ((1.0, m1, br1), (-1.0, m2, br2)):
             # fhat' y, fhat' 1 and theta1' fhat flip with the sign of fhat
             flip = np.array([sign, sign, 1.0, 1.0, sign])
@@ -224,108 +190,66 @@ def test_bulk_numpy_matches_scalar_reference():
         assert set(np.concatenate([br1, br2]).tolist()) == reached
 
 
-def _context_and_stats(seed, n=8, m=40):
-    rng = np.random.default_rng(seed)
-    ds = anchored_dataset(rng, n, m)
-    theta1 = feasible_theta(rng, ds.labels)
-    ctx = build_context(theta1, 1.2, 0.7, ds)
-    stats = compute_feature_stats(ds)
-    s_theta = kernels.csc_rmatvec_numpy(
-        ds.col_ptr, ds.row_idx, ds.values, theta1 * ds.labels
-    )
-    return ctx, stats, s_theta
-
-
-@needs_numba
-def test_bulk_implementations_agree():
-    for seed in (61, 67, 71):
-        ctx, stats, s_theta = _context_and_stats(seed, n=10, m=60)
-        args = _scalar_args(ctx)
-        ref = kernels.screen_bulk_numpy(
-            stats.dot_y, stats.dot_one, stats.sq_norm, stats.proj_y_norm, s_theta, *args
-        )
-        jit = kernels.screen_bulk_numba(
-            stats.dot_y, stats.dot_one, stats.sq_norm, stats.proj_y_norm, s_theta, *args
-        )
-        np.testing.assert_allclose(jit[0], ref[0], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(jit[1], ref[1], rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(jit[2], ref[2])
-        np.testing.assert_array_equal(jit[3], ref[3])
-
-
-def test_set_threads_validation():
-    kernels.set_threads(None)  # no-op
-    kernels.set_threads(1)
-    with pytest.raises(ValueError, match="thread count"):
-        kernels.set_threads(0)
-
-
-def test_jit_env_flag_selects_numpy_path():
-    code = (
-        "import os; os.environ['SVMSCREEN_JIT'] = '0'; "
-        "import svmscreen; from svmscreen import kernels; "
-        "assert not svmscreen.USING_NUMBA; "
-        "assert kernels.screen_bulk is kernels.screen_bulk_numpy"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True)
-
-
-def test_kernel_bench_runs():
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    subprocess.run(
-        [sys.executable, str(root / "benchmarks" / "bench_kernels.py"),
-         "--n", "20", "--m", "50", "--repeat", "1"],
-        check=True, env=env, capture_output=True, timeout=120,
-    )
-
-
 def test_active_dispatch_consistent(monkeypatch):
-    if kernels.USING_NUMBA:
-        assert kernels.screen_bulk is kernels.screen_bulk_numba
-        assert kernels.sparse_matvec is kernels.csc_matvec_numba
-        assert kernels.sparse_rmatvec is kernels.csc_rmatvec_numba
-    else:
-        assert kernels.screen_bulk is kernels.screen_bulk_numpy
-        assert kernels.sparse_matvec is kernels.csc_matvec_numpy
-        assert kernels.sparse_rmatvec is kernels.csc_rmatvec_numpy
-
-    # The products run the active sparse kernel, with the column index,
-    # without a block, and BLAS on the block alone when one is given.
+    # A sparse Dataset hands its cached column index, the very object, to
+    # the products, which sum through it without rebuilding it and equal
+    # the index-free results bit for bit.
     rng = np.random.default_rng(73)
     ds = random_dataset(rng, 9, 14, 0.3)
     assert ds.dense_block is None
     v, u = rng.normal(size=ds.n_features), rng.normal(size=ds.n_samples)
     csc = (ds.col_ptr, ds.row_idx, ds.values)
+    ref_v = kernels.csc_matvec(*csc, v, ds.n_samples)
+    ref_u = kernels.csc_rmatvec(*csc, u)
     cols = ds.column_index
-    ref_v = kernels.sparse_matvec(*csc, v, ds.n_samples)
-    ref_u = kernels.sparse_rmatvec(*csc, u)
     passed = []
 
     def recording(kernel):
-        def run(*args, cols=None):
-            passed.append(cols)
-            return kernel(*args, cols=cols)
+        def run(*args, **kwargs):
+            passed.append(kwargs["cols"])
+            return kernel(*args, **kwargs)
 
         return run
 
-    monkeypatch.setattr(kernels, "sparse_matvec", recording(kernels.sparse_matvec))
-    monkeypatch.setattr(kernels, "sparse_rmatvec", recording(kernels.sparse_rmatvec))
-    for out, ref in (
-        (kernels.csc_matvec(*csc, v, ds.n_samples, cols=cols), ref_v),
-        (kernels.csc_rmatvec(*csc, u, cols=cols), ref_u),
-        (ds.matvec(v), ref_v),
-        (ds.rmatvec(u), ref_u),
-    ):
-        np.testing.assert_array_equal(out, ref)
-    assert len(passed) == 4 and all(c is cols for c in passed)
-
     def unused(*args, **kwargs):
-        raise AssertionError("sparse kernel called despite a dense block")
+        raise AssertionError("column index rebuilt although one was passed")
 
-    monkeypatch.setattr(kernels, "sparse_matvec", unused)
-    monkeypatch.setattr(kernels, "sparse_rmatvec", unused)
+    monkeypatch.setattr(kernels, "csc_matvec", recording(kernels.csc_matvec))
+    monkeypatch.setattr(kernels, "csc_rmatvec", recording(kernels.csc_rmatvec))
+    monkeypatch.setattr(kernels, "column_index", unused)
+    np.testing.assert_array_equal(ds.matvec(v), ref_v)
+    np.testing.assert_array_equal(ds.rmatvec(u), ref_u)
+    assert len(passed) == 2 and all(c is cols for c in passed)
+    monkeypatch.undo()
+
+    # With a block only the BLAS product runs: the sparse sums raise, and
+    # the CSC arrays passed beside it are scaled so that reading them
+    # would show in the result.
+    def no_sums(*args, **kwargs):
+        raise AssertionError("sparse sum run despite a dense block")
+
+    monkeypatch.setattr(kernels, "_sums_by", no_sums)
     block = np.asfortranarray(ds.to_dense())
-    np.testing.assert_array_equal(kernels.csc_matvec(*csc, v, ds.n_samples, block=block), block @ v)
-    np.testing.assert_array_equal(kernels.csc_rmatvec(*csc, u, block=block), u @ block)
+    wrong = (ds.col_ptr, ds.row_idx, 2.0 * ds.values)
+    np.testing.assert_array_equal(kernels.csc_matvec(*wrong, v, ds.n_samples, block=block), block @ v)
+    np.testing.assert_array_equal(kernels.csc_rmatvec(*wrong, u, block=block), u @ block)
+    dense = Dataset.from_dense(rng.normal(size=(6, 4)), random_labels(rng, 6))
+    assert dense.dense_block is not None and dense.column_index is None
+    v, u = rng.normal(size=4), rng.normal(size=6)
+    np.testing.assert_array_equal(dense.matvec(v), dense.dense_block @ v)
+    np.testing.assert_array_equal(dense.rmatvec(u), u @ dense.dense_block)
+
+
+def test_import_loads_only_numpy_and_the_standard_library():
+    # Any other package costs every process that imports svmscreen:
+    # scipy.sparse alone adds ~21 MB of peak RSS.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, numpy; before = set(sys.modules); import svmscreen; "
+        "tops = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+        "extra = sorted(tops - set(sys.stdlib_module_names) - {'svmscreen'}); "
+        "assert not extra and 'scipy' not in sys.modules, extra"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)

@@ -19,6 +19,7 @@ from svmscreen import (
     build_context,
     compute_feature_stats,
     lambda_max,
+    min_radius_ball,
     neg_min,
     oracle_neg_min,
     screen_all,
@@ -63,8 +64,6 @@ def test_frozen_context_values():
     # 1/lambda1 - theta1 = (0.5, 0.5, -0.5) is collinear with the labels:
     # the halfspace constrains nothing on {theta' y = 0} and is dropped.
     assert ctx.normal is None
-    assert ctx.t_star is None
-    assert ctx.min_ball is None
     assert ctx.norm_u == pytest.approx(np.sqrt(0.75), abs=1e-12)
 
 
@@ -147,7 +146,6 @@ def test_context_scalar_cache_matches_vectors():
         n = ctx.n
         b = ctx.b_vec
         assert ctx.b_dot_y == pytest.approx(float(b @ y), abs=1e-12)
-        assert ctx.y_dot_one == pytest.approx(float(y.sum()), abs=1e-12)
         pyb = b - (float(b @ y) / n) * y
         assert ctx.pyb_norm == pytest.approx(float(np.linalg.norm(pyb)), abs=1e-12)
         if ctx.normal is None:
@@ -169,7 +167,8 @@ def test_context_scalar_cache_matches_vectors():
         nested = pa1 - (float(pa1 @ pay) / float(pay @ pay)) * pay
         assert ctx.nested1_norm == pytest.approx(float(np.linalg.norm(nested)), abs=1e-9)
         # minimal ball center sits on the slice hyperplane through theta1
-        assert abs(float(a @ (ctx.min_ball.center - ctx.theta1))) <= 1e-9
+        _, min_ball = min_radius_ball(ctx.theta1, ctx.lambda1, ctx.lambda2, a)
+        assert abs(float(a @ (min_ball.center - ctx.theta1))) <= 1e-9
 
 
 def test_constant_and_zero_features_are_degenerate():
@@ -266,8 +265,9 @@ def test_membership_and_safety_on_solved_instances():
         assert abs(float(theta2 @ ds.labels)) <= 1e-6
         if ctx.normal is not None:
             assert float(ctx.normal @ (theta2 - ctx.theta1)) <= 1e-7
-            gap = float(np.linalg.norm(theta2 - ctx.min_ball.center))
-            assert gap <= ctx.min_ball.radius + 1e-7
+            _, min_ball = min_radius_ball(ctx.theta1, ctx.lambda1, ctx.lambda2, ctx.normal)
+            gap = float(np.linalg.norm(theta2 - min_ball.center))
+            assert gap <= min_ball.radius + 1e-7
 
         report = screen_all(ctx, ds, compute_feature_stats(ds))
         kept = set(report.kept.tolist())
@@ -384,7 +384,8 @@ def test_corner_bound_equals_rim_max_for_any_family_ball():
         z0_base, rho_base, tan_base = _boundary_chord(
             ctx.ball0, basis, ctx.normal, limit
         )
-        z0_min, rho_min, _ = _boundary_chord(ctx.min_ball, basis, ctx.normal, limit)
+        _, min_ball = min_radius_ball(ctx.theta1, ctx.lambda1, ctx.lambda2, ctx.normal)
+        z0_min, rho_min, _ = _boundary_chord(min_ball, basis, ctx.normal, limit)
         np.testing.assert_allclose(z0_min, z0_base, atol=1e-9)
         assert rho_min == pytest.approx(rho_base, abs=1e-9)
 
