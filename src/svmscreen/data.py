@@ -165,6 +165,23 @@ class Dataset:
             block=self.dense_block, cols=self.column_index,
         )
 
+    def block(self, rows, cols):
+        """Dense X[rows][:, cols] for arrays of distinct indices; only that
+        block is materialised, gathered from the stored columns cols."""
+        if self.dense_block is not None:
+            return self.dense_block[:, cols][rows]
+        lo = self.col_ptr[cols]
+        counts = self.col_ptr[cols + 1] - lo
+        starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        entries = starts + np.arange(starts.size)
+        position = np.full(self.n_samples, -1)
+        position[rows] = np.arange(rows.size)
+        r = position[self.row_idx[entries]]
+        hit = r >= 0
+        out = np.zeros((rows.size, cols.size))
+        out[r[hit], np.repeat(np.arange(cols.size), counts)[hit]] = self.values[entries[hit]]
+        return out
+
     def memo(self, key, compute):
         """``compute(self)``, evaluated on the first call with ``key`` only.
 

@@ -51,6 +51,12 @@ class PathStep:
     the screening region, bounding every feature and copying out the kept
     columns; it is 0 when screening is off.  ``solve_ms`` is the solve on
     the kept columns alone (or the closed form when none are kept).
+    ``kkt_residual`` is that solve's final max KKT residual on the kept
+    columns (|theta'y| for the closed form) and ``finished`` whether the
+    solver's exact finish certified it.  ``margin`` is the largest
+    screening bound among the discarded features, below the keep
+    threshold 1 - EPS_KEEP; it is None when nothing was discarded or
+    screening did not run.
     """
 
     lam: float
@@ -62,6 +68,9 @@ class PathStep:
     objective: float
     converged: bool
     trusted: bool
+    kkt_residual: float
+    finished: bool
+    margin: object
     weights: np.ndarray
     bias: float
     kept_indices: np.ndarray
@@ -99,6 +108,9 @@ class PathReport:
                 "objective": s.objective,
                 "converged": s.converged,
                 "trusted": s.trusted,
+                "kkt_residual": s.kkt_residual,
+                "finished": s.finished,
+                "margin": s.margin,
             }
             for s in self.steps
         ]
@@ -184,6 +196,7 @@ def run_path(dataset, config=None):
         kept_idx = np.arange(m, dtype=np.int64)
         reduced, warm = dataset, (w_prev, b_prev)
         screen_ms = 0.0
+        margin = None
         trusted = prev_converged
         if cfg.screen:
             t0 = time.perf_counter()
@@ -196,7 +209,11 @@ def run_path(dataset, config=None):
                 # infeasible; keep everything rather than abort the path.
                 trusted = False
             else:
-                kept_idx = screening.screen_all(ctx, dataset, stats).kept
+                report = screening.screen_all(ctx, dataset, stats)
+                kept_idx = report.kept
+                if kept_idx.size < m:
+                    margin = float(np.delete(report.bounds, kept_idx).max())
+                del report  # five m-sized arrays; kept through the solve they raise peak memory
                 if 0 < kept_idx.size < m:
                     reduced = dataset.subset(kept_idx)
                     warm = (w_prev[kept_idx], b_prev)
@@ -211,6 +228,10 @@ def run_path(dataset, config=None):
             xi = np.maximum(1.0 - dataset.labels * b_full, 0.0)
             objective = 0.5 * float(xi @ xi)
             converged = True
+            # Safe screening bounds every correlation below 1, so only the
+            # bias condition theta'y = 0 is left to round-off.
+            kkt_residual = abs(float(xi @ dataset.labels)) / lam2
+            finished = False
         else:
             model = solver.solve_primal(reduced, lam2, options=cfg.solver, warm=warm)
             w_full = np.zeros(m)
@@ -218,6 +239,8 @@ def run_path(dataset, config=None):
             b_full = model.bias
             objective = model.objective
             converged = model.converged
+            kkt_residual = model.kkt_residual
+            finished = model.finished
         solve_ms = (time.perf_counter() - t0) * 1000.0
 
         violations = None
@@ -244,6 +267,9 @@ def run_path(dataset, config=None):
                 objective=float(objective),
                 converged=converged,
                 trusted=trusted,
+                kkt_residual=kkt_residual,
+                finished=finished,
+                margin=margin,
                 weights=w_full,
                 bias=float(b_full),
                 kept_indices=kept_idx,

@@ -1,18 +1,31 @@
 """Primal solver for the L1-regularized squared-hinge objective.
 
 Minimizes ``F(w, b) = 0.5 * sum_i max(1 - y_i (w'x_i + b), 0)^2
-+ lam * ||w||_1`` by accelerated proximal gradient: soft-thresholding on w
-(the bias is an unpenalized coordinate), backtracking line search on the
-smooth part, and a function-value restart so accepted objectives never
-increase.  Iterations stop when the largest KKT residual falls below the
-tolerance, which makes "converged" mean the same thing the screening
-safety guarantees assume.
++ lam * ||w||_1`` in two stages.  Accelerated proximal gradient warms up:
+soft-thresholding on w (the bias is an unpenalized coordinate),
+backtracking line search on the smooth part, and a function-value restart
+so accepted objectives never increase.  Once its largest KKT residual is
+below FINISH_FROM, an exact finish guesses the optimum: F is piecewise
+quadratic, so with the margin set I = {i : xi_i > 0}, the support S and
+the signs s of w_S fixed, the optimum solves one (|S|+1)-square linear
+system.  The guess is kept only when the KKT check certifies it within
+the tolerance; otherwise proximal gradient continues and the finish is
+retried on the next new pattern, at most FINISH_ATTEMPTS times.  Either
+way "converged" means the largest KKT residual is within the tolerance,
+the same thing the screening safety guarantees assume.
 """
 
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+#: Proximal gradient hands over to the exact finish at this max KKT residual.
+FINISH_FROM = 1e-3
+#: Linear systems factorised per solve before proximal gradient runs alone.
+FINISH_ATTEMPTS = 20
+#: The finish gathers at most this many cells of [X_IS, 1] (32 MB).
+FINISH_MAX_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -30,6 +43,8 @@ class PrimalModel:
     iterations: int
     converged: bool
     trace: tuple = ()  # accepted objective values when requested
+    kkt_residual: float = float("nan")  # final max KKT residual
+    finished: bool = False  # certified by the exact finish
 
 
 @dataclass(frozen=True)
@@ -126,6 +141,39 @@ def _kkt_residuals(dataset, w, xi, lam):
     return corr, r1, r2, r3, (float(theta.min()) if theta.size else 0.0)
 
 
+def _exact_finish(dataset, lam, w, rows):
+    """Stationary point of F for the margin rows and the support of w.
+
+    On that pattern xi_I = y_I - A z with A = [X_IS, 1] and z = [w_S; b],
+    so stationarity reads A'A z = A'y_I - lam [sign(w_S); 0].  The system
+    is equilibrated, as if each column of A had unit norm, before the
+    Cholesky factorisation.  Returns (weights, bias), or None when A'A is
+    singular.
+    """
+    support = np.flatnonzero(w)
+    a = np.ones((rows.size, support.size + 1))
+    a[:, :-1] = dataset.block(rows, support)
+    gram = a.T @ a
+    scale = np.sqrt(np.diagonal(gram))
+    if scale.min() == 0.0:
+        return None
+    gram /= np.outer(scale, scale)
+    rhs = dataset.labels[rows] @ a
+    rhs[:-1] -= lam * np.sign(w[support])
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    # The scaled A'A has a unit diagonal; a tiny pivot means a column lies
+    # in the span of the others to within round-off.
+    if np.diagonal(chol).min() <= np.sqrt(np.finfo(np.float64).eps):
+        return None
+    z = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs / scale)) / scale
+    weights = np.zeros_like(w)
+    weights[support] = z[:-1]
+    return weights, float(z[-1])
+
+
 def solve_primal(dataset, lam, options=None, warm=None):
     """Solve the primal problem at regularization weight lam.
 
@@ -142,7 +190,7 @@ def solve_primal(dataset, lam, options=None, warm=None):
     Returns
     -------
     PrimalModel; converged is True when every KKT residual is within
-    options.tol.
+    options.tol, finished when the exact finish found that point.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -166,8 +214,15 @@ def solve_primal(dataset, lam, options=None, warm=None):
 
     wz, bz = w.copy(), b
     t_momentum = 1.0
-    converged = False
+    converged = finished = False
     iterations = 0
+    residual = float("inf")
+    attempts = 0
+    tried = None
+
+    def kkt_max(w_at, xi_at):
+        _, r1, r2, r3, min_theta = _kkt_residuals(dataset, w_at, xi_at, lam)
+        return max(r1, r2, r3, -min_theta)
 
     def prox_step(w_from, b_from, grad_w, grad_b, h_from):
         nonlocal step
@@ -221,9 +276,31 @@ def solve_primal(dataset, lam, options=None, warm=None):
         bz = b + beta * (b - b_prev)
         t_momentum = t_next
 
-        _, r1, r2, r3, min_theta = _kkt_residuals(dataset, w, xi, lam)
-        if max(r1, r2, r3, max(0.0, -min_theta)) <= opts.tol:
+        residual = kkt_max(w, xi)
+        if residual <= opts.tol:
             converged = True
+            break
+        if residual > FINISH_FROM or attempts == FINISH_ATTEMPTS:
+            continue
+        # The same pattern gives the same system, so only a new one is tried.
+        rows = np.flatnonzero(xi > 0.0)
+        pattern = np.concatenate((xi > 0.0, np.sign(w)))
+        k = np.count_nonzero(w) + 1
+        if k > rows.size or rows.size * k > FINISH_MAX_CELLS or np.array_equal(pattern, tried):
+            continue
+        tried = pattern
+        attempts += 1
+        found = _exact_finish(dataset, lam, w, rows)
+        if found is None:
+            continue
+        xi_f = _hinge(dataset, *found)
+        f_f = 0.5 * float(xi_f @ xi_f) + lam * float(np.abs(found[0]).sum())
+        residual_f = kkt_max(found[0], xi_f)
+        if residual_f <= opts.tol and f_f <= f_x + 1e-12 * max(1.0, abs(f_x)):
+            (w, b), xi, f_x, residual = found, xi_f, f_f, residual_f
+            if trace is not None:
+                trace.append(f_x)
+            converged = finished = True
             break
 
     return PrimalModel(
@@ -233,6 +310,8 @@ def solve_primal(dataset, lam, options=None, warm=None):
         iterations=iterations,
         converged=converged,
         trace=tuple(trace) if trace is not None else (),
+        kkt_residual=residual,
+        finished=finished,
     )
 
 
@@ -291,13 +370,19 @@ def model_to_json(model, lam):
             "objective": model.objective,
             "iterations": model.iterations,
             "converged": bool(model.converged),
+            "kkt_residual": model.kkt_residual,
+            "finished": bool(model.finished),
         },
         indent=2,
     )
 
 
 def model_from_json(text, n_features):
-    """Inverse of model_to_json; needs the feature count to size the array."""
+    """Inverse of model_to_json; needs the feature count to size the array.
+
+    JSON written before kkt_residual and finished existed reads as NaN and
+    False for them.
+    """
     payload = json.loads(text)
     w = np.zeros(n_features)
     for index, value in payload["weights"]:
@@ -309,6 +394,8 @@ def model_from_json(text, n_features):
             objective=float(payload["objective"]),
             iterations=int(payload["iterations"]),
             converged=bool(payload["converged"]),
+            kkt_residual=float(payload.get("kkt_residual", float("nan"))),
+            finished=bool(payload.get("finished", False)),
         ),
         float(payload["lambda"]),
     )

@@ -134,6 +134,23 @@ def test_dense_block_from_half_the_cells_stored():
     np.testing.assert_array_equal(ds.subset([17, 4]).dense_block, wide[:, [17, 4]])
 
 
+def test_block_gathers_rows_and_columns():
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(12, 9))
+    x[rng.random(size=x.shape) >= 0.3] = 0.0
+    x[:, 4] = 0.0
+    y = random_dataset(rng, 12, 1).labels
+    rows = np.array([10, 0, 3, 7, 11])
+    cols = np.array([8, 4, 0, 5])
+    sparse = Dataset.from_dense(x, y)
+    dense = Dataset.from_dense(np.where(x == 0.0, 1.0, x), y)
+    assert sparse.dense_block is None and dense.dense_block is not None
+    for ds in (sparse, dense):
+        expected = ds.to_dense()[np.ix_(rows, cols)]
+        np.testing.assert_array_equal(ds.block(rows, cols), expected)
+        assert ds.block(rows, cols[:0]).shape == (5, 0)
+
+
 def test_column_index_for_sparse_data_only():
     # The column of every stored entry; dense data runs on its block and
     # builds none.

@@ -94,9 +94,17 @@ def test_screened_path_matches_unscreened():
         assert s.kept <= 40
 
 
-def test_verify_mode_reports_zero_violations():
+def test_verify_mode_reports_zero_violations(monkeypatch):
     rng = np.random.default_rng(13)
     ds = random_dataset(rng, 10, 50, density=0.8)
+    screens = []
+    screen_all = screening.screen_all
+
+    def recorded(*args):
+        screens.append(screen_all(*args))
+        return screens[-1]
+
+    monkeypatch.setattr(screening, "screen_all", recorded)
     report = run_path(
         ds,
         PathConfig(grid_size=6, ratio=0.8, verify=True, solver=SolverOptions(tol=1e-10)),
@@ -107,6 +115,18 @@ def test_verify_mode_reports_zero_violations():
         assert step.violations == 0
         assert step.max_weight_diff is not None
         assert step.max_weight_diff <= 1e-8
+        assert step.trusted
+        assert step.kkt_residual <= 1e-10
+    # The margin is the largest bound among the discarded features, below
+    # the keep threshold on every step that discards any.
+    assert len(screens) == len(report.steps)
+    for step, screen in zip(report.steps, screens):
+        discarded = np.setdiff1d(np.arange(ds.n_features), screen.kept)
+        if discarded.size:
+            assert step.margin == screen.bounds[discarded].max() < 1.0 - screening.EPS_KEEP
+        else:
+            assert step.margin is None
+    assert any(s.margin is not None for s in report.steps)
 
 
 def test_custom_grid_is_used_verbatim():
@@ -159,6 +179,9 @@ def test_csv_and_json_serialization():
         assert entry["kept"] == step.kept
         assert entry["converged"] is True
         assert entry["trusted"] is True
+        assert entry["kkt_residual"] == step.kkt_residual <= 1e-9
+        assert entry["finished"] is step.finished
+        assert entry["margin"] == step.margin
 
 
 def _counting(monkeypatch, owner, name):

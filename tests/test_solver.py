@@ -10,6 +10,8 @@ Frozen cases, derived by hand:
   features tied, and the trivial-model dual point is (1, 1, 2) / 1.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from svmscreen import (
     theta_at_lambda_max,
     theta_from_primal,
 )
+from svmscreen import solver
 
 from conftest import random_dataset
 
@@ -200,6 +203,15 @@ def test_model_json_round_trip():
     assert back.objective == model.objective
     assert back.iterations == model.iterations
     assert back.converged == model.converged
+    assert back.kkt_residual == model.kkt_residual <= 1e-9
+    assert back.finished is model.finished is True
+
+    # JSON written without the accounting fields still reads.
+    payload = json.loads(text)
+    del payload["kkt_residual"], payload["finished"]
+    old, _ = model_from_json(json.dumps(payload), ds.n_features)
+    assert np.isnan(old.kkt_residual)
+    assert old.finished is False
 
 
 def test_kkt_report_recompute():
@@ -218,3 +230,98 @@ def test_kkt_report_recompute():
     if np.any(active):
         expected_r2 = float(np.max(np.abs(corr[active] - np.sign(model.weights[active]))))
         assert report.r2 == pytest.approx(expected_r2, abs=1e-10)
+
+
+def test_unscaled_column_converges_at_default_options():
+    # One column a thousand times the others: proximal gradient alone
+    # stalls (KKT ~1e-7 after 20k iterations); the exact finish certifies.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((30, 200))
+    x[:, 7] *= 1e3
+    ds = Dataset.from_dense(x, np.where(rng.standard_normal(30) > 0, 1.0, -1.0))
+    lam = 0.3 * lambda_max(ds)[0]
+    model = solve_primal(ds, lam)
+    assert model.converged and model.finished
+    assert model.kkt_residual <= 1e-9
+    assert kkt_report(ds, model, lam).max_residual <= 1e-9
+
+
+def _finish_results(monkeypatch):
+    """Record what every exact-finish attempt returns."""
+    results = []
+    original = solver._exact_finish
+
+    def recorded(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "_exact_finish", recorded)
+    return results
+
+
+def test_finish_skipped_without_a_unique_pattern_optimum(monkeypatch):
+    results = _finish_results(monkeypatch)
+
+    # A duplicated column shares its weight with the original, so
+    # [X_IS, 1] is singular.  The first feature to enter is the one copied.
+    rng = np.random.default_rng(107)
+    x = rng.standard_normal((20, 8))
+    y = random_dataset(rng, 20, 1).labels
+    j = int(first_features(lambda_max(Dataset.from_dense(x, y))[2])[0])
+    ds = Dataset.from_dense(np.column_stack([x, x[:, j]]), y)
+    lam = 0.3 * lambda_max(ds)[0]
+    model = solve_primal(ds, lam)
+    assert model.weights[8] != 0.0
+    assert model.weights[j] == pytest.approx(model.weights[8], rel=1e-12)
+    assert results and all(found is None for found in results)
+    assert model.converged and not model.finished
+    assert kkt_report(ds, model, lam).max_residual <= 1e-9
+
+    # Two samples, two tied features entering with opposite signs: the
+    # optimum keeps both, so |S| + 1 = 3 exceeds |I| = 2 and no system is
+    # factorised.
+    results.clear()
+    ds = parse_sparse_text("+1 1:1\n-1 2:1\n")
+    model = solve_primal(ds, 0.5)
+    assert np.count_nonzero(model.weights) == 2
+    assert results == []
+    assert model.converged and not model.finished
+    assert kkt_report(ds, model, 0.5).max_residual <= 1e-9
+
+    # A block of [X_IS, 1] above the cell cap is not gathered either.
+    monkeypatch.setattr(solver, "FINISH_MAX_CELLS", 1)
+    ds = parse_sparse_text(TWO_SAMPLE)
+    model = solve_primal(ds, 1.0)
+    assert results == []
+    assert model.converged and not model.finished
+
+
+def test_rejected_finish_leaves_the_proximal_gradient_answer(monkeypatch):
+    rng = np.random.default_rng(109)
+    ds = random_dataset(rng, 15, 10, 0.8)
+    lam = 0.3 * lambda_max(ds)[0]
+    opts = SolverOptions(keep_trace=True)
+
+    monkeypatch.setattr(solver, "_exact_finish", lambda *args: None)
+    plain = solve_primal(ds, lam, options=opts)
+    monkeypatch.undo()
+
+    # Every candidate the finish proposes fails its KKT check.
+    candidates = _finish_results(monkeypatch)
+    residuals = solver._kkt_residuals
+
+    def reject_candidates(dataset, w, xi, lam_at):
+        corr, r1, r2, r3, min_theta = residuals(dataset, w, xi, lam_at)
+        if any(found is not None and w is found[0] for found in candidates):
+            r1 = 1.0
+        return corr, r1, r2, r3, min_theta
+
+    monkeypatch.setattr(solver, "_kkt_residuals", reject_candidates)
+    rejected = solve_primal(ds, lam, options=opts)
+    assert any(found is not None for found in candidates)
+    assert not plain.finished and not rejected.finished
+    assert rejected.converged and rejected.kkt_residual <= 1e-9
+    np.testing.assert_array_equal(rejected.weights, plain.weights)
+    assert rejected.bias == plain.bias
+    assert rejected.iterations == plain.iterations
+    assert rejected.trace == plain.trace
