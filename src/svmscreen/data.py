@@ -11,6 +11,8 @@ are comments.  In-memory the design matrix is stored by columns
 feature-wise.
 """
 
+import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,6 +23,21 @@ from . import kernels
 
 class DataFormatError(ValueError):
     """Input text cannot be parsed into a dataset."""
+
+
+# Largest feature index the text format accepts.
+MAX_INDEX = 2**31 - 1
+
+# Token grammar: an index of ASCII digits with an optional sign, ``:``, and
+# a decimal float in Python's syntax without ``_`` separators.  On exactly
+# these strings np.fromstring returns the same double as float().
+_INDEX = r"[+-]?[0-9]+"
+# Each string matches in one way only, so a failing line costs linear time.
+_DECIMAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# The pairs of a line after its label.  inf and nan are left out: a line
+# holding them is bad, and _PAIR reads them to say why.
+_PAIRS = re.compile(rf"(?:{_INDEX}:{_DECIMAL}(?:\s+|$))*")
+_PAIR = re.compile(rf"({_INDEX}):({_DECIMAL}|[+-]?(?i:infinity|inf|nan))")
 
 
 @dataclass(frozen=True)
@@ -244,6 +261,8 @@ def parse_sparse_text(text, strict_labels=False):
     text : str
         One ``<label> <idx>:<val> ...`` record per line; ``#`` lines and
         blank lines are skipped; both LF and CRLF line ends are accepted.
+        An index is an optional sign and ASCII digits, at most 2**31 - 1; a
+        value is a finite decimal float without ``_`` digit separators.
     strict_labels : bool
         When true, label tokens must literally be +1 or -1 instead of
         being mapped by sign.
@@ -251,67 +270,114 @@ def parse_sparse_text(text, strict_labels=False):
     Returns
     -------
     Dataset with n_features equal to the largest index seen.
+
+    Raises
+    ------
+    DataFormatError
+        Naming the first bad line in file order and its first bad token.
     """
-    labels = []
-    rows = []
-    max_index = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    lines = text.splitlines()
+    labels, rests, line_of_row = [], [], []
+    bad_line = 0  # first line failing a check of its own text, 0 if none
+    for lineno, raw in enumerate(lines, start=1):
+        head = raw.split(None, 1)
+        if not head or head[0].startswith("#"):
             continue
-        tokens = line.split()
+        rest = head[1] if len(head) == 2 else ""
         try:
-            label_value = float(tokens[0])
+            label = float(head[0])
         except ValueError:
-            raise DataFormatError(f"line {lineno}: bad label token {tokens[0]!r}") from None
-        if strict_labels and label_value not in (1.0, -1.0):
-            raise DataFormatError(f"line {lineno}: label must be +1 or -1, got {tokens[0]}")
-        label = 1.0 if label_value > 0 else -1.0
-        indices = []
-        values = []
-        previous = 0
-        for token in tokens[1:]:
-            head, sep, tail = token.partition(":")
-            if not sep:
-                raise DataFormatError(f"line {lineno}: expected index:value, got {token!r}")
-            try:
-                index = int(head)
-                value = float(tail)
-            except ValueError:
-                raise DataFormatError(f"line {lineno}: expected index:value, got {token!r}") from None
-            if index < 1:
-                raise DataFormatError(f"line {lineno}: indices are 1-based, got {index}")
-            if index <= previous:
-                raise DataFormatError(f"line {lineno}: index {index} is not increasing")
-            indices.append(index - 1)
-            values.append(value)
-            previous = index
-        labels.append(label)
-        rows.append((indices, values))
-        max_index = max(max_index, previous)
+            bad_line = lineno
+            break
+        if (strict_labels and label not in (1.0, -1.0)) or not _PAIRS.fullmatch(rest):
+            bad_line = lineno
+            break
+        labels.append(1.0 if label > 0 else -1.0)
+        rests.append(rest)
+        line_of_row.append(lineno)
+    del lines
+
+    # Every pair of every line before bad_line, parsed at once.  Each stage
+    # is dropped before the next is built, which keeps the peak within about
+    # three times the size of the text.
+    counts = np.array([rest.count(":") for rest in rests], dtype=np.int64)
+    # Empty rests are left out: np.fromstring reads a blank string as [-1.0].
+    body = " ".join(filter(None, rests))
+    del rests
+    body = body.replace(":", " ")
+    if not body.isascii() or "\x1f" in body:
+        # str.split() separates tokens at any Unicode whitespace,
+        # np.fromstring only at ASCII whitespace other than \x1f.
+        body = " ".join(body.split())
+    nums = np.fromstring(body, dtype=np.float64, sep=" ")
+    del body
+    if nums.size != 2 * counts.sum():
+        # numpy < 2 truncates at the first number it cannot read.
+        raise DataFormatError("index:value pairs could not be read as numbers")
+    index, values = nums[0::2], nums[1::2]
+    ends = np.cumsum(counts)
+    opens_line = np.zeros(index.size, dtype=bool)
+    opens_line[(ends - counts)[counts > 0]] = True
+    bad = (index < 1) | (index > MAX_INDEX) | ~np.isfinite(values)
+    bad[1:] |= (np.diff(index) <= 0) & ~opens_line[1:]
+    if bad.any():
+        bad_line = line_of_row[np.searchsorted(ends, np.argmax(bad), side="right")]
+    if bad_line:
+        raise _line_fault(text.splitlines()[bad_line - 1], bad_line, strict_labels)
     if not labels:
         raise DataFormatError("no data lines found")
-    if max_index == 0:
+    if index.size == 0:
         raise DataFormatError("no features present in any line")
 
-    n = len(labels)
-    m = max_index
-    counts = np.zeros(m, dtype=np.int64)
-    for indices, _ in rows:
-        for j in indices:
-            counts[j] += 1
+    n, m = len(labels), int(index.max())
+    col = index.astype(np.int64)
+    col -= 1
+    vals = values.copy()
+    del nums, index, values
     col_ptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(counts, out=col_ptr[1:])
-    row_idx = np.empty(col_ptr[-1], dtype=np.int64)
-    vals = np.empty(col_ptr[-1])
-    cursor = col_ptr[:-1].copy()
-    for i, (indices, values) in enumerate(rows):
-        for j, v in zip(indices, values):
-            k = cursor[j]
-            row_idx[k] = i
-            vals[k] = v
-            cursor[j] += 1
+    np.cumsum(np.bincount(col, minlength=m), out=col_ptr[1:])
+    # Stable sort by column as two stable sorts of its 16-bit digits
+    # (indices are below 2**31), which numpy runs as radix sorts: ~4x
+    # faster than one stable sort of int64.
+    low, high = (col & 0xFFFF).astype(np.uint16), (col >> 16).astype(np.uint16)
+    del col
+    order = np.argsort(low, kind="stable")
+    del low
+    order = order[np.argsort(high[order], kind="stable")]
+    del high
+    vals = vals[order]
+    row_idx = np.repeat(np.arange(n, dtype=np.int64), counts)[order]
     return Dataset(n, m, col_ptr, row_idx, vals, np.array(labels))
+
+
+def _line_fault(raw, lineno, strict_labels):
+    """The DataFormatError for the first bad token of a line known to be bad."""
+    tokens = raw.split()
+    try:
+        label = float(tokens[0])
+    except ValueError:
+        return DataFormatError(f"line {lineno}: bad label token {tokens[0]!r}")
+    if strict_labels and label not in (1.0, -1.0):
+        return DataFormatError(f"line {lineno}: label must be +1 or -1, got {tokens[0]}")
+    previous = 0
+    for token in tokens[1:]:
+        pair = _PAIR.fullmatch(token)
+        try:
+            index = int(pair[1])
+        except (TypeError, ValueError):  # no match, or more digits than int() reads
+            return DataFormatError(f"line {lineno}: expected index:value, got {token!r}")
+        if index < 1:
+            return DataFormatError(f"line {lineno}: indices are 1-based, got {index}")
+        if index > MAX_INDEX:
+            return DataFormatError(
+                f"line {lineno}: index {index} exceeds the largest allowed index {MAX_INDEX}"
+            )
+        if index <= previous:
+            return DataFormatError(f"line {lineno}: index {index} is not increasing")
+        if not math.isfinite(float(pair[2])):
+            return DataFormatError(f"line {lineno}: feature values must be finite, got {token!r}")
+        previous = index
+    raise AssertionError(f"line {lineno} was flagged but has no fault")
 
 
 def serialize_sparse_text(dataset):

@@ -247,6 +247,23 @@ def test_malformed_data_is_parse_error(capsys, tmp_path):
     assert "expected index:value" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("+1 1:nan\n", "line 1: feature values must be finite"),
+        ("+1 1:1\n-1 1:1e999\n", "line 2: feature values must be finite"),
+        ("+1 10000000000:1\n", "line 1: index 10000000000 exceeds"),
+        ("+1 99999999999999999999:1\n", "line 1: index 99999999999999999999 exceeds"),
+    ],
+)
+def test_bad_values_and_indices_are_parse_errors(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run_cli(capsys, "lambda-max", str(path))
+    assert code == 1
+    assert err.startswith(f"error: {message}")
+
+
 def test_bad_theta_json_is_io_error(capsys, three_sample_file, tmp_path):
     theta = tmp_path / "broken.json"
     theta.write_text("[1.0, 2.0,", encoding="utf-8")

@@ -1,5 +1,8 @@
 """Parser, container and feature-statistics tests."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,12 +58,207 @@ def test_parse_strict_labels_rejects_other_values():
         ("+1 3:1 2:3\n", "line 1: index 2 is not increasing"),
         ("# only comments\n", "no data lines found"),
         ("+1\n-1\n", "no features present in any line"),
+        ("+1 1.5:3\n", "line 1: expected index:value, got '1.5:3'"),
+        ("+1 1e0:3\n", "line 1: expected index:value, got '1e0:3'"),
+        ("+1 1:\n", "line 1: expected index:value, got '1:'"),
+        ("+1 :1\n", "line 1: expected index:value, got ':1'"),
+        ("+1 1:2:3\n", "line 1: expected index:value, got '1:2:3'"),
+        ("+1 1_0:1\n", "line 1: expected index:value, got '1_0:1'"),
+        ("+1 1:1_0\n", "line 1: expected index:value, got '1:1_0'"),
+        ("+1 1:nan(1)\n", "line 1: expected index:value, got '1:nan(1)'"),
+        ("+1 1:nan\n", "line 1: feature values must be finite, got '1:nan'"),
+        ("+1 1:-Infinity\n", "line 1: feature values must be finite, got '1:-Infinity'"),
+        ("+1 1:2 2:1e999\n", "line 1: feature values must be finite, got '2:1e999'"),
+        ("+1 3:nan 2:1\n", "line 1: feature values must be finite, got '3:nan'"),
+        ("+1 2147483648:1\n", "line 1: index 2147483648 exceeds the largest allowed index 2147483647"),
+        (
+            "+1 1:1\n-1 99999999999999999999:1\n",
+            "line 2: index 99999999999999999999 exceeds the largest allowed index 2147483647",
+        ),
+        # The first bad line in file order is named, whichever check finds it.
+        ("+1 1:1\n-1 2:1 1:1\nx 1:1\n", "line 2: index 1 is not increasing"),
+        ("+1 1:1\n-1 1:1e999\n-1 oops\n", "line 2: feature values must be finite, got '1:1e999'"),
+        ("+1 5:1\n\n-1 1:1 0:1\n-1 oops\n", "line 3: indices are 1-based, got 0"),
+        # Rejecting a long line takes time linear in its length.
+        (
+            "+1 " + " ".join(f"{j}:{'1' * 12}" for j in range(1, 40)) + " x\n",
+            "line 1: expected index:value, got 'x'",
+        ),
     ],
 )
 def test_parse_error_messages(text, message):
     with pytest.raises(DataFormatError) as err:
         parse_sparse_text(text)
     assert str(err.value) == message
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def reference_parse(text, strict_labels=False):
+    """Token-by-token reading of the documented format, built with loops.
+
+    parse_sparse_text must return the same arrays or raise the same message.
+    """
+    labels, rows = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise DataFormatError(f"line {lineno}: bad label token {tokens[0]!r}") from None
+        if strict_labels and label not in (1.0, -1.0):
+            raise DataFormatError(f"line {lineno}: label must be +1 or -1, got {tokens[0]}")
+        row, previous = [], 0
+        for token in tokens[1:]:
+            head, sep, tail = token.partition(":")
+            try:
+                if not (sep and re.fullmatch("[+-]?[0-9]+", head)):
+                    raise ValueError
+                if not tail.isascii() or "_" in tail:
+                    raise ValueError
+                index, value = int(head), float(tail)
+            except ValueError:
+                raise DataFormatError(f"line {lineno}: expected index:value, got {token!r}") from None
+            if index < 1:
+                raise DataFormatError(f"line {lineno}: indices are 1-based, got {index}")
+            if index > 2**31 - 1:
+                raise DataFormatError(
+                    f"line {lineno}: index {index} exceeds the largest allowed index {2**31 - 1}"
+                )
+            if index <= previous:
+                raise DataFormatError(f"line {lineno}: index {index} is not increasing")
+            if not np.isfinite(value):
+                raise DataFormatError(f"line {lineno}: feature values must be finite, got {token!r}")
+            row.append((index - 1, value))
+            previous = index
+        labels.append(1.0 if label > 0 else -1.0)
+        rows.append(row)
+    if not labels:
+        raise DataFormatError("no data lines found")
+    m = max((row[-1][0] + 1 for row in rows if row), default=0)
+    if m == 0:
+        raise DataFormatError("no features present in any line")
+    columns = [([], []) for _ in range(m)]
+    for i, row in enumerate(rows):
+        for j, value in row:
+            columns[j][0].append(i)
+            columns[j][1].append(value)
+    return Dataset.from_columns(columns, labels)
+
+
+FUZZ_TOKENS = [
+    "1:1", "2:-0.5", "3:1e-3", "+4:.25", "5:7.", "7:-0.0", "9:1E+2", "12:5e-324", "2:1", "1:2",
+    "0:1", "-3:1", "2147483648:1", "1:nan", "1:-inf", "1:1e999", "1:nan(2)",
+    "1.5:3", "1e0:3", "1:", ":1", "1:2:3", "1_0:1", "1:1_0", "oops", "a:1", "1:b", "1:0x10",
+]
+FUZZ_LABELS = ["+1", "-1", "1", "0", "-2.5", "1e0", "x", "#", "#c"]
+FUZZ_SPACES = [" ", "  ", "\t", "\u00a0", "\x1f", " \t "]
+FAULT_KINDS = (
+    "bad label", "label must", "expected index:value", "1-based", "exceeds", "not increasing",
+    "finite", "no data", "no features",
+)
+
+
+def test_parse_matches_token_by_token_reference():
+    rng = np.random.default_rng(3)
+    outcomes = set()
+    for trial in range(600):
+        lines = []
+        for _ in range(rng.integers(1, 5)):
+            if rng.random() < 0.1:
+                lines.append(str(rng.choice(["", "   ", "# note"])))
+                continue
+            # Mostly well-formed lines: increasing indices from a clean vocabulary.
+            if rng.random() < 0.6:
+                cols = np.sort(rng.choice(40, rng.integers(0, 5), replace=False)) + 1
+                tokens = [f"{c}:{rng.standard_normal():.4g}" for c in cols]
+                label = str(rng.choice(FUZZ_LABELS[:6]))
+            else:
+                tokens = list(rng.choice(FUZZ_TOKENS, rng.integers(0, 4)))
+                label = str(rng.choice(FUZZ_LABELS))
+            line = label
+            for token in tokens:
+                line += str(rng.choice(FUZZ_SPACES)) + token
+            lines.append(line + str(rng.choice(["", " ", "\t"])))
+        text = str(rng.choice(["\n", "\r\n"])).join(lines) + "\n"
+        strict = bool(rng.random() < 0.2)
+        try:
+            expected = reference_parse(text, strict_labels=strict)
+        except DataFormatError as err:
+            with pytest.raises(DataFormatError) as got:
+                parse_sparse_text(text, strict_labels=strict)
+            assert str(got.value) == str(err), text
+            outcomes.add(next(kind for kind in FAULT_KINDS if kind in str(err)))
+            continue
+        ds = parse_sparse_text(text, strict_labels=strict)
+        outcomes.add("ok")
+        assert (ds.n_samples, ds.n_features) == (expected.n_samples, expected.n_features), text
+        for name in ("col_ptr", "row_idx", "labels"):
+            np.testing.assert_array_equal(getattr(ds, name), getattr(expected, name), err_msg=text)
+        np.testing.assert_array_equal(_bits(ds.values), _bits(expected.values), err_msg=text)
+    assert outcomes == {"ok", *FAULT_KINDS}
+
+
+def test_parse_accepts_any_whitespace_and_signed_indices():
+    text = "+1\t1:1\t+2:-3\n-1 1:.5\u00a0 3:2.\x1f4:1e-3  \n"
+    ds = parse_sparse_text(text)
+    np.testing.assert_array_equal(ds.to_dense(), [[1.0, -3.0, 0.0, 0.0], [0.5, 0.0, 2.0, 1e-3]])
+
+
+def test_parsed_values_equal_float_bit_for_bit():
+    rng = np.random.default_rng(11)
+    # Random bit patterns cover both signs and every exponent, subnormals included.
+    patterns = rng.integers(0, 2**64, 4000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([
+        patterns[np.isfinite(patterns)],
+        rng.uniform(-1, 1, 500) * 2.0**-1022,  # subnormals
+        rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(299, 300, 500),
+        rng.choice([-1.0, 1.0], 500) * 10.0 ** rng.uniform(-300, -299, 500),
+        [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+    ])
+    rng.shuffle(values)
+    n = 20
+    rows = np.arange(values.size) % n
+    # One entry per column keeps the entries in file order.
+    columns = [(np.array([i]), np.array([v])) for i, v in zip(rows, values)]
+    labels = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    ds = Dataset.from_columns(columns, labels)
+    back = parse_sparse_text(serialize_sparse_text(ds))
+    np.testing.assert_array_equal(_bits(back.values), _bits(values))
+
+    digits = rng.integers(0, 10, (2000, 17))
+    exponents = rng.integers(-330, 310, 2000)
+    tokens = [
+        "%s%d.%se%d" % (sign, d[0], "".join(map(str, d[1:])), e)
+        for sign, d, e in zip(rng.choice(["", "-", "+"], 2000), digits, exponents)
+    ]
+    tokens += ["%.25e" % v for v in values]
+    tokens = [t for t in tokens if np.isfinite(float(t))]
+    text = "+1 " + " ".join(f"{j + 1}:{t}" for j, t in enumerate(tokens)) + "\n"
+    back = parse_sparse_text(text)
+    np.testing.assert_array_equal(_bits(back.values), _bits([float(t) for t in tokens]))
+
+
+def test_parse_peak_memory_stays_near_the_text_size():
+    rng = np.random.default_rng(5)
+    n, per_row, m = 2000, 50, 20000
+    lines = []
+    for i in range(n):
+        cols = np.sort(rng.choice(m, per_row, replace=False)) + 1
+        vals = rng.standard_normal(per_row)
+        lines.append(("+1" if i % 2 else "-1") + "".join(f" {c}:{v:.6g}" for c, v in zip(cols, vals)))
+    text = "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        parse_sparse_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * len(text)
 
 
 def test_serialize_parse_round_trip():
