@@ -182,15 +182,20 @@ class Dataset:
             block=self.dense_block, cols=self.column_index,
         )
 
+    def _entries(self, cols):
+        """Positions in row_idx/values of the stored entries of cols, column
+        after column, and the number of entries of each column."""
+        lo = self.col_ptr[cols]
+        counts = self.col_ptr[cols + 1] - lo
+        starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        return starts + np.arange(starts.size), counts
+
     def block(self, rows, cols):
         """Dense X[rows][:, cols] for arrays of distinct indices; only that
         block is materialised, gathered from the stored columns cols."""
         if self.dense_block is not None:
             return self.dense_block[:, cols][rows]
-        lo = self.col_ptr[cols]
-        counts = self.col_ptr[cols + 1] - lo
-        starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        entries = starts + np.arange(starts.size)
+        entries, counts = self._entries(cols)
         position = np.full(self.n_samples, -1)
         position[rows] = np.arange(rows.size)
         r = position[self.row_idx[entries]]
@@ -217,9 +222,14 @@ class Dataset:
 
     def subset(self, feature_indices):
         """New Dataset restricted to the given features, order preserved."""
-        feature_indices = np.asarray(feature_indices, dtype=np.int64)
-        cols = [self.column(j) for j in feature_indices]
-        return Dataset.from_columns(cols, self.labels, n_samples=self.n_samples)
+        cols = np.asarray(feature_indices, dtype=np.int64)
+        entries, counts = self._entries(cols)
+        col_ptr = np.zeros(cols.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=col_ptr[1:])
+        return Dataset(
+            self.n_samples, cols.size, col_ptr, self.row_idx[entries], self.values[entries],
+            self.labels, n_pos=self.n_pos, n_neg=self.n_neg,
+        )
 
     def to_dense(self):
         """Densify; intended for small diagnostic problems only."""

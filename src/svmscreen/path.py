@@ -53,7 +53,9 @@ class PathStep:
     the kept columns alone (or the closed form when none are kept).
     ``kkt_residual`` is that solve's final max KKT residual on the kept
     columns (|theta'y| for the closed form) and ``finished`` whether the
-    solver's exact finish certified it.  ``margin`` is the largest
+    solver's exact finish certified it; ``passes``, ``backtracks``,
+    ``restarts`` and ``finish_attempts`` count that solve's work as in
+    PrimalModel (all 0 for the closed form).  ``margin`` is the largest
     screening bound among the discarded features, below the keep
     threshold 1 - EPS_KEEP; it is None when nothing was discarded or
     screening did not run.
@@ -70,6 +72,10 @@ class PathStep:
     trusted: bool
     kkt_residual: float
     finished: bool
+    passes: int
+    backtracks: int
+    restarts: int
+    finish_attempts: int
     margin: object
     weights: np.ndarray
     bias: float
@@ -110,6 +116,10 @@ class PathReport:
                 "trusted": s.trusted,
                 "kkt_residual": s.kkt_residual,
                 "finished": s.finished,
+                "passes": s.passes,
+                "backtracks": s.backtracks,
+                "restarts": s.restarts,
+                "finish_attempts": s.finish_attempts,
                 "margin": s.margin,
             }
             for s in self.steps
@@ -232,6 +242,7 @@ def run_path(dataset, config=None):
             # bias condition theta'y = 0 is left to round-off.
             kkt_residual = abs(float(xi @ dataset.labels)) / lam2
             finished = False
+            passes = backtracks = restarts = finish_attempts = 0
         else:
             model = solver.solve_primal(reduced, lam2, options=cfg.solver, warm=warm)
             w_full = np.zeros(m)
@@ -241,6 +252,8 @@ def run_path(dataset, config=None):
             converged = model.converged
             kkt_residual = model.kkt_residual
             finished = model.finished
+            passes, backtracks = model.passes, model.backtracks
+            restarts, finish_attempts = model.restarts, model.finish_attempts
         solve_ms = (time.perf_counter() - t0) * 1000.0
 
         violations = None
@@ -269,6 +282,10 @@ def run_path(dataset, config=None):
                 trusted=trusted,
                 kkt_residual=kkt_residual,
                 finished=finished,
+                passes=passes,
+                backtracks=backtracks,
+                restarts=restarts,
+                finish_attempts=finish_attempts,
                 margin=margin,
                 weights=w_full,
                 bias=float(b_full),

@@ -4,15 +4,19 @@ Minimizes ``F(w, b) = 0.5 * sum_i max(1 - y_i (w'x_i + b), 0)^2
 + lam * ||w||_1`` in two stages.  Accelerated proximal gradient warms up:
 soft-thresholding on w (the bias is an unpenalized coordinate),
 backtracking line search on the smooth part, and a function-value restart
-so accepted objectives never increase.  Once its largest KKT residual is
-below FINISH_FROM, an exact finish guesses the optimum: F is piecewise
-quadratic, so with the margin set I = {i : xi_i > 0}, the support S and
-the signs s of w_S fixed, the optimum solves one (|S|+1)-square linear
-system.  The guess is kept only when the KKT check certifies it within
-the tolerance; otherwise proximal gradient continues and the finish is
-retried on the next new pattern, at most FINISH_ATTEMPTS times.  Either
-way "converged" means the largest KKT residual is within the tolerance,
-the same thing the screening safety guarantees assume.
+so accepted objectives never increase.  The warm-up only has to find the
+pattern of the optimum: F is piecewise quadratic, so with the margin set
+I = {i : xi_i > 0}, the support S and the signs s of w_S fixed, the
+optimum solves one (|S|+1)-square linear system.  As soon as an accepted
+step leaves the pattern unchanged, the exact finish solves that system on
+the block [X_IS, 1]; a solution off its own pattern is rejected on the
+block alone, and any other is kept only when the KKT check certifies it
+within the tolerance.  Otherwise proximal gradient continues, at most
+FINISH_ATTEMPTS systems per solve.  The full KKT check on an iterate costs
+a pass over the data, so it runs only once the free gradient-mapping
+estimate is below FINISH_FROM.  Either way "converged" means the largest
+KKT residual, computed exactly, is within the tolerance: the same thing
+the screening safety guarantees assume.
 """
 
 import json
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-#: Proximal gradient hands over to the exact finish at this max KKT residual.
+#: An iterate gets the exact KKT check once its estimated residual is below this.
 FINISH_FROM = 1e-3
 #: Linear systems factorised per solve before proximal gradient runs alone.
 FINISH_ATTEMPTS = 20
@@ -45,6 +49,10 @@ class PrimalModel:
     trace: tuple = ()  # accepted objective values when requested
     kkt_residual: float = float("nan")  # final max KKT residual
     finished: bool = False  # certified by the exact finish
+    passes: int = 0  # data products (matvec and rmatvec calls)
+    backtracks: int = 0  # step halvings of the line search
+    restarts: int = 0  # momentum restarts
+    finish_attempts: int = 0  # linear systems tried by the exact finish
 
 
 @dataclass(frozen=True)
@@ -121,7 +129,8 @@ def _spectral_bound(dataset, iters=80, seed=0):
         if new_estimate == 0.0:
             return float(dataset.n_samples)  # the all-ones column alone
         v = atav / new_estimate
-        if abs(new_estimate - estimate) <= 1e-10 * new_estimate:
+        # The estimate only seeds the step; backtracking enforces the majorant.
+        if abs(new_estimate - estimate) <= 1e-3 * new_estimate:
             estimate = new_estimate
             break
         estimate = new_estimate
@@ -148,9 +157,13 @@ def _exact_finish(dataset, lam, w, rows):
     so stationarity reads A'A z = A'y_I - lam [sign(w_S); 0].  The system
     is equilibrated, as if each column of A had unit norm, before the
     Cholesky factorisation.  Returns (weights, bias), or None when A'A is
-    singular.
+    singular or the solution leaves its own pattern: a weight off its sign
+    in s, or a margin row with 1 - y_i a_i z <= 0.  Both are read from the
+    block, without a pass over the data.
     """
     support = np.flatnonzero(w)
+    signs = np.sign(w[support])
+    y = dataset.labels[rows]
     a = np.ones((rows.size, support.size + 1))
     a[:, :-1] = dataset.block(rows, support)
     gram = a.T @ a
@@ -158,8 +171,8 @@ def _exact_finish(dataset, lam, w, rows):
     if scale.min() == 0.0:
         return None
     gram /= np.outer(scale, scale)
-    rhs = dataset.labels[rows] @ a
-    rhs[:-1] -= lam * np.sign(w[support])
+    rhs = y @ a
+    rhs[:-1] -= lam * signs
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -169,9 +182,30 @@ def _exact_finish(dataset, lam, w, rows):
     if np.diagonal(chol).min() <= np.sqrt(np.finfo(np.float64).eps):
         return None
     z = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs / scale)) / scale
+    if np.any(np.sign(z[:-1]) != signs) or np.any(y * (a @ z) >= 1.0):
+        return None
     weights = np.zeros_like(w)
     weights[support] = z[:-1]
     return weights, float(z[-1])
+
+
+class _Counted:
+    """A Dataset whose matvec/rmatvec calls are counted in ``passes``."""
+
+    def __init__(self, dataset):
+        self._dataset = dataset
+        self.passes = 0
+
+    def __getattr__(self, name):
+        return getattr(self._dataset, name)
+
+    def matvec(self, v):
+        self.passes += 1
+        return self._dataset.matvec(v)
+
+    def rmatvec(self, u):
+        self.passes += 1
+        return self._dataset.rmatvec(u)
 
 
 def solve_primal(dataset, lam, options=None, warm=None):
@@ -206,64 +240,65 @@ def solve_primal(dataset, lam, options=None, warm=None):
         w = np.zeros(m)
         b = 0.0
 
-    # The Dataset is immutable, so one power iteration serves all its solves.
-    step = 1.0 / dataset.memo("spectral_bound", _spectral_bound)
-    xi = _hinge(dataset, w, b)
+    data = _Counted(dataset)
+    labels = dataset.labels
+    # The Dataset is immutable, so one power iteration serves all its solves;
+    # it runs on data so the solve that runs it counts its products.
+    step = 1.0 / dataset.memo("spectral_bound", lambda _: _spectral_bound(data))
+    xi = _hinge(data, w, b)
     f_x = 0.5 * float(xi @ xi) + lam * float(np.abs(w).sum())
     trace = [f_x] if opts.keep_trace else None
 
     wz, bz = w.copy(), b
     t_momentum = 1.0
     converged = finished = False
-    iterations = 0
-    residual = float("inf")
-    attempts = 0
+    iterations = backtracks = restarts = attempts = 0
+    pattern = np.concatenate((xi > 0.0, np.sign(w)))
     tried = None
 
     def kkt_max(w_at, xi_at):
-        _, r1, r2, r3, min_theta = _kkt_residuals(dataset, w_at, xi_at, lam)
+        _, r1, r2, r3, min_theta = _kkt_residuals(data, w_at, xi_at, lam)
         return max(r1, r2, r3, -min_theta)
 
     def prox_step(w_from, b_from, grad_w, grad_b, h_from):
-        nonlocal step
+        """Backtracked proximal step; also returns the gradient-mapping norm."""
+        nonlocal step, backtracks
         while True:
             w_new = _soft_threshold(w_from - step * grad_w, lam * step)
             b_new = b_from - step * grad_b
-            xi_new = _hinge(dataset, w_new, b_new)
+            xi_new = _hinge(data, w_new, b_new)
             h_new = 0.5 * float(xi_new @ xi_new)
             dw = w_new - w_from
             db = b_new - b_from
-            majorant = (
-                h_from
-                + float(grad_w @ dw)
-                + grad_b * db
-                + (float(dw @ dw) + db * db) / (2.0 * step)
-            )
+            moved = float(dw @ dw) + db * db
+            majorant = h_from + float(grad_w @ dw) + grad_b * db + moved / (2.0 * step)
             if h_new <= majorant + 1e-12 * max(1.0, abs(h_from)) or step < 1e-18:
-                return w_new, b_new, xi_new, h_new
+                return w_new, b_new, xi_new, h_new, np.sqrt(moved) / step
             step *= 0.5
+            backtracks += 1
 
     for iterations in range(1, opts.max_iter + 1):
-        xi_z = _hinge(dataset, wz, bz)
+        xi_z = _hinge(data, wz, bz)
         h_z = 0.5 * float(xi_z @ xi_z)
-        g = xi_z * dataset.labels
-        grad_w = -dataset.rmatvec(g)
+        g = xi_z * labels
+        grad_w = -data.rmatvec(g)
         grad_b = -float(g.sum())
 
-        w_new, b_new, xi_new, h_new = prox_step(wz, bz, grad_w, grad_b, h_z)
+        w_new, b_new, xi_new, h_new, mapping = prox_step(wz, bz, grad_w, grad_b, h_z)
         f_new = h_new + lam * float(np.abs(w_new).sum())
 
         if f_new > f_x:
             # Momentum overshot: redo a plain proximal step from the last
             # accepted point, which the majorant makes non-increasing, and
             # drop the accumulated momentum.
-            g = xi * dataset.labels
-            grad_w = -dataset.rmatvec(g)
+            g = xi * labels
+            grad_w = -data.rmatvec(g)
             grad_b = -float(g.sum())
             h_x = 0.5 * float(xi @ xi)
-            w_new, b_new, xi_new, h_new = prox_step(w, b, grad_w, grad_b, h_x)
+            w_new, b_new, xi_new, h_new, mapping = prox_step(w, b, grad_w, grad_b, h_x)
             f_new = h_new + lam * float(np.abs(w_new).sum())
             t_momentum = 1.0
+            restarts += 1
 
         w_prev, b_prev = w, b
         w, b, xi, f_x = w_new, b_new, xi_new, f_new
@@ -276,24 +311,29 @@ def solve_primal(dataset, lam, options=None, warm=None):
         bz = b + beta * (b - b_prev)
         t_momentum = t_next
 
-        residual = kkt_max(w, xi)
-        if residual <= opts.tol:
-            converged = True
-            break
-        if residual > FINISH_FROM or attempts == FINISH_ATTEMPTS:
+        # grad h(x+) - grad h(z) + (z - x+) / step lies in the subdifferential
+        # of F at x+, so 2 * mapping / lam bounds the max KKT residual when
+        # step <= 1/L; only then is the exact (full-data) check worth a pass.
+        if 2.0 * mapping <= FINISH_FROM * lam:
+            residual = kkt_max(w, xi)
+            if residual <= opts.tol:
+                converged = True
+                break
+        # A pattern that held over one step is tried once; the same pattern
+        # gives the same system.
+        previous, pattern = pattern, np.concatenate((xi > 0.0, np.sign(w)))
+        if attempts == FINISH_ATTEMPTS or not np.array_equal(pattern, previous):
             continue
-        # The same pattern gives the same system, so only a new one is tried.
         rows = np.flatnonzero(xi > 0.0)
-        pattern = np.concatenate((xi > 0.0, np.sign(w)))
         k = np.count_nonzero(w) + 1
         if k > rows.size or rows.size * k > FINISH_MAX_CELLS or np.array_equal(pattern, tried):
             continue
         tried = pattern
         attempts += 1
-        found = _exact_finish(dataset, lam, w, rows)
+        found = _exact_finish(data, lam, w, rows)
         if found is None:
             continue
-        xi_f = _hinge(dataset, *found)
+        xi_f = _hinge(data, *found)
         f_f = 0.5 * float(xi_f @ xi_f) + lam * float(np.abs(found[0]).sum())
         residual_f = kkt_max(found[0], xi_f)
         if residual_f <= opts.tol and f_f <= f_x + 1e-12 * max(1.0, abs(f_x)):
@@ -302,6 +342,8 @@ def solve_primal(dataset, lam, options=None, warm=None):
                 trace.append(f_x)
             converged = finished = True
             break
+    else:
+        residual = kkt_max(w, xi)
 
     return PrimalModel(
         weights=w,
@@ -312,6 +354,10 @@ def solve_primal(dataset, lam, options=None, warm=None):
         trace=tuple(trace) if trace is not None else (),
         kkt_residual=residual,
         finished=finished,
+        passes=data.passes,
+        backtracks=backtracks,
+        restarts=restarts,
+        finish_attempts=attempts,
     )
 
 
@@ -324,11 +370,15 @@ def theta_from_primal(dataset, w, b, lam):
 
 
 def kkt_report(dataset, model, lam):
-    """Stationarity diagnostics for a PrimalModel at weight lam."""
-    theta = theta_from_primal(dataset, model.weights, model.bias, lam)
-    corr, r1, r2, r3, min_theta = _kkt_residuals(
-        dataset, np.asarray(model.weights, dtype=np.float64), theta.values * lam, lam
-    )
+    """Stationarity diagnostics for a PrimalModel at weight lam.
+
+    The residuals are computed as solve_primal computes them, so its
+    kkt_residual equals max_residual here exactly.
+    """
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    w = np.asarray(model.weights, dtype=np.float64)
+    corr, r1, r2, r3, min_theta = _kkt_residuals(dataset, w, _hinge(dataset, w, model.bias), lam)
     return KktReport(correlations=corr, r1=r1, r2=r2, r3=r3, min_theta=min_theta)
 
 
@@ -372,6 +422,10 @@ def model_to_json(model, lam):
             "converged": bool(model.converged),
             "kkt_residual": model.kkt_residual,
             "finished": bool(model.finished),
+            "passes": model.passes,
+            "backtracks": model.backtracks,
+            "restarts": model.restarts,
+            "finish_attempts": model.finish_attempts,
         },
         indent=2,
     )
@@ -381,7 +435,7 @@ def model_from_json(text, n_features):
     """Inverse of model_to_json; needs the feature count to size the array.
 
     JSON written before kkt_residual and finished existed reads as NaN and
-    False for them.
+    False for them, and before the work counters as 0.
     """
     payload = json.loads(text)
     w = np.zeros(n_features)
@@ -396,6 +450,10 @@ def model_from_json(text, n_features):
             converged=bool(payload["converged"]),
             kkt_residual=float(payload.get("kkt_residual", float("nan"))),
             finished=bool(payload.get("finished", False)),
+            passes=int(payload.get("passes", 0)),
+            backtracks=int(payload.get("backtracks", 0)),
+            restarts=int(payload.get("restarts", 0)),
+            finish_attempts=int(payload.get("finish_attempts", 0)),
         ),
         float(payload["lambda"]),
     )

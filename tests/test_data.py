@@ -309,6 +309,35 @@ def test_subset_preserves_columns_and_order():
     np.testing.assert_array_equal(sub.labels, ds.labels)
 
 
+def test_subset_matches_per_column_reference():
+    # The column-by-column construction subset used to run, kept as the
+    # reference for its one-gather form.
+    def reference(ds, indices):
+        cols = [ds.column(j) for j in indices]
+        return Dataset.from_columns(cols, ds.labels, n_samples=ds.n_samples)
+
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(9, 7))
+    x[rng.random(size=x.shape) >= 0.4] = 0.0
+    x[:, [0, 3, 6]] = 0.0  # empty first, middle and last columns
+    y = random_dataset(rng, 9, 1).labels
+    datasets = [
+        Dataset.from_dense(x, y),
+        Dataset.from_dense(rng.normal(size=(9, 7)), y),
+        Dataset.from_dense(np.zeros((9, 7)), y),  # no stored entries at all
+    ]
+    index_sets = [[0, 1, 2, 3, 4, 5, 6], [6, 0, 3], [2, 2, 5, 2], [5, 1, 4, 0], [3], [6]]
+    for ds in datasets:
+        for indices in index_sets:
+            sub, ref = ds.subset(indices), reference(ds, indices)
+            for name in ("n_samples", "n_features", "n_pos", "n_neg"):
+                assert getattr(sub, name) == getattr(ref, name)
+            for name in ("col_ptr", "row_idx", "values", "labels"):
+                got, want = getattr(sub, name), getattr(ref, name)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+
 def test_dense_block_from_half_the_cells_stored():
     # 4 x 3 = 12 cells: 6 stored entries get a block, 5 do not.
     x = np.zeros((4, 3))

@@ -182,6 +182,9 @@ def test_csv_and_json_serialization():
         assert entry["kkt_residual"] == step.kkt_residual <= 1e-9
         assert entry["finished"] is step.finished
         assert entry["margin"] == step.margin
+        for name in ("passes", "backtracks", "restarts", "finish_attempts"):
+            assert entry[name] == getattr(step, name)
+        assert step.kept == 0 or step.passes > 0
 
 
 def _counting(monkeypatch, owner, name):

@@ -205,13 +205,19 @@ def test_model_json_round_trip():
     assert back.converged == model.converged
     assert back.kkt_residual == model.kkt_residual <= 1e-9
     assert back.finished is model.finished is True
+    counters = ("passes", "backtracks", "restarts", "finish_attempts")
+    for name in counters:
+        assert getattr(back, name) == getattr(model, name)
+    assert model.passes > 0 and model.finish_attempts >= 1
 
     # JSON written without the accounting fields still reads.
     payload = json.loads(text)
-    del payload["kkt_residual"], payload["finished"]
+    for name in ("kkt_residual", "finished") + counters:
+        del payload[name]
     old, _ = model_from_json(json.dumps(payload), ds.n_features)
     assert np.isnan(old.kkt_residual)
     assert old.finished is False
+    assert all(getattr(old, name) == 0 for name in counters)
 
 
 def test_kkt_report_recompute():
@@ -325,3 +331,99 @@ def test_rejected_finish_leaves_the_proximal_gradient_answer(monkeypatch):
     assert rejected.bias == plain.bias
     assert rejected.iterations == plain.iterations
     assert rejected.trace == plain.trace
+
+
+def _sparse_problem():
+    rng = np.random.default_rng(113)
+    ds = random_dataset(rng, 100, 500, 0.1)
+    return ds, 0.5 * lambda_max(ds)[0]
+
+
+def _count_calls(monkeypatch, owner, *names):
+    """One list of the calls made to any of owner's names."""
+    calls = []
+
+    def counted(original):
+        def call(*args):
+            calls.append(args)
+            return original(*args)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
+    return calls
+
+
+def test_full_kkt_pass_runs_only_when_it_can_certify(monkeypatch):
+    ds, lam = _sparse_problem()
+    checks = _count_calls(monkeypatch, solver, "_kkt_residuals")
+    model = solve_primal(ds, lam)
+    assert model.converged and model.finished
+    assert len(checks) < model.iterations
+    assert model.kkt_residual <= 1e-9
+    assert kkt_report(ds, model, lam).max_residual <= 1e-9
+
+
+def test_unconverged_model_reports_its_exact_residual():
+    ds, lam = _sparse_problem()
+    model = solve_primal(ds, lam, options=SolverOptions(max_iter=3))
+    assert model.iterations == 3
+    assert not model.converged and not model.finished
+    assert model.kkt_residual == kkt_report(ds, model, lam).max_residual
+
+
+def test_passes_count_every_data_product(monkeypatch):
+    ds, lam = _sparse_problem()
+    products = _count_calls(monkeypatch, Dataset, "matvec", "rmatvec")
+    model = solve_primal(ds, lam)
+    assert model.passes == len(products) > 0
+    # The spectral bound is computed once per Dataset; a second solve
+    # counts only its own products.
+    products.clear()
+    again = solve_primal(ds, 0.9 * lam, warm=(model.weights, model.bias))
+    assert again.passes == len(products) > 0
+
+
+@pytest.mark.parametrize(
+    "column, lam",
+    [
+        # z = (-4/9, -1/3): every margin row keeps xi > 0, but w has the
+        # wrong sign.
+        ([0.0, -2.0, -2.0, 1.0], 2.0),
+        # z = (16/43, -12/43): the sign holds, but the last row's
+        # 1 - y a z is -1/43.
+        ([2.0, 2.0, 1.0, -2.0], 1.0),
+    ],
+)
+def test_off_pattern_candidate_rejected_on_its_block(monkeypatch, column, lam):
+    # One feature with s = +1, labels (+1, +1, -1, -1), all rows margin rows.
+    ds = Dataset.from_dense(np.array(column)[:, None], [1.0, 1.0, -1.0, -1.0])
+    products = _count_calls(monkeypatch, Dataset, "matvec", "rmatvec")
+    assert solver._exact_finish(ds, lam, np.ones(1), np.arange(4)) is None
+    assert products == []
+
+
+def test_rejected_candidates_cost_no_data_pass(monkeypatch):
+    # Candidates proposed with the signs of w flipped are all rejected on
+    # their block, so the solve makes the products of one whose finish
+    # proposes nothing.  Each solve gets a fresh copy of the data, so both
+    # count the power iteration.
+    ds, lam = _sparse_problem()
+    monkeypatch.setattr(solver, "_exact_finish", lambda *args: None)
+    plain = solve_primal(ds, lam)
+    ds, lam = _sparse_problem()
+    monkeypatch.undo()
+    results = []
+    original = solver._exact_finish
+
+    def flipped(dataset, lam_at, w, rows):
+        results.append(original(dataset, lam_at, -w, rows))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "_exact_finish", flipped)
+    rejected = solve_primal(ds, lam)
+    assert results and all(found is None for found in results)
+    assert rejected.finish_attempts == plain.finish_attempts == len(results)
+    assert rejected.passes == plain.passes
+    assert rejected.iterations == plain.iterations
