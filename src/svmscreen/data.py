@@ -175,12 +175,20 @@ class Dataset:
             block=self.dense_block, cols=self.column_index,
         )
 
-    def rmatvec(self, u):
-        """X.T @ u for a sample vector u of length n_samples."""
-        return kernels.csc_rmatvec(
-            self.col_ptr, self.row_idx, self.values, u,
-            block=self.dense_block, cols=self.column_index,
-        )
+    def rmatvec(self, u, cols=None):
+        """X.T @ u for a sample vector u of length n_samples.
+
+        With ``cols``, an array of feature indices, only X[:, cols].T @ u,
+        reading the stored entries of those columns alone.
+        """
+        if cols is None:
+            return kernels.csc_rmatvec(
+                self.col_ptr, self.row_idx, self.values, u,
+                block=self.dense_block, cols=self.column_index,
+            )
+        if self.dense_block is not None:
+            return u @ self.dense_block[:, cols]
+        return kernels.csc_rmatvec(*self._columns(cols), u)
 
     def _entries(self, cols):
         """Positions in row_idx/values of the stored entries of cols, column
@@ -189,6 +197,13 @@ class Dataset:
         counts = self.col_ptr[cols + 1] - lo
         starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
         return starts + np.arange(starts.size), counts
+
+    def _columns(self, cols):
+        """CSC arrays (col_ptr, row_idx, values) of the columns cols alone."""
+        entries, counts = self._entries(cols)
+        col_ptr = np.zeros(cols.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=col_ptr[1:])
+        return col_ptr, self.row_idx[entries], self.values[entries]
 
     def block(self, rows, cols):
         """Dense X[rows][:, cols] for arrays of distinct indices; only that
@@ -223,12 +238,9 @@ class Dataset:
     def subset(self, feature_indices):
         """New Dataset restricted to the given features, order preserved."""
         cols = np.asarray(feature_indices, dtype=np.int64)
-        entries, counts = self._entries(cols)
-        col_ptr = np.zeros(cols.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=col_ptr[1:])
         return Dataset(
-            self.n_samples, cols.size, col_ptr, self.row_idx[entries], self.values[entries],
-            self.labels, n_pos=self.n_pos, n_neg=self.n_neg,
+            self.n_samples, cols.size, *self._columns(cols), self.labels,
+            n_pos=self.n_pos, n_neg=self.n_neg,
         )
 
     def to_dense(self):

@@ -8,6 +8,30 @@ and recomputes the dual point for the step after.  Optional verify mode
 also solves the unreduced problem at every step and counts discarded
 features that were actually active, which must be zero whenever the
 screening inputs were trustworthy.
+
+Screening carries each feature's certificate down the path, after the
+dual-polytope-projection argument (DPP; Wang, Wonka & Ye, JMLR 2015).
+The dual point is a projection, theta*(lambda) = P_F(1/lambda * 1), onto
+F = {theta >= 0, theta'y = 0, |theta'fhat_j| <= 1}, a set that does not
+depend on lambda.  F lies in the subspace H = {theta'y = 0}, so P_F equals
+P_F composed with the linear P_H, and projections are nonexpansive:
+
+    ||theta*(l2) - theta*(l1)|| <= ||P_H((1/l2 - 1/l1) 1)||
+                                 = R (1/l2 - 1/l1),   R = ||P_y 1||,
+
+with R^2 = n - (1'y)^2/n = 4 n_pos n_neg / n.  The difference lies in H,
+so it meets fhat_j only through P_y fhat_j, and by Cauchy-Schwarz
+
+    |theta*(l2)'fhat_j| <= |theta*(l1)'fhat_j| + ||P_y fhat_j|| R (1/l2 - 1/l1).
+
+A bound certified at some earlier step therefore stays a bound further
+down, grown by that drift.  Each step re-evaluates the paper's region
+bound only for the features whose carried bound reaches the keep
+threshold, and keeps the smaller of the two; the rest are discarded on
+the carried bound alone.  The kept set is thus never larger than that of
+the per-step rule, and every certificate rests on one region bound, so
+safety needs no slack beyond EPS_KEEP.  A step that does not screen, or
+whose screening input is untrusted, leaves no certificates behind.
 """
 
 import json
@@ -55,10 +79,13 @@ class PathStep:
     columns (|theta'y| for the closed form) and ``finished`` whether the
     solver's exact finish certified it; ``passes``, ``backtracks``,
     ``restarts`` and ``finish_attempts`` count that solve's work as in
-    PrimalModel (all 0 for the closed form).  ``margin`` is the largest
-    screening bound among the discarded features, below the keep
-    threshold 1 - EPS_KEEP; it is None when nothing was discarded or
-    screening did not run.
+    PrimalModel (all 0 for the closed form).  ``evaluated`` is the number
+    of features whose region bound was computed this step; the others
+    were discarded on a bound carried from an earlier step (0 when
+    screening did not run).  ``margin`` is the largest certified bound,
+    fresh or carried, among discarded features, below the keep threshold
+    1 - EPS_KEEP; it is None when nothing was discarded or screening did
+    not run.
     """
 
     lam: float
@@ -76,6 +103,7 @@ class PathStep:
     backtracks: int
     restarts: int
     finish_attempts: int
+    evaluated: int
     margin: object
     weights: np.ndarray
     bias: float
@@ -120,6 +148,7 @@ class PathReport:
                 "backtracks": s.backtracks,
                 "restarts": s.restarts,
                 "finish_attempts": s.finish_attempts,
+                "evaluated": s.evaluated,
                 "margin": s.margin,
             }
             for s in self.steps
@@ -192,6 +221,15 @@ def run_path(dataset, config=None):
 
     m = dataset.n_features
     stats = compute_feature_stats(dataset)
+    threshold = 1.0 - screening.EPS_KEEP
+    # Growth of each feature's certificate per unit of 1/lambda:
+    # ||P_y fhat_j|| * ||P_y 1||.
+    drift = stats.proj_y_norm * (
+        2.0 * np.sqrt(dataset.n_pos * dataset.n_neg / dataset.n_samples)
+    )
+    # cert[j] bounds |theta*'fhat_j| at the lambda with 1/lambda = inv[j];
+    # None when no step has left certificates.
+    cert = inv = None
     theta_prev = screening.theta_at_lambda_max(dataset, lam_max, bias0)
     lam_prev = lam_max
     w_prev = np.zeros(m)
@@ -206,6 +244,7 @@ def run_path(dataset, config=None):
         kept_idx = np.arange(m, dtype=np.int64)
         reduced, warm = dataset, (w_prev, b_prev)
         screen_ms = 0.0
+        evaluated = 0
         margin = None
         trusted = prev_converged
         if cfg.screen:
@@ -218,12 +257,30 @@ def run_path(dataset, config=None):
                 # Unconverged previous step can leave theta slightly
                 # infeasible; keep everything rather than abort the path.
                 trusted = False
+                cert = None
             else:
-                report = screening.screen_all(ctx, dataset, stats)
-                kept_idx = report.kept
+                # stale: the features whose bound must be computed afresh.
+                if trusted and cert is not None:
+                    bounds = cert + drift * (1.0 / lam2 - inv)
+                    stale = np.flatnonzero(bounds >= threshold)
+                else:
+                    bounds, cert, inv = np.full(m, np.inf), np.empty(m), np.empty(m)
+                    stale = np.arange(m)
+                if stale.size == m:
+                    fresh = screening.screen_all(ctx, dataset, stats).bounds
+                else:
+                    fresh = screening.feature_bounds(ctx, dataset, stats, stale)
+                np.minimum(bounds[stale], fresh, out=fresh)
+                bounds[stale] = fresh
+                cert[stale] = fresh
+                inv[stale] = 1.0 / lam2
+                evaluated = int(stale.size)
+                if not trusted:
+                    cert = None  # bounds from an untrusted dual point certify nothing
+                # Features left out of stale are below the threshold already.
+                kept_idx = stale[fresh >= threshold]
                 if kept_idx.size < m:
-                    margin = float(np.delete(report.bounds, kept_idx).max())
-                del report  # five m-sized arrays; kept through the solve they raise peak memory
+                    margin = float(np.max(bounds, where=bounds < threshold, initial=-np.inf))
                 if 0 < kept_idx.size < m:
                     reduced = dataset.subset(kept_idx)
                     warm = (w_prev[kept_idx], b_prev)
@@ -286,6 +343,7 @@ def run_path(dataset, config=None):
                 backtracks=backtracks,
                 restarts=restarts,
                 finish_attempts=finish_attempts,
+                evaluated=evaluated,
                 margin=margin,
                 weights=w_full,
                 bias=float(b_full),

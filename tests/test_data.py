@@ -338,6 +338,25 @@ def test_subset_matches_per_column_reference():
                 np.testing.assert_array_equal(got, want)
 
 
+def test_column_restricted_rmatvec_matches_full_product():
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(9, 7))
+    x[rng.random(size=x.shape) >= 0.4] = 0.0
+    x[:, [0, 3, 6]] = 0.0  # empty first, middle and last columns
+    y = random_dataset(rng, 9, 1).labels
+    u = rng.normal(size=9)
+    sparse, dense = Dataset.from_dense(x, y), Dataset.from_dense(rng.normal(size=(9, 7)), y)
+    assert sparse.dense_block is None and dense.dense_block is not None
+    index_sets = [[0, 1, 2, 3, 4, 5, 6], [6, 0, 3], [2, 2, 5, 2], [5, 1, 4, 0], [3], []]
+    for indices in index_sets:
+        cols = np.array(indices, dtype=np.int64)
+        # Each column sums its stored entries in the same order either way.
+        np.testing.assert_array_equal(sparse.rmatvec(u, cols=cols), sparse.rmatvec(u)[cols])
+        np.testing.assert_allclose(
+            dense.rmatvec(u, cols=cols), dense.rmatvec(u)[cols], rtol=1e-14, atol=1e-14
+        )
+
+
 def test_dense_block_from_half_the_cells_stored():
     # 4 x 3 = 12 cells: 6 stored entries get a block, 5 do not.
     x = np.zeros((4, 3))

@@ -1,10 +1,13 @@
 """Path driver: grid handling, screening A/B equivalence, verify mode."""
 
+import dataclasses
 import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svmscreen import (
     Dataset,
@@ -17,9 +20,55 @@ from svmscreen import (
     run_path,
     theta_from_primal,
 )
-from svmscreen import screening, solver
+from svmscreen import compute_feature_stats, screening, solver
 
-from conftest import random_dataset
+from conftest import random_dataset, random_labels
+
+
+def _drift(ds):
+    """||P_y fhat_j|| * ||P_y 1|| per feature, computed from dense columns."""
+    y = ds.labels
+
+    def off_y(v):
+        return v - np.outer(y, y @ v) / ds.n_samples
+
+    fhat = y[:, None] * ds.to_dense()
+    ones = np.ones((ds.n_samples, 1))
+    return np.linalg.norm(off_y(fhat), axis=0) * np.linalg.norm(off_y(ones))
+
+
+def _certified_bounds(ds, contexts):
+    """Each step's certified bounds and evaluated count, replayed from
+    screen_all on the recorded contexts and the drift lemma; for paths
+    whose every step is trusted."""
+    stats = compute_feature_stats(ds)
+    drift = _drift(ds)
+    threshold = 1.0 - screening.EPS_KEEP
+    # cert[j] bounds |theta*'fhat_j| where 1/lambda = inv[j].
+    cert = np.full(ds.n_features, np.inf)
+    inv = np.zeros(ds.n_features)
+    replayed = []
+    for ctx in contexts:
+        fresh = screening.screen_all(ctx, ds, stats).bounds
+        bounds = cert + drift * (1.0 / ctx.lambda2 - inv)
+        stale = bounds >= threshold
+        bounds[stale] = np.minimum(bounds, fresh)[stale]
+        cert[stale] = bounds[stale]
+        inv[stale] = 1.0 / ctx.lambda2
+        replayed.append((bounds, int(stale.sum())))
+    return replayed
+
+
+def _recording_contexts(monkeypatch):
+    contexts = []
+    build_context = screening.build_context
+
+    def recorded(*args, **kwargs):
+        contexts.append(build_context(*args, **kwargs))
+        return contexts[-1]
+
+    monkeypatch.setattr(screening, "build_context", recorded)
+    return contexts
 
 
 def test_lambda_grid_frozen_example():
@@ -87,7 +136,7 @@ def test_screened_path_matches_unscreened():
     baseline = run_path(ds, PathConfig(screen=False, **cfg))
     for s, b in zip(screened.steps, baseline.steps):
         assert s.lam == b.lam
-        assert b.kept == 40 and b.screen_ms == 0.0
+        assert b.kept == 40 and b.screen_ms == 0.0 and b.evaluated == 0
         np.testing.assert_allclose(s.weights, b.weights, atol=1e-8)
         assert s.bias == pytest.approx(b.bias, abs=1e-8)
         assert s.objective == pytest.approx(b.objective, abs=1e-9)
@@ -97,14 +146,7 @@ def test_screened_path_matches_unscreened():
 def test_verify_mode_reports_zero_violations(monkeypatch):
     rng = np.random.default_rng(13)
     ds = random_dataset(rng, 10, 50, density=0.8)
-    screens = []
-    screen_all = screening.screen_all
-
-    def recorded(*args):
-        screens.append(screen_all(*args))
-        return screens[-1]
-
-    monkeypatch.setattr(screening, "screen_all", recorded)
+    contexts = _recording_contexts(monkeypatch)
     report = run_path(
         ds,
         PathConfig(grid_size=6, ratio=0.8, verify=True, solver=SolverOptions(tol=1e-10)),
@@ -117,16 +159,20 @@ def test_verify_mode_reports_zero_violations(monkeypatch):
         assert step.max_weight_diff <= 1e-8
         assert step.trusted
         assert step.kkt_residual <= 1e-10
-    # The margin is the largest bound among the discarded features, below
-    # the keep threshold on every step that discards any.
-    assert len(screens) == len(report.steps)
-    for step, screen in zip(report.steps, screens):
-        discarded = np.setdiff1d(np.arange(ds.n_features), screen.kept)
+    # The margin is the largest certified bound among the discarded
+    # features, below the keep threshold on every step that discards any.
+    assert len(contexts) == len(report.steps)
+    for step, (bounds, evaluated) in zip(report.steps, _certified_bounds(ds, contexts)):
+        assert step.evaluated == evaluated
+        discarded = np.setdiff1d(np.arange(ds.n_features), step.kept_indices)
+        np.testing.assert_array_equal(discarded, np.flatnonzero(bounds < 1.0 - screening.EPS_KEEP))
         if discarded.size:
-            assert step.margin == screen.bounds[discarded].max() < 1.0 - screening.EPS_KEEP
+            assert step.margin == pytest.approx(bounds[discarded].max(), rel=1e-12)
+            assert step.margin < 1.0 - screening.EPS_KEEP
         else:
             assert step.margin is None
     assert any(s.margin is not None for s in report.steps)
+    assert any(s.evaluated < ds.n_features for s in report.steps)
 
 
 def test_custom_grid_is_used_verbatim():
@@ -182,6 +228,7 @@ def test_csv_and_json_serialization():
         assert entry["kkt_residual"] == step.kkt_residual <= 1e-9
         assert entry["finished"] is step.finished
         assert entry["margin"] == step.margin
+        assert entry["evaluated"] == step.evaluated
         for name in ("passes", "backtracks", "restarts", "finish_attempts"):
             assert entry[name] == getattr(step, name)
         assert step.kept == 0 or step.passes > 0
@@ -240,9 +287,10 @@ def test_next_theta_from_reduced_solve_matches_full_data(monkeypatch, density):
 
 
 def test_screen_ms_covers_context_and_subset(monkeypatch):
-    # Sleeps in build_context and in the subset of the kept columns must
-    # land in screen_ms, and neither in solve_ms.
-    context_s, subset_s = 0.05, 0.1
+    # Sleeps in build_context, in the bounds of the re-evaluated features
+    # and in the subset of the kept columns must land in screen_ms, and
+    # none in solve_ms.
+    context_s, bounds_s, subset_s = 0.05, 0.05, 0.1
 
     def slowed(owner, name, seconds):
         original = getattr(owner, name)
@@ -258,12 +306,130 @@ def test_screen_ms_covers_context_and_subset(monkeypatch):
 
     rng = np.random.default_rng(43)
     ds = random_dataset(rng, 15, 120, density=0.15)
+    m = ds.n_features
     contexts = slowed(screening, "build_context", context_s)
+    restricted = slowed(screening, "feature_bounds", bounds_s)
     subsets = slowed(Dataset, "subset", subset_s)
     report = run_path(ds, PathConfig(grid_size=4, ratio=0.7))
     assert len(contexts) == len(report.steps)
-    subset_steps = [0 < s.kept < ds.n_features for s in report.steps]
+    # Only the kept columns become a subset; the column-restricted product
+    # behind feature_bounds reads the stored columns in place.
+    subset_steps = [0 < s.kept < m for s in report.steps]
     assert sum(subset_steps) == len(subsets) > 0
-    for step, subset in zip(report.steps, subset_steps):
-        assert step.screen_ms >= 1000.0 * (context_s + subset * subset_s)
-        assert step.solve_ms < 1000.0 * min(context_s, subset_s)
+    restricted_steps = [s.evaluated < m for s in report.steps]
+    assert sum(restricted_steps) == len(restricted) > 0
+    for step, subset, partial in zip(report.steps, subset_steps, restricted_steps):
+        assert step.screen_ms >= 1000.0 * (context_s + subset * subset_s + partial * bounds_s)
+        assert step.solve_ms < 1000.0 * min(context_s, bounds_s, subset_s)
+
+
+def _instance(seed, n, m, p_positive, scaled):
+    """Sparse-ish normal data; ``scaled`` multiplies one column by 1e3."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, m))
+    x[rng.random(size=x.shape) >= 0.4] = 0.0
+    x[:, 0] = rng.normal(size=n)
+    if scaled:
+        x[:, 0] *= 1e3
+    return Dataset.from_dense(x, random_labels(rng, n, p_positive))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p_positive=st.sampled_from([0.5, 0.2]),
+    scaled=st.booleans(),
+    frac1=st.floats(0.2, 0.99),
+    ratio=st.floats(0.3, 0.99),
+)
+def test_dual_point_moves_at_most_the_projected_drift(seed, p_positive, scaled, frac1, ratio):
+    # ||theta*(l2) - theta*(l1)|| <= ||P_y 1|| (1/l2 - 1/l1), the lemma the
+    # carried certificates rest on, checked between two tight full solves.
+    ds = _instance(seed, 14, 30, p_positive, scaled)
+    lam_cap, _, _ = lambda_max(ds)
+    lam1 = frac1 * lam_cap
+    lam2 = ratio * lam1
+    thetas = []
+    for lam in (lam1, lam2):
+        model = solver.solve_primal(ds, lam, options=SolverOptions(tol=1e-12))
+        assert model.converged
+        thetas.append(theta_from_primal(ds, model.weights, model.bias, lam).values)
+    y = ds.labels
+    r = np.linalg.norm(1.0 - (y.sum() / ds.n_samples) * y)
+    assert r == pytest.approx(2.0 * np.sqrt(ds.n_pos * ds.n_neg / ds.n_samples), rel=1e-12)
+    allowed = r * (1.0 / lam2 - 1.0 / lam1)
+    assert np.linalg.norm(thetas[1] - thetas[0]) <= allowed * (1.0 + 1e-9)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p_positive=st.sampled_from([0.5, 0.2]),
+    scaled=st.booleans(),
+    ratio=st.floats(0.95, 0.99),
+    steps=st.integers(20, 40),
+)
+def test_fine_grid_certificates_are_safe(seed, p_positive, scaled, ratio, steps):
+    # Long fine grids are where carried certificates live longest.
+    ds = _instance(seed, 16, 60, p_positive, scaled)
+    with pytest.MonkeyPatch.context() as patch:
+        contexts = _recording_contexts(patch)
+        report = run_path(
+            ds,
+            PathConfig(grid_size=steps, ratio=ratio, verify=True, solver=SolverOptions(tol=1e-11)),
+        )
+    assert report.total_violations == 0
+    assert all(s.violations == 0 and s.trusted for s in report.steps)
+    assert any(s.evaluated < ds.n_features for s in report.steps)
+    stats = compute_feature_stats(ds)
+    for step, ctx, (bounds, evaluated) in zip(report.steps, contexts, _certified_bounds(ds, contexts)):
+        # The per-step rule from the same anchor keeps a superset.
+        per_step = screening.screen_all(ctx, ds, stats).kept
+        assert set(step.kept_indices.tolist()) <= set(per_step.tolist())
+        assert step.evaluated == evaluated
+        np.testing.assert_array_equal(
+            step.kept_indices, np.flatnonzero(bounds >= 1.0 - screening.EPS_KEEP)
+        )
+        # Every certified bound holds for the dual point at this lambda.
+        theta = theta_from_primal(ds, step.weights, step.bias, step.lam).values
+        true = np.abs(ds.rmatvec(theta * ds.labels))
+        assert np.all(bounds >= true - 1e-9)
+
+
+@pytest.mark.parametrize("fault", ["unconverged solve", "infeasible theta"])
+def test_untrusted_step_clears_certificates(monkeypatch, fault):
+    rng = np.random.default_rng(47)
+    ds = random_dataset(rng, 15, 120, density=0.15)
+    m = ds.n_features
+    config = PathConfig(grid_size=8, ratio=0.9)
+    clean = run_path(ds, config)
+    assert all(s.evaluated < m for s in clean.steps[1:])
+
+    if fault == "unconverged solve":
+        # The solve of step 3 reports failure, so step 4 is untrusted.
+        solve_primal, solves = solver.solve_primal, []
+
+        def flagged(*args, **kwargs):
+            model = solve_primal(*args, **kwargs)
+            solves.append(model)
+            return dataclasses.replace(model, converged=len(solves) != 3)
+
+        monkeypatch.setattr(solver, "solve_primal", flagged)
+    else:
+        # Step 4 cannot build its screening region and keeps everything.
+        build_context, contexts = screening.build_context, []
+
+        def failing(*args, **kwargs):
+            contexts.append(args)
+            if len(contexts) == 4:
+                raise ValueError("theta1 infeasible")
+            return build_context(*args, **kwargs)
+
+        monkeypatch.setattr(screening, "build_context", failing)
+    report = run_path(ds, config)
+    evaluated = [s.evaluated for s in report.steps]
+    assert not report.steps[3].trusted
+    assert evaluated[3] == (m if fault == "unconverged solve" else 0)
+    assert evaluated[4] == m  # no certificate survives an untrusted step
+    assert all(e < m for e in evaluated[5:])
+    assert all(s.trusted for i, s in enumerate(report.steps) if i != 3)
