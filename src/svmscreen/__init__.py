@@ -21,13 +21,11 @@ from .oracle import OracleResult, null_space_basis, oracle_max, oracle_neg_min
 from .path import DegenerateProblemError, PathConfig, PathReport, lambda_grid, run_path
 from .screening import (
     Branch,
-    FeatureBound,
     ScreeningContext,
     ScreenReport,
     build_context,
     neg_min,
     screen_all,
-    screen_feature,
     theta_at_lambda_max,
 )
 from .solver import (
@@ -54,7 +52,6 @@ __all__ = [
     "DataFormatError",
     "Dataset",
     "DegenerateProblemError",
-    "FeatureBound",
     "FeatureStats",
     "Halfspace",
     "KktReport",
@@ -87,7 +84,6 @@ __all__ = [
     "read_sparse_file",
     "run_path",
     "screen_all",
-    "screen_feature",
     "serialize_sparse_text",
     "solve_primal",
     "theta_at_lambda_max",

@@ -162,18 +162,18 @@ def cmd_verify(args):
     total = 0
     for lam2 in lam2_list:
         ctx = screening.build_context(theta1, lam1, lam2, dataset, lam_max=lam_max)
+        report = screening.screen_all(ctx, dataset, stats)
         for j in range(dataset.n_features):
-            fb = screening.screen_feature(ctx, j, stats)
             fhat = dataset.labels * dense[:, j]
             for closed, branch, direction in (
-                (fb.m1, fb.branch1, -fhat),
-                (fb.m2, fb.branch2, fhat),
+                (report.m1[j], report.branch1[j], -fhat),
+                (report.m2[j], report.branch2[j], fhat),
             ):
                 ref = oracle.oracle_max(ctx, direction)
                 if not ref.certified:
                     uncertified += 1
                 gap = abs(closed - ref.value)
-                name = screening.Branch(branch).name.lower()
+                name = screening.Branch(int(branch)).name.lower()
                 worst[name] = max(worst.get(name, 0.0), gap)
                 counts[name] = counts.get(name, 0) + 1
                 total += 1

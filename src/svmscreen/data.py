@@ -147,14 +147,9 @@ class Dataset:
         ``row_idx`` and ``values`` arrays it mirrors (8 bytes per cell
         against 16 per stored entry), and its products run as BLAS gemv.
         """
-        n, m = self.n_samples, self.n_features
-        if 2 * self.values.shape[0] < n * m:
+        if 2 * self.values.shape[0] < self.n_samples * self.n_features:
             return None
-        block = np.zeros((n, m), order="F")
-        for j in range(m):
-            idx, vals = self.column(j)
-            block[idx, j] = vals
-        return block
+        return self.to_dense()
 
     @cached_property
     def column_index(self):
@@ -179,7 +174,10 @@ class Dataset:
         """X.T @ u for a sample vector u of length n_samples.
 
         With ``cols``, an array of feature indices, only X[:, cols].T @ u,
-        reading the stored entries of those columns alone.
+        equal bit for bit to those rows of the full product.  Sparse data
+        reads the stored entries of those columns alone; dense data takes
+        the full BLAS product, whose sum for a column depends on the
+        columns beside it in the call.
         """
         if cols is None:
             return kernels.csc_rmatvec(
@@ -187,7 +185,7 @@ class Dataset:
                 block=self.dense_block, cols=self.column_index,
             )
         if self.dense_block is not None:
-            return u @ self.dense_block[:, cols]
+            return (u @ self.dense_block)[cols]
         return kernels.csc_rmatvec(*self._columns(cols), u)
 
     def _entries(self, cols):
@@ -244,11 +242,9 @@ class Dataset:
         )
 
     def to_dense(self):
-        """Densify; intended for small diagnostic problems only."""
-        out = np.zeros((self.n_samples, self.n_features))
-        for j in range(self.n_features):
-            idx, vals = self.column(j)
-            out[idx, j] = vals
+        """Fortran-ordered dense copy of X, scattered from the stored entries."""
+        out = np.zeros((self.n_samples, self.n_features), order="F")
+        out[self.row_idx, kernels.column_index(self.col_ptr)] = self.values
         return out
 
 

@@ -8,22 +8,26 @@ over the column of every stored entry (``column_index``), which a sparse
 Dataset builds once and passes as ``cols``.  The matrix-vector products
 ``csc_matvec`` / ``csc_rmatvec`` also accept the dense column block a
 Dataset keeps for dense data, and then run as BLAS products on it
-instead.  The bulk bound ``screen_bulk`` forms both signs of every
-feature from shared even and odd parts; ``neg_min_scalar`` is the
+instead.  The bound kernels take the screening region as its
+``ScreeningContext``: the bulk bound ``screen_bulk`` forms both signs of
+every feature from shared even and odd parts; ``neg_min_scalar`` is the
 per-feature reference it transcribes.
 """
 
 import math
+from enum import IntEnum
 
 import numpy as np
 
-# Branch codes for the per-feature bound evaluation.  screening.Branch
-# mirrors these values; they are plain ints here so the kernels can store
-# them in int8 arrays.
-DEGENERATE_F = 0
-BETA_ZERO = 1
-ALPHA_ZERO = 2
-INTERIOR_CORNER = 3
+
+class Branch(IntEnum):
+    """Branch of the closed-form bound taken for one sign of a feature."""
+
+    DEGENERATE_F = 0
+    BETA_ZERO = 1
+    ALPHA_ZERO = 2
+    INTERIOR_CORNER = 3
+
 
 # Collinearity slack for the beta-branch test.  Its closed form assumes
 # exact anti-parallelism, so the slack must only absorb round-off of an
@@ -94,100 +98,62 @@ def feature_stats(col_ptr, row_idx, values, y, cols=None):
 # ---------------------------------------------------------------------------
 # The scalar bound kernel.
 #
-# Evaluates -min over the feasible region of theta' fhat from five
-# per-feature scalars plus shared context scalars.  This single function is
-# the reference implementation; screen_bulk is its vectorized transcription.
+# Evaluates -min over the screening region of theta' fhat from five
+# per-feature scalars and the region's shared scalars, read from its
+# screening.ScreeningContext.  This single function is the reference
+# implementation; screen_bulk is its vectorized transcription.
 # ---------------------------------------------------------------------------
 
 
-def neg_min_scalar(
-    syf,  # fhat' y
-    s1f,  # fhat' 1
-    sff,  # ||fhat||^2
-    pyf,  # ||P_y(fhat)||
-    sth,  # theta1' fhat
-    inv_l1,
-    inv_l2,
-    n,
-    has_normal,
-    slice_degenerate,
-    norm_u,  # ||1/lambda1 - theta1||
-    a_dot_y,
-    a_dot_one,
-    a_dot_theta1,
-    pya_norm,  # ||P_y(a)||
-    pyb_norm,  # ||P_y(b)||
-    b_dot_y,  # b' y
-    py_a_dot_py_b,  # P_y(a)' P_y(b)
-    pay_sq,  # ||P_a(y)||^2 = n - (a'y)^2
-    pa1y,  # P_a(1)' P_a(y) = 1'y - (a'1)(a'y)
-    nested1_norm,  # ||P_{P_a(y)}(P_a(1))||
-    half_dl,  # (1/lambda2 - 1/lambda1) / 2
-):
+def neg_min_scalar(ctx, syf, s1f, sff, pyf, sth):
+    """-min over the region ``ctx`` of theta' fhat, and the Branch taken.
+
+    fhat enters through syf = fhat' y, s1f = fhat' 1, sff = ||fhat||^2,
+    pyf = ||P_y(fhat)|| and sth = theta1' fhat.
+    """
     # Feature collinear with the labels (or zero): the objective vanishes
     # on the equality subspace.
     if pyf <= 1e-12 * math.sqrt(sff):
-        return 0.0, DEGENERATE_F
+        return 0.0, Branch.DEGENERATE_F
+    n = ctx.n
     af = 0.0
     pyaf = 0.0
-    if has_normal:
-        af = (s1f * inv_l1 - sth) / norm_u  # a' fhat
-        pyaf = af - a_dot_y * syf / n  # P_y(a)' P_y(fhat)
-        cosv = pyaf / (pya_norm * pyf)
+    if ctx.has_normal:
+        af = (s1f * (1.0 / ctx.lambda1) - sth) / ctx.norm_u  # a' fhat
+        pyaf = af - ctx.a_dot_y * syf / n  # P_y(a)' P_y(fhat)
+        cosv = pyaf / (ctx.pya_norm * pyf)
         if cosv <= -1.0 + EPS_COS:
             # Objective varies only along the halfspace normal on the
             # subspace; the extremum sits on the boundary hyperplane.
-            return (pyf / pya_norm) * a_dot_theta1, BETA_ZERO
-    if slice_degenerate:
+            return (pyf / ctx.pya_norm) * ctx.a_dot_theta1, Branch.BETA_ZERO
+    if ctx.slice_degenerate:
         # Ball reduces to a single point on the equality subspace; with no
         # halfspace that point is the reference solution itself.
-        if not has_normal:
-            return -sth, ALPHA_ZERO
-    elif (not has_normal) or (py_a_dot_py_b / pyb_norm - pyaf / pyf <= 0.0):
+        if not ctx.has_normal:
+            return -sth, Branch.ALPHA_ZERO
+    elif (not ctx.has_normal) or (ctx.py_a_dot_py_b / ctx.pyb_norm - pyaf / pyf <= 0.0):
         # Ball minimizer already satisfies the halfspace: closed form over
         # the ball sliced by the equality constraint.
-        bf = 0.5 * (s1f * inv_l2 - sth)  # b' fhat
-        pybf = bf - b_dot_y * syf / n  # P_y(b)' P_y(fhat)
-        return pyb_norm * pyf - pybf - sth, ALPHA_ZERO
+        bf = 0.5 * (s1f * (1.0 / ctx.lambda2) - sth)  # b' fhat
+        pybf = bf - ctx.b_dot_y * syf / n  # P_y(b)' P_y(fhat)
+        return ctx.pyb_norm * pyf - pybf - sth, Branch.ALPHA_ZERO
     # Halfspace active: extremum at the rim where the ball slice meets the
     # boundary hyperplane, expressed through nested projections.
-    paf_y = syf - af * a_dot_y  # P_a(fhat)' y
-    nested_f_sq = sff - af * af - paf_y * paf_y / pay_sq
+    paf_y = syf - af * ctx.a_dot_y  # P_a(fhat)' y
+    nested_f_sq = sff - af * af - paf_y * paf_y / ctx.pay_sq
     if nested_f_sq < 0.0:
         nested_f_sq = 0.0
-    nested_dot = (s1f - af * a_dot_one) - pa1y * paf_y / pay_sq
-    value = half_dl * (nested1_norm * math.sqrt(nested_f_sq) - nested_dot) - sth
-    return value, INTERIOR_CORNER
+    nested_dot = (s1f - af * ctx.a_dot_one) - ctx.pa1y * paf_y / ctx.pay_sq
+    value = ctx.half_dl * (ctx.nested1_norm * math.sqrt(nested_f_sq) - nested_dot) - sth
+    return value, Branch.INTERIOR_CORNER
 
 
-def screen_bulk(
-    dot_y,
-    dot_one,
-    sq_norm,
-    proj_y_norm,
-    s_theta,
-    inv_l1,
-    inv_l2,
-    n,
-    has_normal,
-    slice_degenerate,
-    norm_u,
-    a_dot_y,
-    a_dot_one,
-    a_dot_theta1,
-    pya_norm,
-    pyb_norm,
-    b_dot_y,
-    py_a_dot_py_b,
-    pay_sq,
-    pa1y,
-    nested1_norm,
-    half_dl,
-):
-    """neg_min_scalar, vectorized over all features and both signs.
+def screen_bulk(ctx, dot_y, dot_one, sq_norm, proj_y_norm, s_theta):
+    """neg_min_scalar, vectorized over features and both signs.
 
-    Returns (m1, m2, branch1, branch2): the bound components for +fhat and
-    -fhat with the branch taken for each.
+    The arrays hold fhat' y, fhat' 1, ||fhat||^2, ||P_y(fhat)|| and
+    theta1' fhat of each feature.  Returns (m1, m2, branch1, branch2): the
+    bound components for +fhat and -fhat with the branch taken for each.
 
     Every quantity neg_min_scalar derives from fhat is odd or even in it:
     for -fhat the odd ones (af, pyaf, bf, pybf, paf_y, nested_dot) are the
@@ -197,12 +163,13 @@ def screen_bulk(
     every value and branch equal to neg_min_scalar's.  A branch is
     evaluated only when some feature takes it for some sign.
     """
+    n = ctx.n
     pyf = proj_y_norm
     m = pyf.shape[0]
     m1 = np.zeros(m)
     m2 = np.zeros(m)
-    branch1 = np.full(m, DEGENERATE_F, dtype=np.int8)
-    branch2 = np.full(m, DEGENERATE_F, dtype=np.int8)
+    branch1 = np.full(m, Branch.DEGENERATE_F, dtype=np.int8)
+    branch2 = np.full(m, Branch.DEGENERATE_F, dtype=np.int8)
 
     def take(mask1, mask2, code, v1, v2):
         np.copyto(m1, v1, where=mask1)
@@ -211,49 +178,49 @@ def screen_bulk(
         np.copyto(branch2, np.int8(code), where=mask2)
 
     def ball_values():
-        bf = 0.5 * (dot_one * inv_l2 - s_theta)
-        pybf = bf - b_dot_y * dot_y / n
-        ball_f = pyb_norm * pyf
+        bf = 0.5 * (dot_one * (1.0 / ctx.lambda2) - s_theta)
+        pybf = bf - ctx.b_dot_y * dot_y / n
+        ball_f = ctx.pyb_norm * pyf
         return ball_f - pybf - s_theta, ball_f + pybf + s_theta
 
     # Degenerate features keep 0; the rest take one of the other branches.
     live = ~(pyf <= 1e-12 * np.sqrt(sq_norm))
-    if not has_normal:
-        if slice_degenerate:
-            take(live, live, ALPHA_ZERO, -s_theta, s_theta)
+    if not ctx.has_normal:
+        if ctx.slice_degenerate:
+            take(live, live, Branch.ALPHA_ZERO, -s_theta, s_theta)
         else:
-            take(live, live, ALPHA_ZERO, *ball_values())
+            take(live, live, Branch.ALPHA_ZERO, *ball_values())
         return m1, m2, branch1, branch2
 
     # pyf is 0 only on degenerate features, whose quotients are never read.
     with np.errstate(divide="ignore", invalid="ignore"):
-        af = (dot_one * inv_l1 - s_theta) / norm_u
-        pyaf = af - a_dot_y * dot_y / n
-        cosv = pyaf / (pya_norm * pyf)
+        af = (dot_one * (1.0 / ctx.lambda1) - s_theta) / ctx.norm_u
+        pyaf = af - ctx.a_dot_y * dot_y / n
+        cosv = pyaf / (ctx.pya_norm * pyf)
         beta1 = live & (cosv <= -1.0 + EPS_COS)
         beta2 = live & (-cosv <= -1.0 + EPS_COS)
         if beta1.any() or beta2.any():
-            v_beta = (pyf / pya_norm) * a_dot_theta1
-            take(beta1, beta2, BETA_ZERO, v_beta, v_beta)
+            v_beta = (pyf / ctx.pya_norm) * ctx.a_dot_theta1
+            take(beta1, beta2, Branch.BETA_ZERO, v_beta, v_beta)
         rest1 = live & ~beta1
         rest2 = live & ~beta2
-        if not slice_degenerate:
-            lead = py_a_dot_py_b / pyb_norm
+        if not ctx.slice_degenerate:
+            lead = ctx.py_a_dot_py_b / ctx.pyb_norm
             pyaf_pyf = pyaf / pyf
             ball1 = rest1 & (lead - pyaf_pyf <= 0.0)
             ball2 = rest2 & (lead + pyaf_pyf <= 0.0)
             if ball1.any() or ball2.any():
-                take(ball1, ball2, ALPHA_ZERO, *ball_values())
+                take(ball1, ball2, Branch.ALPHA_ZERO, *ball_values())
                 rest1 &= ~ball1
                 rest2 &= ~ball2
 
     # The rest meet the halfspace at the rim of the ball slice.
     if rest1.any() or rest2.any():
-        paf_y = dot_y - af * a_dot_y
-        nested_f_sq = np.maximum(sq_norm - af * af - paf_y * paf_y / pay_sq, 0.0)
-        nested_dot = (dot_one - af * a_dot_one) - pa1y * paf_y / pay_sq
-        rim = nested1_norm * np.sqrt(nested_f_sq)
-        v1 = half_dl * (rim - nested_dot) - s_theta
-        v2 = half_dl * (rim + nested_dot) + s_theta
-        take(rest1, rest2, INTERIOR_CORNER, v1, v2)
+        paf_y = dot_y - af * ctx.a_dot_y
+        nested_f_sq = np.maximum(sq_norm - af * af - paf_y * paf_y / ctx.pay_sq, 0.0)
+        nested_dot = (dot_one - af * ctx.a_dot_one) - ctx.pa1y * paf_y / ctx.pay_sq
+        rim = ctx.nested1_norm * np.sqrt(nested_f_sq)
+        v1 = ctx.half_dl * (rim - nested_dot) - s_theta
+        v2 = ctx.half_dl * (rim + nested_dot) + s_theta
+        take(rest1, rest2, Branch.INTERIOR_CORNER, v1, v2)
     return m1, m2, branch1, branch2

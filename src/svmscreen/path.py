@@ -266,10 +266,7 @@ def run_path(dataset, config=None):
                 else:
                     bounds, cert, inv = np.full(m, np.inf), np.empty(m), np.empty(m)
                     stale = np.arange(m)
-                if stale.size == m:
-                    fresh = screening.screen_all(ctx, dataset, stats).bounds
-                else:
-                    fresh = screening.feature_bounds(ctx, dataset, stats, stale)
+                fresh = screening.screen_all(ctx, dataset, stats, stale).bounds
                 np.minimum(bounds[stale], fresh, out=fresh)
                 bounds[stale] = fresh
                 cert[stale] = fresh

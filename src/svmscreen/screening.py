@@ -15,11 +15,11 @@ module certifies this orientation together with every closed form.
 import json
 import time
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from . import geometry, kernels
+from .kernels import Branch
 from .solver import ThetaVector, lambda_max
 
 
@@ -30,13 +30,6 @@ from .solver import ThetaVector, lambda_max
 #: solve as 1 minus a few 1e-9.  1e-7 keeps three orders of margin while
 #: discarding anything meaningfully below 1.
 EPS_KEEP = 1e-7
-
-
-class Branch(IntEnum):
-    DEGENERATE_F = kernels.DEGENERATE_F
-    BETA_ZERO = kernels.BETA_ZERO
-    ALPHA_ZERO = kernels.ALPHA_ZERO
-    INTERIOR_CORNER = kernels.INTERIOR_CORNER
 
 
 @dataclass(frozen=True)
@@ -58,7 +51,7 @@ class ScreeningContext:
     normal: np.ndarray | None
     b_vec: np.ndarray
     c_vec: np.ndarray
-    # scalars shared by all features
+    # scalars shared by all features, which the bound kernels read
     norm_u: float  # ||1/lambda1 - theta1||
     a_dot_y: float
     a_dot_one: float
@@ -80,27 +73,11 @@ class ScreeningContext:
 
 
 @dataclass(frozen=True)
-class FeatureBound:
-    """Bound on |theta2' fhat_j| with the branch taken for each sign."""
-
-    index: int
-    m1: float  # -min theta' fhat
-    m2: float  # -min theta' (-fhat) == max theta' fhat
-    branch1: Branch
-    branch2: Branch
-    keep: bool
-
-    @property
-    def bound(self):
-        return max(self.m1, self.m2)
-
-
-@dataclass(frozen=True)
 class ScreenReport:
     lambda1: float
     lambda2: float
-    kept: np.ndarray  # 0-based feature indices
-    bounds: np.ndarray  # per-feature max(m1, m2)
+    kept: np.ndarray  # 0-based indices into the screened features
+    bounds: np.ndarray  # per-row max(m1, m2)
     m1: np.ndarray
     m2: np.ndarray
     branch1: np.ndarray
@@ -248,28 +225,6 @@ def build_context(theta1, lambda1, lambda2, dataset, lam_max=None):
     )
 
 
-def _scalar_args(ctx):
-    return (
-        1.0 / ctx.lambda1,
-        1.0 / ctx.lambda2,
-        float(ctx.n),
-        ctx.has_normal,
-        ctx.slice_degenerate,
-        ctx.norm_u,
-        ctx.a_dot_y,
-        ctx.a_dot_one,
-        ctx.a_dot_theta1,
-        ctx.pya_norm,
-        ctx.pyb_norm,
-        ctx.b_dot_y,
-        ctx.py_a_dot_py_b,
-        ctx.pay_sq,
-        ctx.pa1y,
-        ctx.nested1_norm,
-        ctx.half_dl,
-    )
-
-
 def neg_min(ctx, fhat):
     """-min over the screening region of theta' fhat, with the branch taken.
 
@@ -283,54 +238,34 @@ def neg_min(ctx, fhat):
     sff = float(fhat @ fhat)
     pyf = float(np.sqrt(max(sff - syf * syf / ctx.n, 0.0)))
     sth = float(fhat @ ctx.theta1)
-    value, branch = kernels.neg_min_scalar(syf, s1f, sff, pyf, sth, *_scalar_args(ctx))
-    return value, Branch(branch)
+    return kernels.neg_min_scalar(ctx, syf, s1f, sff, pyf, sth)
 
 
-def screen_feature(ctx, j, stats):
-    """FeatureBound for feature j from cached statistics.
+def screen_all(ctx, dataset, stats, cols=None):
+    """Screen the features ``cols``, every feature by default.
 
-    The only per-feature vector work is the sparse dot product
-    theta1' fhat_j; everything else combines cached scalars.
-    """
-    idx, vals = ctx.dataset.column(j)
-    sth = float(np.dot(vals, (ctx.theta1 * ctx.labels)[idx]))
-    args = _scalar_args(ctx)
-    syf = float(stats.dot_y[j])
-    s1f = float(stats.dot_one[j])
-    sff = float(stats.sq_norm[j])
-    pyf = float(stats.proj_y_norm[j])
-    m1, br1 = kernels.neg_min_scalar(syf, s1f, sff, pyf, sth, *args)
-    m2, br2 = kernels.neg_min_scalar(-syf, -s1f, sff, pyf, -sth, *args)
-    bound = max(m1, m2)
-    return FeatureBound(
-        index=j,
-        m1=m1,
-        m2=m2,
-        branch1=Branch(br1),
-        branch2=Branch(br2),
-        keep=bound >= 1.0 - EPS_KEEP,
-    )
-
-
-def screen_all(ctx, dataset, stats):
-    """Screen every feature, returning a ScreenReport.
-
-    Total cost is one O(nnz) pass for theta1' fhat plus O(1) work per
+    ``cols`` holds increasing feature indices.  The report's arrays have
+    one row per feature of ``cols``, equal bit for bit to those rows of
+    the full report, and its ``kept`` indexes into ``cols``.  Total cost
+    is one ``Dataset.rmatvec`` for theta1' fhat plus O(1) work per
     feature.
     """
     if dataset is not ctx.dataset:
         raise ValueError("context was built for a different dataset")
     start = time.perf_counter()
-    s_theta = dataset.rmatvec(ctx.theta1 * ctx.labels)
-    m1, m2, branch1, branch2 = kernels.screen_bulk(
-        stats.dot_y, stats.dot_one, stats.sq_norm, stats.proj_y_norm, s_theta,
-        *_scalar_args(ctx),
-    )
+    u = ctx.theta1 * ctx.labels
+    columns = (stats.dot_y, stats.dot_one, stats.sq_norm, stats.proj_y_norm)
+    if cols is None or cols.size == dataset.n_features:
+        # Increasing indices of every feature: the full product reads the
+        # data in place.
+        s_theta = dataset.rmatvec(u)
+    else:
+        s_theta = dataset.rmatvec(u, cols=cols)
+        columns = tuple(c[cols] for c in columns)
+    m1, m2, branch1, branch2 = kernels.screen_bulk(ctx, *columns, s_theta)
     bounds = np.maximum(m1, m2)
     kept = np.flatnonzero(bounds >= 1.0 - EPS_KEEP).astype(np.int64)
-    elapsed = time.perf_counter() - start
-    report = ScreenReport(
+    return ScreenReport(
         lambda1=ctx.lambda1,
         lambda2=ctx.lambda2,
         kept=kept,
@@ -339,26 +274,8 @@ def screen_all(ctx, dataset, stats):
         m2=m2,
         branch1=branch1,
         branch2=branch2,
-        elapsed_seconds=elapsed,
+        elapsed_seconds=time.perf_counter() - start,
     )
-    return report
-
-
-def feature_bounds(ctx, dataset, stats, cols):
-    """Bounds max(m1, m2) of the features ``cols`` alone, as screen_all
-    computes them for every feature.
-
-    Cost is one product over the stored entries of those columns plus O(1)
-    work per feature.
-    """
-    if dataset is not ctx.dataset:
-        raise ValueError("context was built for a different dataset")
-    s_theta = dataset.rmatvec(ctx.theta1 * ctx.labels, cols=cols)
-    m1, m2, _, _ = kernels.screen_bulk(
-        stats.dot_y[cols], stats.dot_one[cols], stats.sq_norm[cols], stats.proj_y_norm[cols],
-        s_theta, *_scalar_args(ctx),
-    )
-    return np.maximum(m1, m2)
 
 
 def theta_at_lambda_max(dataset, lam_max=None, bias=None):

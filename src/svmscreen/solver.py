@@ -147,7 +147,8 @@ def _kkt_residuals(dataset, w, xi, lam):
     else:
         r2 = 0.0
     r3 = abs(float(theta @ dataset.labels))
-    return corr, r1, r2, r3, (float(theta.min()) if theta.size else 0.0)
+    min_theta = float(theta.min()) if theta.size else 0.0
+    return KktReport(correlations=corr, r1=r1, r2=r2, r3=r3, min_theta=min_theta)
 
 
 def _exact_finish(dataset, lam, w, rows):
@@ -256,10 +257,6 @@ def solve_primal(dataset, lam, options=None, warm=None):
     pattern = np.concatenate((xi > 0.0, np.sign(w)))
     tried = None
 
-    def kkt_max(w_at, xi_at):
-        _, r1, r2, r3, min_theta = _kkt_residuals(data, w_at, xi_at, lam)
-        return max(r1, r2, r3, -min_theta)
-
     def prox_step(w_from, b_from, grad_w, grad_b, h_from):
         """Backtracked proximal step; also returns the gradient-mapping norm."""
         nonlocal step, backtracks
@@ -315,7 +312,7 @@ def solve_primal(dataset, lam, options=None, warm=None):
         # of F at x+, so 2 * mapping / lam bounds the max KKT residual when
         # step <= 1/L; only then is the exact (full-data) check worth a pass.
         if 2.0 * mapping <= FINISH_FROM * lam:
-            residual = kkt_max(w, xi)
+            residual = _kkt_residuals(data, w, xi, lam).max_residual
             if residual <= opts.tol:
                 converged = True
                 break
@@ -335,7 +332,7 @@ def solve_primal(dataset, lam, options=None, warm=None):
             continue
         xi_f = _hinge(data, *found)
         f_f = 0.5 * float(xi_f @ xi_f) + lam * float(np.abs(found[0]).sum())
-        residual_f = kkt_max(found[0], xi_f)
+        residual_f = _kkt_residuals(data, found[0], xi_f, lam).max_residual
         if residual_f <= opts.tol and f_f <= f_x + 1e-12 * max(1.0, abs(f_x)):
             (w, b), xi, f_x, residual = found, xi_f, f_f, residual_f
             if trace is not None:
@@ -343,7 +340,7 @@ def solve_primal(dataset, lam, options=None, warm=None):
             converged = finished = True
             break
     else:
-        residual = kkt_max(w, xi)
+        residual = _kkt_residuals(data, w, xi, lam).max_residual
 
     return PrimalModel(
         weights=w,
@@ -378,8 +375,7 @@ def kkt_report(dataset, model, lam):
     if lam <= 0:
         raise ValueError("lam must be positive")
     w = np.asarray(model.weights, dtype=np.float64)
-    corr, r1, r2, r3, min_theta = _kkt_residuals(dataset, w, _hinge(dataset, w, model.bias), lam)
-    return KktReport(correlations=corr, r1=r1, r2=r2, r3=r3, min_theta=min_theta)
+    return _kkt_residuals(dataset, w, _hinge(dataset, w, model.bias), lam)
 
 
 def lambda_max(dataset):

@@ -28,7 +28,6 @@ from svmscreen import (
     oracle_max,
     run_path,
     screen_all,
-    screen_feature,
     solve_primal,
     theta_at_lambda_max,
     theta_from_primal,
@@ -143,16 +142,19 @@ def _oracle_agreement(ctx, ds, stats, tally, dense_samples=200_000):
     worst = 0.0
     uncertified = 0
     dense = ds.to_dense()
+    report = screen_all(ctx, ds, stats)
     for j in range(ds.n_features):
-        fb = screen_feature(ctx, j, stats)
         fhat = ds.labels * dense[:, j]
-        for value, branch, sign in ((fb.m1, fb.branch1, 1.0), (fb.m2, fb.branch2, -1.0)):
+        for value, branch, sign in (
+            (report.m1[j], report.branch1[j], 1.0),
+            (report.m2[j], report.branch2[j], -1.0),
+        ):
             res = oracle_max(ctx, -sign * fhat, dense_samples=dense_samples)
             if not res.certified:
                 uncertified += 1
                 continue
             worst = max(worst, abs(value - res.value))
-            tally[branch] += 1
+            tally[Branch(int(branch))] += 1
     return worst, uncertified
 
 

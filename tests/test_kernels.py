@@ -2,6 +2,7 @@
 match dense arithmetic, column by column, to round-off, also on badly
 scaled data; the bulk bound must equal the scalar reference exactly."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -12,7 +13,6 @@ import numpy as np
 
 from svmscreen import Dataset, build_context, compute_feature_stats
 from svmscreen import kernels
-from svmscreen.screening import _scalar_args
 
 from conftest import feasible_theta, random_dataset, random_labels
 
@@ -160,8 +160,9 @@ def _bound_inputs(kind, lam1=1.2, lam2=0.7):
 
 
 def test_bulk_numpy_matches_scalar_reference():
+    branch = kernels.Branch
     deg, beta, ball, corner = (
-        kernels.DEGENERATE_F, kernels.BETA_ZERO, kernels.ALPHA_ZERO, kernels.INTERIOR_CORNER
+        branch.DEGENERATE_F, branch.BETA_ZERO, branch.ALPHA_ZERO, branch.INTERIOR_CORNER
     )
     cases = []
     for kind, reached in (
@@ -172,19 +173,19 @@ def test_bulk_numpy_matches_scalar_reference():
         ctx, stats, s_theta = _bound_inputs(kind)
         assert (ctx.normal is None) == (kind == "no_normal")
         assert ctx.slice_degenerate == (kind == "slice_degenerate")
-        cases.append((stats, s_theta, _scalar_args(ctx), reached))
+        cases.append((ctx, stats, s_theta, reached))
     # No valid labels make a context without a normal whose slice is
     # degenerate (that needs 1 parallel to y), but the kernel takes one.
-    stats, s_theta, args, _ = cases[-1]
-    cases.append((stats, s_theta, args[:3] + (False,) + args[4:], {deg, ball}))
+    ctx, stats, s_theta, _ = cases[-1]
+    cases.append((dataclasses.replace(ctx, normal=None), stats, s_theta, {deg, ball}))
 
-    for stats, s_theta, args, reached in cases:
+    for ctx, stats, s_theta, reached in cases:
         columns = (stats.dot_y, stats.dot_one, stats.sq_norm, stats.proj_y_norm, s_theta)
-        m1, m2, br1, br2 = kernels.screen_bulk(*columns, *args)
+        m1, m2, br1, br2 = kernels.screen_bulk(ctx, *columns)
         for sign, values, branches in ((1.0, m1, br1), (-1.0, m2, br2)):
             # fhat' y, fhat' 1 and theta1' fhat flip with the sign of fhat
             flip = np.array([sign, sign, 1.0, 1.0, sign])
-            ref = [kernels.neg_min_scalar(*(flip * row), *args) for row in np.column_stack(columns)]
+            ref = [kernels.neg_min_scalar(ctx, *(flip * row)) for row in np.column_stack(columns)]
             np.testing.assert_array_equal(values, [v for v, _ in ref])
             np.testing.assert_array_equal(branches, [b for _, b in ref])
         assert set(np.concatenate([br1, br2]).tolist()) == reached

@@ -289,7 +289,7 @@ def test_next_theta_from_reduced_solve_matches_full_data(monkeypatch, density):
 def test_screen_ms_covers_context_and_subset(monkeypatch):
     # Sleeps in build_context, in the bounds of the re-evaluated features
     # and in the subset of the kept columns must land in screen_ms, and
-    # none in solve_ms.
+    # none in solve_ms.  Every screened step makes one screen_all call.
     context_s, bounds_s, subset_s = 0.05, 0.05, 0.1
 
     def slowed(owner, name, seconds):
@@ -308,18 +308,17 @@ def test_screen_ms_covers_context_and_subset(monkeypatch):
     ds = random_dataset(rng, 15, 120, density=0.15)
     m = ds.n_features
     contexts = slowed(screening, "build_context", context_s)
-    restricted = slowed(screening, "feature_bounds", bounds_s)
+    screens = slowed(screening, "screen_all", bounds_s)
     subsets = slowed(Dataset, "subset", subset_s)
     report = run_path(ds, PathConfig(grid_size=4, ratio=0.7))
-    assert len(contexts) == len(report.steps)
+    assert len(contexts) == len(screens) == len(report.steps)
     # Only the kept columns become a subset; the column-restricted product
-    # behind feature_bounds reads the stored columns in place.
+    # behind screen_all reads the stored columns in place.
     subset_steps = [0 < s.kept < m for s in report.steps]
     assert sum(subset_steps) == len(subsets) > 0
-    restricted_steps = [s.evaluated < m for s in report.steps]
-    assert sum(restricted_steps) == len(restricted) > 0
-    for step, subset, partial in zip(report.steps, subset_steps, restricted_steps):
-        assert step.screen_ms >= 1000.0 * (context_s + subset * subset_s + partial * bounds_s)
+    assert any(s.evaluated < m for s in report.steps)
+    for step, subset in zip(report.steps, subset_steps):
+        assert step.screen_ms >= 1000.0 * (context_s + bounds_s + subset * subset_s)
         assert step.solve_ms < 1000.0 * min(context_s, bounds_s, subset_s)
 
 

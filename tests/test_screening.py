@@ -23,7 +23,6 @@ from svmscreen import (
     neg_min,
     oracle_neg_min,
     screen_all,
-    screen_feature,
     solve_primal,
     theta_at_lambda_max,
     theta_from_primal,
@@ -69,15 +68,14 @@ def test_frozen_context_values():
 
 def test_frozen_feature_bounds():
     ctx, ds = frozen_context()
-    stats = compute_feature_stats(ds)
+    report = screen_all(ctx, ds, compute_feature_stats(ds))
+    np.testing.assert_array_equal(report.kept, [0, 1])
     for j in range(2):
-        fb = screen_feature(ctx, j, stats)
-        assert fb.m1 == pytest.approx(2.0, abs=1e-12)
-        assert fb.m2 == pytest.approx(-1.0, abs=1e-12)
-        assert fb.bound == pytest.approx(2.0, abs=1e-12)
-        assert fb.keep
-        assert fb.branch1 == Branch.ALPHA_ZERO
-        assert fb.branch2 == Branch.ALPHA_ZERO
+        assert report.m1[j] == pytest.approx(2.0, abs=1e-12)
+        assert report.m2[j] == pytest.approx(-1.0, abs=1e-12)
+        assert report.bounds[j] == pytest.approx(2.0, abs=1e-12)
+        assert report.branch1[j] == Branch.ALPHA_ZERO
+        assert report.branch2[j] == Branch.ALPHA_ZERO
 
 
 def test_build_context_accepts_theta_vector_and_checks_lambda():
@@ -179,13 +177,12 @@ def test_constant_and_zero_features_are_degenerate():
     ds = Dataset.from_dense(x, [1, -1, 1, -1, 1, -1])
     lam_cap, _, _ = lambda_max(ds)
     ctx = build_context(theta_at_lambda_max(ds), lam_cap, 0.5 * lam_cap, ds)
-    stats = compute_feature_stats(ds)
+    report = screen_all(ctx, ds, compute_feature_stats(ds))
     for j in (1, 2):
-        fb = screen_feature(ctx, j, stats)
-        assert fb.branch1 == Branch.DEGENERATE_F
-        assert fb.branch2 == Branch.DEGENERATE_F
-        assert fb.m1 == 0.0 and fb.m2 == 0.0
-        assert not fb.keep
+        assert report.branch1[j] == Branch.DEGENERATE_F
+        assert report.branch2[j] == Branch.DEGENERATE_F
+        assert report.m1[j] == 0.0 and report.m2[j] == 0.0
+        assert j not in report.kept
 
 
 def test_screen_feature_matches_neg_min_and_bulk():
@@ -199,18 +196,37 @@ def test_screen_feature_matches_neg_min_and_bulk():
         report = screen_all(ctx, ds, stats)
         dense = ds.to_dense()
         for j in range(m):
-            fb = screen_feature(ctx, j, stats)
             fhat = ds.labels * dense[:, j]
             v1, b1 = neg_min(ctx, fhat)
             v2, b2 = neg_min(ctx, -fhat)
-            assert fb.m1 == pytest.approx(v1, rel=1e-10, abs=1e-10)
-            assert fb.m2 == pytest.approx(v2, rel=1e-10, abs=1e-10)
-            assert (fb.branch1, fb.branch2) == (b1, b2)
             assert report.m1[j] == pytest.approx(v1, rel=1e-10, abs=1e-10)
             assert report.m2[j] == pytest.approx(v2, rel=1e-10, abs=1e-10)
-            assert report.branch1[j] == b1
-            assert report.branch2[j] == b2
-            assert fb.keep == (j in set(report.kept))
+            assert (report.branch1[j], report.branch2[j]) == (b1, b2)
+            assert report.bounds[j] == max(report.m1[j], report.m2[j])
+        np.testing.assert_array_equal(
+            report.kept, np.flatnonzero(report.bounds >= 1.0 - EPS_KEEP)
+        )
+
+
+def test_screen_all_over_cols_equals_rows_of_full_report():
+    # A report over some features holds, bit for bit, the rows of the
+    # full report, on the sparse products and on the dense block alike.
+    rng = np.random.default_rng(37)
+    sparse = random_dataset(rng, 12, 40, density=0.2)
+    dense = random_dataset(rng, 12, 40)
+    assert sparse.dense_block is None and dense.dense_block is not None
+    for ds in (sparse, dense):
+        ctx = solved_context(rng, ds, 0.6, 0.7)
+        stats = compute_feature_stats(ds)
+        full = screen_all(ctx, ds, stats)
+        assert 0 < full.kept.size < ds.n_features
+        subset = np.flatnonzero(rng.random(ds.n_features) < 0.5)
+        subset = np.union1d(subset, full.kept[::2])
+        for cols in (subset, np.array([full.kept[-1]])):
+            part = screen_all(ctx, ds, stats, cols)
+            for name in ("bounds", "m1", "m2", "branch1", "branch2"):
+                np.testing.assert_array_equal(getattr(part, name), getattr(full, name)[cols])
+            np.testing.assert_array_equal(cols[part.kept], np.intersect1d(cols, full.kept))
 
 
 def test_screen_all_rejects_foreign_dataset():
@@ -310,13 +326,13 @@ def test_bounds_match_oracle_on_small_problems():
         ds = ctx.dataset
         stats = compute_feature_stats(ds)
         dense = ds.to_dense()
+        report = screen_all(ctx, ds, stats)
         for j in range(ds.n_features):
-            fb = screen_feature(ctx, j, stats)
             fhat = ds.labels * dense[:, j]
             ref1 = oracle_neg_min(ctx, fhat)
             ref2 = oracle_neg_min(ctx, -fhat)
-            assert fb.m1 == pytest.approx(ref1, abs=1e-6)
-            assert fb.m2 == pytest.approx(ref2, abs=1e-6)
+            assert report.m1[j] == pytest.approx(ref1, abs=1e-6)
+            assert report.m2[j] == pytest.approx(ref2, abs=1e-6)
             agreements += 2
     assert agreements >= 200
 
@@ -337,9 +353,12 @@ def test_beta_branch_fires_on_active_features_and_matches_oracle():
             continue
         stats = compute_feature_stats(ds)
         dense = ds.to_dense()
+        report = screen_all(ctx, ds, stats)
         for j in range(m):
-            fb = screen_feature(ctx, j, stats)
-            for closed, branch, sign in ((fb.m1, fb.branch1, 1.0), (fb.m2, fb.branch2, -1.0)):
+            for closed, branch, sign in (
+                (report.m1[j], report.branch1[j], 1.0),
+                (report.m2[j], report.branch2[j], -1.0),
+            ):
                 if branch != Branch.BETA_ZERO:
                     continue
                 beta_hits += 1
@@ -391,11 +410,11 @@ def test_corner_bound_equals_rim_max_for_any_family_ball():
 
         stats = compute_feature_stats(ds)
         dense = ds.to_dense()
+        report = screen_all(ctx, ds, stats)
         for j in range(ds.n_features):
-            fb = screen_feature(ctx, j, stats)
             for value, branch, sign in (
-                (fb.m1, fb.branch1, -1.0),
-                (fb.m2, fb.branch2, 1.0),
+                (report.m1[j], report.branch1[j], -1.0),
+                (report.m2[j], report.branch2[j], 1.0),
             ):
                 if branch != Branch.INTERIOR_CORNER:
                     continue

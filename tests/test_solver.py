@@ -10,6 +10,7 @@ Frozen cases, derived by hand:
   features tied, and the trivial-model dual point is (1, 1, 2) / 1.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -317,10 +318,10 @@ def test_rejected_finish_leaves_the_proximal_gradient_answer(monkeypatch):
     residuals = solver._kkt_residuals
 
     def reject_candidates(dataset, w, xi, lam_at):
-        corr, r1, r2, r3, min_theta = residuals(dataset, w, xi, lam_at)
+        report = residuals(dataset, w, xi, lam_at)
         if any(found is not None and w is found[0] for found in candidates):
-            r1 = 1.0
-        return corr, r1, r2, r3, min_theta
+            report = dataclasses.replace(report, r1=1.0)
+        return report
 
     monkeypatch.setattr(solver, "_kkt_residuals", reject_candidates)
     rejected = solve_primal(ds, lam, options=opts)
