@@ -16,7 +16,7 @@ from .data import (
     read_sparse_file,
     serialize_sparse_text,
 )
-from .geometry import Ball, Halfspace, ball_at_t, min_radius_ball, project_null
+from .geometry import Ball, ball_at_t, min_radius_ball, project_null
 from .oracle import OracleResult, null_space_basis, oracle_max, oracle_neg_min
 from .path import DegenerateProblemError, PathConfig, PathReport, lambda_grid, run_path
 from .screening import (
@@ -53,7 +53,6 @@ __all__ = [
     "Dataset",
     "DegenerateProblemError",
     "FeatureStats",
-    "Halfspace",
     "KktReport",
     "OracleResult",
     "PathConfig",

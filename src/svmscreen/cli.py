@@ -134,8 +134,8 @@ def cmd_path(args):
     _emit(text, args.output)
     if args.verify and report.total_violations > 0:
         print(
-            f"error: {report.total_violations} screened features were active "
-            "in the full solution",
+            f"error: {report.total_violations} discarded features break their step's "
+            "dual certificate |theta'fhat_j| <= 1",
             file=sys.stderr,
         )
         return 3
@@ -241,7 +241,7 @@ def build_parser():
     p.add_argument(
         "--verify",
         action="store_true",
-        help="also solve without screening and count safety violations",
+        help="check each step's discards against its dual point and count violations",
     )
     p.add_argument(
         "--no-screen",

@@ -12,6 +12,7 @@ feature-wise.
 """
 
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -348,6 +349,15 @@ def parse_sparse_text(text, strict_labels=False):
         raise DataFormatError("no features present in any line")
 
     n, m = len(labels), int(index.max())
+    # col_ptr and the bincount it is summed from hold 8 bytes per feature
+    # each: a valid file with one large index could ask for gigabytes.
+    needed, physical = 16 * (m + 1), _physical_memory()
+    if physical is not None and needed > physical:
+        lineno = line_of_row[np.searchsorted(ends, np.argmax(index), side="right")]
+        raise DataFormatError(
+            f"line {lineno}: index {m} needs {needed} bytes of column pointers, "
+            f"more than the {physical} bytes of physical memory"
+        )
     col = index.astype(np.int64)
     col -= 1
     vals = values.copy()
@@ -366,6 +376,14 @@ def parse_sparse_text(text, strict_labels=False):
     vals = vals[order]
     row_idx = np.repeat(np.arange(n, dtype=np.int64), counts)[order]
     return Dataset(n, m, col_ptr, row_idx, vals, np.array(labels))
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
 def _line_fault(raw, lineno, strict_labels):

@@ -31,26 +31,6 @@ class Ball:
         return float(gap @ gap) <= self.radius * self.radius + tol
 
 
-@dataclass(frozen=True)
-class Halfspace:
-    """The set {p : unit_normal' (p - anchor) <= 0}; the anchor lies on the boundary."""
-
-    unit_normal: np.ndarray
-    anchor: np.ndarray
-
-    def __post_init__(self):
-        norm = float(np.linalg.norm(self.unit_normal))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("normal must have unit norm")
-
-    def excess(self, point):
-        """Signed constraint value; nonpositive inside."""
-        return float(self.unit_normal @ (point - self.anchor))
-
-    def contains(self, point, tol=MEMBERSHIP_TOL):
-        return self.excess(point) <= tol
-
-
 def project_null(u, v):
     """Remove from v its component along u: v - (v'u / u'u) u."""
     u = np.asarray(u, dtype=np.float64)

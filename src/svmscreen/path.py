@@ -5,8 +5,8 @@ is exactly zero and the dual point has a closed form.  Each step screens
 features at the next lambda using the previous converged solution, solves
 the reduced problem with a warm start, reassembles the full weight vector
 and recomputes the dual point for the step after.  Optional verify mode
-also solves the unreduced problem at every step and counts discarded
-features that were actually active, which must be zero whenever the
+checks at every step that this dual point certifies the discards (see
+the end of this docstring); it must find no violation whenever the
 screening inputs were trustworthy.
 
 Screening carries each feature's certificate down the path, after the
@@ -32,11 +32,20 @@ the carried bound alone.  The kept set is thus never larger than that of
 the per-step rule, and every certificate rests on one region bound, so
 safety needs no slack beyond EPS_KEEP.  A step that does not screen, or
 whose screening input is untrusted, leaves no certificates behind.
+
+The same projection view certifies a step after the fact.  The reduced
+problem on the kept columns K has the dual point theta2 = P_{F_K}(1/l2 1),
+where F_K keeps only the constraints of K, so F_K contains F.  A
+projection onto the larger set that lands in the smaller one is the
+projection onto the smaller one: theta2 is the full dual optimum exactly
+when |theta2'fhat_j| <= 1 for every discarded j, and then every feature
+with |theta2'fhat_j| < 1 has weight 0 in every full optimum.  Verify mode
+checks this with one product at theta2, to the solver's tolerance.
 """
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,48 +76,48 @@ class PathConfig:
     screen: bool = True
 
 
-@dataclass(frozen=True)
-class PathStep:
-    """One grid value of a path.
+@dataclass(frozen=True, kw_only=True)
+class PathStep(solver.PrimalModel):
+    """One grid value of a path: the step's model, weights over all features.
 
-    ``screen_ms`` is the wall time of screening for this step: building
-    the screening region, bounding every feature and copying out the kept
-    columns; it is 0 when screening is off.  ``solve_ms`` is the solve on
-    the kept columns alone (or the closed form when none are kept).
-    ``kkt_residual`` is that solve's final max KKT residual on the kept
-    columns (|theta'y| for the closed form) and ``finished`` whether the
-    solver's exact finish certified it; ``passes``, ``backtracks``,
-    ``restarts`` and ``finish_attempts`` count that solve's work as in
-    PrimalModel (all 0 for the closed form).  ``evaluated`` is the number
-    of features whose region bound was computed this step; the others
-    were discarded on a bound carried from an earlier step (0 when
-    screening did not run).  ``margin`` is the largest certified bound,
-    fresh or carried, among discarded features, below the keep threshold
-    1 - EPS_KEEP; it is None when nothing was discarded or screening did
-    not run.
+    The model is the solve on the kept columns alone, or the closed form
+    when none are kept (bias as at lambda_max; ``kkt_residual`` is then
+    |theta'y|, the counters 0).  Being a PrimalModel, a step goes to
+    kkt_report or model_to_json as it is.  The step adds:
+
+    ``screen_ms``, the wall time of screening for this step: building the
+    screening region, bounding every feature and copying out the kept
+    columns; 0 when screening is off.  ``solve_ms``, the solve alone.
+    ``evaluated``, the number of features whose region bound was computed
+    this step; the others were discarded on a bound carried from an
+    earlier step (0 when screening did not run).  ``margin``, the largest
+    certified bound, fresh or carried, among discarded features, below the
+    keep threshold 1 - EPS_KEEP; None when nothing was discarded or
+    screening did not run.  In verify mode, ``discarded_corr`` is the
+    largest |theta2'fhat_j| over the discarded features at the step's own
+    dual point theta2, and ``violations`` counts those above 1 by more
+    than the solver tolerance; both are None when verify is off or the
+    step did not converge, and discarded_corr also when nothing was
+    discarded.
     """
 
     lam: float
-    kept: int
-    active: int
-    violations: object
+    kept_indices: np.ndarray
+    trusted: bool
     screen_ms: float
     solve_ms: float
-    objective: float
-    converged: bool
-    trusted: bool
-    kkt_residual: float
-    finished: bool
-    passes: int
-    backtracks: int
-    restarts: int
-    finish_attempts: int
     evaluated: int
     margin: object
-    weights: np.ndarray
-    bias: float
-    kept_indices: np.ndarray
-    max_weight_diff: object = None
+    violations: object
+    discarded_corr: object
+
+    @property
+    def kept(self):
+        return int(self.kept_indices.size)
+
+    @property
+    def active(self):
+        return int(np.count_nonzero(self.weights))
 
 
 @dataclass(frozen=True)
@@ -137,17 +146,11 @@ class PathReport:
                 "kept": s.kept,
                 "active": s.active,
                 "violations": s.violations,
+                "discarded_corr": s.discarded_corr,
                 "screen_ms": s.screen_ms,
                 "solve_ms": s.solve_ms,
-                "objective": s.objective,
-                "converged": s.converged,
+                **{name: getattr(s, name) for name in solver.JSON_FIELDS},
                 "trusted": s.trusted,
-                "kkt_residual": s.kkt_residual,
-                "finished": s.finished,
-                "passes": s.passes,
-                "backtracks": s.backtracks,
-                "restarts": s.restarts,
-                "finish_attempts": s.finish_attempts,
                 "evaluated": s.evaluated,
                 "margin": s.margin,
             }
@@ -234,8 +237,6 @@ def run_path(dataset, config=None):
     lam_prev = lam_max
     w_prev = np.zeros(m)
     b_prev = float(bias0)
-    w_prev_full = w_prev
-    b_prev_full = b_prev
     prev_converged = True
 
     steps = []
@@ -287,78 +288,60 @@ def run_path(dataset, config=None):
         if kept_idx.size == 0:
             # No features survive: optimal bias has the closed form used
             # at lambda_max, since the hinge stays active on both classes.
-            w_full = np.zeros(m)
-            b_full = float(bias0)
-            xi = np.maximum(1.0 - dataset.labels * b_full, 0.0)
-            objective = 0.5 * float(xi @ xi)
-            converged = True
-            # Safe screening bounds every correlation below 1, so only the
-            # bias condition theta'y = 0 is left to round-off.
-            kkt_residual = abs(float(xi @ dataset.labels)) / lam2
-            finished = False
-            passes = backtracks = restarts = finish_attempts = 0
+            xi = np.maximum(1.0 - dataset.labels * bias0, 0.0)
+            model = solver.PrimalModel(
+                weights=np.zeros(m),
+                bias=bias0,
+                objective=0.5 * float(xi @ xi),
+                iterations=0,
+                converged=True,
+                # Safe screening bounds every correlation below 1, so only
+                # the bias condition theta'y = 0 is left to round-off.
+                kkt_residual=abs(float(xi @ dataset.labels)) / lam2,
+            )
         else:
             model = solver.solve_primal(reduced, lam2, options=cfg.solver, warm=warm)
-            w_full = np.zeros(m)
-            w_full[kept_idx] = model.weights
-            b_full = model.bias
-            objective = model.objective
-            converged = model.converged
-            kkt_residual = model.kkt_residual
-            finished = model.finished
-            passes, backtracks = model.passes, model.backtracks
-            restarts, finish_attempts = model.restarts, model.finish_attempts
         solve_ms = (time.perf_counter() - t0) * 1000.0
-
-        violations = None
-        max_weight_diff = None
-        if cfg.verify:
-            full = solver.solve_primal(
-                dataset, lam2, options=cfg.solver, warm=(w_prev_full, b_prev_full)
-            )
-            if converged and full.converged:
-                discarded = np.setdiff1d(np.arange(m, dtype=np.int64), kept_idx)
-                violations = int(np.sum(np.abs(full.weights[discarded]) > 1e-8))
-                max_weight_diff = float(np.max(np.abs(w_full - full.weights), initial=0.0))
-            w_prev_full = full.weights
-            b_prev_full = full.bias
-
-        steps.append(
-            PathStep(
-                lam=lam2,
-                kept=int(kept_idx.size),
-                active=int(np.count_nonzero(w_full)),
-                violations=violations,
-                screen_ms=screen_ms,
-                solve_ms=solve_ms,
-                objective=float(objective),
-                converged=converged,
-                trusted=trusted,
-                kkt_residual=kkt_residual,
-                finished=finished,
-                passes=passes,
-                backtracks=backtracks,
-                restarts=restarts,
-                finish_attempts=finish_attempts,
-                evaluated=evaluated,
-                margin=margin,
-                weights=w_full,
-                bias=float(b_full),
-                kept_indices=kept_idx,
-                max_weight_diff=max_weight_diff,
-            )
-        )
 
         # The next dual point comes from the reduced problem: the discarded
         # weights are 0, so its margins are those of the full data.
-        if kept_idx.size == 0:
-            theta_prev = solver.ThetaVector(values=xi / lam2, lam=lam2)
-        else:
-            theta_prev = solver.theta_from_primal(reduced, model.weights, b_full, lam2)
+        theta = solver.theta_from_primal(reduced, model.weights, model.bias, lam2)
+        if 0 < kept_idx.size < m:
+            weights = np.zeros(m)
+            weights[kept_idx] = model.weights
+            model = replace(model, weights=weights)
+
+        violations = discarded_corr = None
+        if cfg.verify and model.converged:
+            # theta is the full dual optimum exactly when it also meets the
+            # discarded constraints (see the module docstring); the test is
+            # the solver's own r1 test at its tolerance.
+            violations = 0
+            if kept_idx.size < m:
+                corr = np.abs(dataset.rmatvec(theta.values * dataset.labels))
+                corr[kept_idx] = 0.0
+                violations = int(np.count_nonzero(corr - 1.0 > cfg.solver.tol))
+                discarded_corr = float(corr.max())
+
+        steps.append(
+            PathStep(
+                **vars(model),
+                lam=lam2,
+                kept_indices=kept_idx,
+                trusted=trusted,
+                screen_ms=screen_ms,
+                solve_ms=solve_ms,
+                evaluated=evaluated,
+                margin=margin,
+                violations=violations,
+                discarded_corr=discarded_corr,
+            )
+        )
+        theta_prev = theta
         lam_prev = lam2
-        w_prev = w_full
-        b_prev = float(b_full)
-        prev_converged = converged
+        w_prev = model.weights
+        b_prev = model.bias
+        prev_converged = model.converged
 
     return PathReport(
         lambda_max=float(lam_max),

@@ -55,6 +55,21 @@ class PrimalModel:
     finish_attempts: int = 0  # linear systems tried by the exact finish
 
 
+#: The PrimalModel fields written to JSON as they are, by model_to_json and
+#: PathReport.to_json alike; weights, bias and trace are not among them.
+JSON_FIELDS = (
+    "objective",
+    "iterations",
+    "converged",
+    "kkt_residual",
+    "finished",
+    "passes",
+    "backtracks",
+    "restarts",
+    "finish_attempts",
+)
+
+
 @dataclass(frozen=True)
 class ThetaVector:
     """Scaled dual point theta = alpha / lam; theta >= 0 and theta'y = 0 at optimum."""
@@ -413,15 +428,7 @@ def model_to_json(model, lam):
             "lambda": lam,
             "bias": model.bias,
             "weights": [[int(j) + 1, float(model.weights[j])] for j in nz],
-            "objective": model.objective,
-            "iterations": model.iterations,
-            "converged": bool(model.converged),
-            "kkt_residual": model.kkt_residual,
-            "finished": bool(model.finished),
-            "passes": model.passes,
-            "backtracks": model.backtracks,
-            "restarts": model.restarts,
-            "finish_attempts": model.finish_attempts,
+            **{name: getattr(model, name) for name in JSON_FIELDS},
         },
         indent=2,
     )

@@ -3,9 +3,11 @@
 Everything is seed-driven; no test relies on unseeded randomness.
 """
 
+import dataclasses
+
 import numpy as np
 
-from svmscreen import Dataset, build_context
+from svmscreen import Dataset, build_context, screening
 
 
 def random_labels(rng, n, p_positive=0.5):
@@ -93,3 +95,20 @@ def solved_context(rng, dataset, lam1_frac, lam2_frac, tol=1e-12):
             return None
         theta = theta_from_primal(dataset, model.weights, model.bias, lam1)
     return build_context(theta, lam1, lam2_frac * lam1, dataset)
+
+
+def unsafe_screening(monkeypatch):
+    """Make every screen_all call report its largest bound as 0.
+
+    The feature closest to entering the model is then discarded whatever
+    its true correlation, the fault --verify must catch.
+    """
+    screen_all = screening.screen_all
+
+    def unsafe(*args, **kwargs):
+        report = screen_all(*args, **kwargs)
+        bounds = report.bounds.copy()
+        bounds[np.argmax(bounds)] = 0.0
+        return dataclasses.replace(report, bounds=bounds)
+
+    monkeypatch.setattr(screening, "screen_all", unsafe)

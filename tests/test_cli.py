@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from svmscreen import data, serialize_sparse_text
 from svmscreen.cli import main, penalty
+
+from conftest import random_dataset, unsafe_screening
 
 TWO_SAMPLE = "+1 1:2\n-1 2:1\n"
 # labels (+1, +1, -1), both columns equal: threshold 2/3 with a tie
@@ -202,6 +205,10 @@ def test_path_csv_and_json(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["verify"] is True
     assert all(step["violations"] == 0 for step in payload["steps"])
+    assert all(
+        step["discarded_corr"] is None or step["discarded_corr"] < 1.0
+        for step in payload["steps"]
+    )
 
     code, out, _ = run_cli(
         capsys, "path", str(path), "--grid-size", "4", "--no-screen", "--format", "json"
@@ -209,6 +216,18 @@ def test_path_csv_and_json(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert all(step["kept"] == 20 for step in payload["steps"])
+
+
+def test_path_verify_exits_3_on_an_unsafe_discard(capsys, monkeypatch, tmp_path):
+    rng = np.random.default_rng(13)
+    ds = random_dataset(rng, 10, 50, density=0.8)
+    path = tmp_path / "data.txt"
+    path.write_text(serialize_sparse_text(ds), encoding="utf-8")
+    unsafe_screening(monkeypatch)
+    code, out, err = run_cli(capsys, "path", str(path), "--grid-size", "6", "--verify")
+    assert code == 3
+    assert len(out.strip().split("\n")) == 7
+    assert err.startswith("error: ") and "discarded features break" in err
 
 
 def test_verify_three_sample(capsys, three_sample_file):
@@ -231,6 +250,15 @@ def test_verify_rejects_large_input(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == 2
     assert "limited to 10 samples" in err
+
+
+def test_index_beyond_physical_memory_exits_1(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(data, "_physical_memory", lambda: 1600)
+    path = tmp_path / "wide.txt"
+    path.write_text("+1 1:1\n-1 100:1\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "lambda-max", str(path))
+    assert code == 1
+    assert err.startswith("error: line 2: index 100 needs")
 
 
 def test_missing_file_is_io_error(capsys):

@@ -14,6 +14,7 @@ from svmscreen import (
     read_sparse_file,
     serialize_sparse_text,
 )
+from svmscreen import data
 
 from conftest import random_dataset
 
@@ -259,6 +260,15 @@ def test_parse_peak_memory_stays_near_the_text_size():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * len(text)
+
+
+def test_index_beyond_physical_memory_is_a_parse_error(monkeypatch):
+    # With the probe at 1600 bytes, index 99 needs 16 * 100 bytes and fits
+    # while index 100 needs 1616 and does not; nothing large is allocated.
+    monkeypatch.setattr(data, "_physical_memory", lambda: 1600)
+    assert parse_sparse_text("+1 99:1\n").n_features == 99
+    with pytest.raises(DataFormatError, match=r"^line 3: index 100 needs 1616 bytes"):
+        parse_sparse_text("+1 1:1\n# comment\n-1 5:2 100:1\n")
 
 
 def test_serialize_parse_round_trip():

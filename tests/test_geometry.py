@@ -8,7 +8,7 @@ computed by hand from the definitions.
 import numpy as np
 import pytest
 
-from svmscreen import Ball, Halfspace, ball_at_t, min_radius_ball, project_null
+from svmscreen import Ball, ball_at_t, min_radius_ball, project_null
 
 THETA1 = np.array([1.0, 1.0, 2.0])
 LAM1 = 2.0 / 3.0
@@ -71,15 +71,6 @@ def test_ball_validation():
         Ball(np.zeros(2), np.inf)
     with pytest.raises(ValueError, match="center"):
         Ball(np.array([np.nan, 0.0]), 1.0)
-
-
-def test_halfspace_semantics():
-    h = Halfspace(np.array([1.0, 0.0]), np.array([2.0, 5.0]))
-    assert h.excess(np.array([2.0, -3.0])) == 0.0  # anchor plane
-    assert h.contains(np.array([1.0, 0.0]))
-    assert not h.contains(np.array([3.0, 0.0]))
-    with pytest.raises(ValueError, match="unit norm"):
-        Halfspace(np.array([1.0, 1.0]), np.zeros(2))
 
 
 def test_ball_at_t_frozen_base():

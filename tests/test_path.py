@@ -22,7 +22,7 @@ from svmscreen import (
 )
 from svmscreen import compute_feature_stats, screening, solver
 
-from conftest import random_dataset, random_labels
+from conftest import random_dataset, random_labels, unsafe_screening
 
 
 def _drift(ds):
@@ -155,8 +155,6 @@ def test_verify_mode_reports_zero_violations(monkeypatch):
     assert report.total_violations == 0
     for step in report.steps:
         assert step.violations == 0
-        assert step.max_weight_diff is not None
-        assert step.max_weight_diff <= 1e-8
         assert step.trusted
         assert step.kkt_residual <= 1e-10
     # The margin is the largest certified bound among the discarded
@@ -169,10 +167,72 @@ def test_verify_mode_reports_zero_violations(monkeypatch):
         if discarded.size:
             assert step.margin == pytest.approx(bounds[discarded].max(), rel=1e-12)
             assert step.margin < 1.0 - screening.EPS_KEEP
+            # The certified bound holds at the step's own dual point.
+            assert step.discarded_corr <= step.margin + 1e-8
         else:
             assert step.margin is None
+            assert step.discarded_corr is None
     assert any(s.margin is not None for s in report.steps)
     assert any(s.evaluated < ds.n_features for s in report.steps)
+
+
+def test_verify_solves_once_per_step(monkeypatch):
+    rng = np.random.default_rng(13)
+    ds = random_dataset(rng, 10, 50, density=0.8)
+    calls = _counting(monkeypatch, solver, "solve_primal")
+    report = run_path(ds, PathConfig(grid_size=6, ratio=0.8, verify=True))
+    assert any(s.kept < ds.n_features for s in report.steps)
+    assert all(s.violations == 0 for s in report.steps)
+    assert len(calls) <= len(report.steps)
+
+
+def test_verify_catches_an_unsafe_discard(monkeypatch):
+    rng = np.random.default_rng(13)
+    ds = random_dataset(rng, 10, 50, density=0.8)
+    config = PathConfig(grid_size=6, ratio=0.8, verify=True, solver=SolverOptions(tol=1e-10))
+    reference = run_path(ds, dataclasses.replace(config, screen=False))
+    unsafe_screening(monkeypatch)
+    report = run_path(ds, config)
+    affected = 0
+    for step, ref in zip(report.steps, reference.steps):
+        assert step.converged
+        discarded = np.ones(ds.n_features, dtype=bool)
+        discarded[step.kept_indices] = False
+        if np.any(ref.weights[discarded] != 0.0):
+            affected += 1
+            assert step.violations > 0
+            assert step.discarded_corr > 1.0
+    assert affected > 0
+    assert report.total_violations > 0
+
+
+def test_nothing_kept_gives_the_closed_form_and_verify_flags_it(monkeypatch):
+    # With every bound reported as 0 each step keeps nothing and takes the
+    # closed form at lambda_max's bias.  Its dual point correlates with
+    # feature j as direction_j / lam, so the top feature reads
+    # lambda_max / lam > 1 and verify flags it.
+    rng = np.random.default_rng(29)
+    ds = random_dataset(rng, 10, 20)
+    lam_cap, bias0, direction = lambda_max(ds)
+    screen_all = screening.screen_all
+
+    def discard_all(*args, **kwargs):
+        report = screen_all(*args, **kwargs)
+        return dataclasses.replace(report, bounds=np.zeros_like(report.bounds))
+
+    monkeypatch.setattr(screening, "screen_all", discard_all)
+    report = run_path(ds, PathConfig(grid_size=3, ratio=0.8, verify=True))
+    xi = np.maximum(1.0 - ds.labels * bias0, 0.0)
+    for step in report.steps:
+        assert isinstance(step, solver.PrimalModel)
+        assert step.kept == step.active == 0
+        np.testing.assert_array_equal(step.weights, np.zeros(ds.n_features))
+        assert step.bias == bias0 and step.iterations == 0 and step.converged
+        assert step.objective == 0.5 * float(xi @ xi)
+        assert step.violations == np.count_nonzero(np.abs(direction) / step.lam - 1.0 > 1e-9)
+        assert step.violations >= 1
+        assert step.discarded_corr == pytest.approx(lam_cap / step.lam, rel=1e-12)
+    assert json.loads(report.to_json())["steps"][0]["iterations"] == 0
 
 
 def test_custom_grid_is_used_verbatim():
@@ -229,7 +289,9 @@ def test_csv_and_json_serialization():
         assert entry["finished"] is step.finished
         assert entry["margin"] == step.margin
         assert entry["evaluated"] == step.evaluated
-        for name in ("passes", "backtracks", "restarts", "finish_attempts"):
+        assert entry["violations"] is entry["discarded_corr"] is None
+        # The step's model fields, as model_to_json writes them.
+        for name in solver.JSON_FIELDS:
             assert entry[name] == getattr(step, name)
         assert step.kept == 0 or step.passes > 0
 
