@@ -52,6 +52,10 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
+def _warn(text):
+    print(f"warning: {text}", file=sys.stderr)
+
+
 def _solver_options(args):
     return solver.SolverOptions(tol=args.tol, max_iter=args.max_iter)
 
@@ -73,11 +77,7 @@ def _theta_for(args, dataset, lam1, lam_max, bias0):
         return screening.theta_at_lambda_max(dataset, lam_max, bias0)
     model = solver.solve_primal(dataset, lam1, options=_solver_options(args))
     if not model.converged:
-        print(
-            "warning: solver did not reach tolerance at lambda1; "
-            "the screening bound may not be safe",
-            file=sys.stderr,
-        )
+        _warn("solver did not reach tolerance at lambda1; the screening bound may not be safe")
     return solver.theta_from_primal(dataset, model.weights, model.bias, lam1)
 
 
@@ -102,6 +102,8 @@ def cmd_solve(args):
         lam = (lam[0] * lam_max, False)
     model = solver.solve_primal(dataset, lam[0], options=_solver_options(args))
     _emit(solver.model_to_json(model, lam[0]), args.output)
+    if not model.converged:
+        _warn(f"solver did not reach tolerance; KKT residual {model.kkt_residual:.3g}")
     return 0
 
 
@@ -132,6 +134,10 @@ def cmd_path(args):
     report = run_path(dataset, cfg)
     text = report.to_csv() if args.format == "csv" else report.to_json()
     _emit(text, args.output)
+    unconverged = sum(not s.converged for s in report.steps)
+    if unconverged:
+        unchecked = "; their discards were not checked" if args.verify else ""
+        _warn(f"{unconverged} of {len(report.steps)} steps did not reach tolerance{unchecked}")
     if args.verify and report.total_violations > 0:
         print(
             f"error: {report.total_violations} discarded features break their step's "

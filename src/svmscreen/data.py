@@ -218,17 +218,6 @@ class Dataset:
         out[r[hit], np.repeat(np.arange(cols.size), counts)[hit]] = self.values[entries[hit]]
         return out
 
-    def memo(self, key, compute):
-        """``compute(self)``, evaluated on the first call with ``key`` only.
-
-        A Dataset is immutable, so whatever is derived from it alone holds
-        for its whole lifetime.
-        """
-        cache = self.__dict__.setdefault("_memo", {})
-        if key not in cache:
-            cache[key] = compute(self)
-        return cache[key]
-
     def column(self, j):
         """Row indices and values of feature j as array views."""
         lo, hi = self.col_ptr[j], self.col_ptr[j + 1]

@@ -149,6 +149,8 @@ def build_context(theta1, lambda1, lambda2, dataset, lam_max=None):
     n = dataset.n_samples
     if theta1.shape != (n,):
         raise ValueError("theta1 length does not match n_samples")
+    if not np.all(np.isfinite(theta1)):
+        raise ValueError("theta1 must be finite")
     if float(theta1.min()) < -1e-10:
         raise ValueError("theta1 infeasible: negative coordinates")
     if abs(float(theta1 @ y)) > 1e-6:

@@ -4,19 +4,21 @@ Minimizes ``F(w, b) = 0.5 * sum_i max(1 - y_i (w'x_i + b), 0)^2
 + lam * ||w||_1`` in two stages.  Accelerated proximal gradient warms up:
 soft-thresholding on w (the bias is an unpenalized coordinate),
 backtracking line search on the smooth part, and a function-value restart
-so accepted objectives never increase.  The warm-up only has to find the
-pattern of the optimum: F is piecewise quadratic, so with the margin set
-I = {i : xi_i > 0}, the support S and the signs s of w_S fixed, the
-optimum solves one (|S|+1)-square linear system.  As soon as an accepted
-step leaves the pattern unchanged, the exact finish solves that system on
-the block [X_IS, 1]; a solution off its own pattern is rejected on the
-block alone, and any other is kept only when the KKT check certifies it
-within the tolerance.  Otherwise proximal gradient continues, at most
-FINISH_ATTEMPTS systems per solve.  The full KKT check on an iterate costs
-a pass over the data, so it runs only once the free gradient-mapping
-estimate is below FINISH_FROM.  Either way "converged" means the largest
-KKT residual, computed exactly, is within the tolerance: the same thing
-the screening safety guarantees assume.
+so accepted objectives never increase.  Every solve starts at step 1/n:
+the ones column gives L = lambda_max(A'A) >= n for A = [X, 1], so the
+line search halves the step at most ceil(log2(L / n)) times.  The warm-up
+only has to find the pattern of the optimum: F is piecewise quadratic, so
+with the margin set I = {i : xi_i > 0}, the support S and the signs s of
+w_S fixed, the optimum solves one (|S|+1)-square linear system.  As soon
+as an accepted step leaves the pattern unchanged, the exact finish solves
+that system on the block [X_IS, 1]; a solution off its own pattern is
+rejected on the block alone, and any other is kept only when the KKT
+check certifies it within the tolerance.  Otherwise proximal gradient
+continues, at most FINISH_ATTEMPTS systems per solve.  The full KKT check
+on an iterate costs a pass over the data, so it runs only once the free
+gradient-mapping estimate is below FINISH_FROM.  Either way "converged"
+means the largest KKT residual, computed exactly, is within the
+tolerance: the same thing the screening safety guarantees assume.
 """
 
 import json
@@ -127,31 +129,6 @@ def _soft_threshold(x, t):
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def _spectral_bound(dataset, iters=80, seed=0):
-    """Largest eigenvalue of A'A for A = [X, 1], by power iteration."""
-    rng = np.random.default_rng(seed)
-    m = dataset.n_features
-    v = rng.standard_normal(m + 1)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(iters):
-        av = dataset.matvec(v[:m])
-        av += v[m]
-        atav = np.empty(m + 1)
-        atav[:m] = dataset.rmatvec(av)
-        atav[m] = av.sum()
-        new_estimate = float(np.linalg.norm(atav))
-        if new_estimate == 0.0:
-            return float(dataset.n_samples)  # the all-ones column alone
-        v = atav / new_estimate
-        # The estimate only seeds the step; backtracking enforces the majorant.
-        if abs(new_estimate - estimate) <= 1e-3 * new_estimate:
-            estimate = new_estimate
-            break
-        estimate = new_estimate
-    return max(estimate, 1e-12)
-
-
 def _kkt_residuals(dataset, w, xi, lam):
     theta = xi / lam
     corr = dataset.rmatvec(theta * dataset.labels)
@@ -258,9 +235,7 @@ def solve_primal(dataset, lam, options=None, warm=None):
 
     data = _Counted(dataset)
     labels = dataset.labels
-    # The Dataset is immutable, so one power iteration serves all its solves;
-    # it runs on data so the solve that runs it counts its products.
-    step = 1.0 / dataset.memo("spectral_bound", lambda _: _spectral_bound(data))
+    step = 1.0 / dataset.n_samples  # (A'A)_{m+1,m+1} = n, so never below 1/L
     xi = _hinge(data, w, b)
     f_x = 0.5 * float(xi @ xi) + lam * float(np.abs(w).sum())
     trace = [f_x] if opts.keep_trace else None
@@ -324,8 +299,10 @@ def solve_primal(dataset, lam, options=None, warm=None):
         t_momentum = t_next
 
         # grad h(x+) - grad h(z) + (z - x+) / step lies in the subdifferential
-        # of F at x+, so 2 * mapping / lam bounds the max KKT residual when
-        # step <= 1/L; only then is the exact (full-data) check worth a pass.
+        # of F at x+, so 2 * mapping / lam estimates the max KKT residual; it
+        # bounds it only when step <= 1/L, which an accepted step may exceed.
+        # The estimate decides when the exact (full-data) check runs; that
+        # check alone decides converged.
         if 2.0 * mapping <= FINISH_FROM * lam:
             residual = _kkt_residuals(data, w, xi, lam).max_residual
             if residual <= opts.tol:

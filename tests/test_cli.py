@@ -164,6 +164,16 @@ def test_screen_theta1_file(capsys, three_sample_file, tmp_path):
     assert "one value per sample" in err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_screen_rejects_a_nonfinite_theta1(capsys, three_sample_file, tmp_path, value):
+    theta = tmp_path / "theta.json"
+    theta.write_text(f"[{value}, 1.0, 2.0]", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "screen", three_sample_file, "--lambda2", "0.5xMAX", "--theta1", str(theta)
+    )
+    assert (code, out, err) == (2, "", "error: theta1 must be finite\n")
+
+
 def test_screen_solves_for_interior_lambda1(capsys, tmp_path):
     rng = np.random.default_rng(7)
     lines = []
@@ -228,6 +238,40 @@ def test_path_verify_exits_3_on_an_unsafe_discard(capsys, monkeypatch, tmp_path)
     assert code == 3
     assert len(out.strip().split("\n")) == 7
     assert err.startswith("error: ") and "discarded features break" in err
+
+
+def _sparse_file(tmp_path):
+    rng = np.random.default_rng(7)
+    ds = random_dataset(rng, 40, 60, density=0.2)
+    path = tmp_path / "sparse.txt"
+    path.write_text(serialize_sparse_text(ds), encoding="utf-8")
+    return str(path)
+
+
+def test_path_warns_of_unconverged_steps(capsys, tmp_path):
+    sparse = _sparse_file(tmp_path)
+    args = ("path", sparse, "--grid-size", "4", "--max-iter", "1")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and len(out.strip().split("\n")) == 5
+    warning = err.strip()
+    assert warning.startswith("warning: ") and warning.endswith("of 4 steps did not reach tolerance")
+    assert "\n" not in warning and int(warning.split()[1]) > 0
+
+    code, verified, err = run_cli(capsys, *args, "--verify")
+    assert code == 0 and len(verified.strip().split("\n")) == 5
+    assert err.strip() == f"{warning}; their discards were not checked"
+
+    code, _, err = run_cli(capsys, "path", sparse, "--grid-size", "4", "--verify")
+    assert (code, err) == (0, "")
+
+
+def test_solve_warns_when_unconverged(capsys, tmp_path):
+    sparse = _sparse_file(tmp_path)
+    code, out, err = run_cli(capsys, "solve", sparse, "--lambda", "0.3xMAX", "--max-iter", "1")
+    assert code == 0 and json.loads(out)["converged"] is False
+    assert err.startswith("warning: solver did not reach tolerance")
+    code, out, err = run_cli(capsys, "solve", sparse, "--lambda", "0.3xMAX")
+    assert (code, err) == (0, "") and json.loads(out)["converged"] is True
 
 
 def test_verify_three_sample(capsys, three_sample_file):

@@ -318,21 +318,6 @@ def test_one_lambda_max_pass_per_path(monkeypatch):
     assert all(s.trusted for s in report.steps)
 
 
-def test_spectral_bound_once_per_dataset(monkeypatch):
-    # Tall and dense: screening keeps every feature, so every solve runs
-    # on the same Dataset.
-    rng = np.random.default_rng(37)
-    ds = random_dataset(rng, 80, 4)
-    calls = _counting(monkeypatch, solver, "_spectral_bound")
-    report = run_path(ds, PathConfig(grid_size=4, ratio=0.5))
-    assert all(s.kept == ds.n_features for s in report.steps)
-    assert len(calls) == 1
-    again = run_path(ds, PathConfig(grid_size=4, ratio=0.5))
-    assert len(calls) == 1
-    for s, t in zip(report.steps, again.steps):
-        np.testing.assert_array_equal(s.weights, t.weights)
-
-
 @pytest.mark.parametrize("density", [0.15, 1.0])
 def test_next_theta_from_reduced_solve_matches_full_data(monkeypatch, density):
     rng = np.random.default_rng(41)

@@ -239,14 +239,19 @@ def test_kkt_report_recompute():
         assert report.r2 == pytest.approx(expected_r2, abs=1e-10)
 
 
-def test_unscaled_column_converges_at_default_options():
-    # One column a thousand times the others: proximal gradient alone
-    # stalls (KKT ~1e-7 after 20k iterations); the exact finish certifies.
+def _unscaled_problem():
+    """One column a thousand times the others."""
     rng = np.random.default_rng(0)
     x = rng.standard_normal((30, 200))
     x[:, 7] *= 1e3
     ds = Dataset.from_dense(x, np.where(rng.standard_normal(30) > 0, 1.0, -1.0))
-    lam = 0.3 * lambda_max(ds)[0]
+    return ds, 0.3 * lambda_max(ds)[0]
+
+
+def test_unscaled_column_converges_at_default_options():
+    # Proximal gradient alone stalls (KKT ~1e-7 after 20k iterations); the
+    # exact finish certifies.
+    ds, lam = _unscaled_problem()
     model = solve_primal(ds, lam)
     assert model.converged and model.finished
     assert model.kkt_residual <= 1e-9
@@ -340,6 +345,22 @@ def _sparse_problem():
     return ds, 0.5 * lambda_max(ds)[0]
 
 
+def test_step_starts_at_one_over_n_on_every_solve():
+    # L = ||[X, 1]||_2^2 >= n, so the first step 1/n is halved at most
+    # ceil(log2(L / n)) times; nothing carries over from an earlier solve.
+    dense = random_dataset(np.random.default_rng(5), 60, 8)
+    problems = [(dense, 0.3 * lambda_max(dense)[0]), _sparse_problem(), _unscaled_problem()]
+    for ds, lam in problems:
+        fresh = solve_primal(ds, lam)
+        again = solve_primal(ds, lam)
+        assert (again.passes, again.iterations) == (fresh.passes, fresh.iterations)
+        np.testing.assert_array_equal(again.weights, fresh.weights)
+        a = np.column_stack([ds.to_dense(), np.ones(ds.n_samples)])
+        lipschitz = np.linalg.norm(a, 2) ** 2
+        assert fresh.backtracks <= np.ceil(np.log2(lipschitz / ds.n_samples))
+    assert fresh.backtracks > 0  # the last problem, the unscaled column, needs halvings
+
+
 def _count_calls(monkeypatch, owner, *names):
     """One list of the calls made to any of owner's names."""
     calls = []
@@ -379,8 +400,7 @@ def test_passes_count_every_data_product(monkeypatch):
     products = _count_calls(monkeypatch, Dataset, "matvec", "rmatvec")
     model = solve_primal(ds, lam)
     assert model.passes == len(products) > 0
-    # The spectral bound is computed once per Dataset; a second solve
-    # counts only its own products.
+    # A second solve on the same Dataset counts only its own products.
     products.clear()
     again = solve_primal(ds, 0.9 * lam, warm=(model.weights, model.bias))
     assert again.passes == len(products) > 0
@@ -408,12 +428,10 @@ def test_off_pattern_candidate_rejected_on_its_block(monkeypatch, column, lam):
 def test_rejected_candidates_cost_no_data_pass(monkeypatch):
     # Candidates proposed with the signs of w flipped are all rejected on
     # their block, so the solve makes the products of one whose finish
-    # proposes nothing.  Each solve gets a fresh copy of the data, so both
-    # count the power iteration.
+    # proposes nothing.
     ds, lam = _sparse_problem()
     monkeypatch.setattr(solver, "_exact_finish", lambda *args: None)
     plain = solve_primal(ds, lam)
-    ds, lam = _sparse_problem()
     monkeypatch.undo()
     results = []
     original = solver._exact_finish
