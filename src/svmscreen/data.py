@@ -6,14 +6,16 @@ The on-disk format is the usual sparse text layout, one sample per line::
 
 with 1-based, strictly increasing indices and labels mapped to +/-1
 (positive values to +1, everything else to -1).  Lines starting with ``#``
-are comments.  In-memory the design matrix is stored by columns
-(compressed sparse column arrays) because every downstream computation is
-feature-wise.
+are comments.  All pairs are read in one strict numpy record read; a
+per-line scan only names a bad line.  The design matrix is stored by
+columns (CSC arrays) because every downstream computation is feature-wise.
 """
 
+import io
 import math
 import os
 import re
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,15 +32,17 @@ class DataFormatError(ValueError):
 MAX_INDEX = 2**31 - 1
 
 # Token grammar: an index of ASCII digits with an optional sign, ``:``, and
-# a decimal float in Python's syntax without ``_`` separators.  On exactly
-# these strings np.fromstring returns the same double as float().
+# a decimal float in Python's syntax without ``_`` separators.  np.loadtxt
+# reads exactly these tokens, each value to the double float() gives.
 _INDEX = r"[+-]?[0-9]+"
-# Each string matches in one way only, so a failing line costs linear time.
 _DECIMAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-# The pairs of a line after its label.  inf and nan are left out: a line
-# holding them is bad, and _PAIR reads them to say why.
-_PAIRS = re.compile(rf"(?:{_INDEX}:{_DECIMAL}(?:\s+|$))*")
+# inf and nan are not in the grammar; _PAIR reads them to say why.
 _PAIR = re.compile(rf"({_INDEX}):({_DECIMAL}|[+-]?(?i:infinity|inf|nan))")
+# The ASCII bytes str.split() separates tokens at become line breaks, one
+# pair per line of the record read; then valid pairs hold only _PAIR_BYTES.
+_SPACES_TO_NEWLINES = bytes.maketrans(b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f", b"\n" * 10)
+_PAIR_BYTES = b"0123456789+-.eE:\n"
+_PAIR_RECORD = np.dtype([("index", np.int64), ("value", np.float64)])
 
 
 @dataclass(frozen=True)
@@ -112,16 +116,11 @@ class Dataset:
         labels = np.asarray(labels, dtype=np.float64)
         if n_samples is None:
             n_samples = labels.shape[0]
-        col_ptr = np.zeros(len(columns) + 1, dtype=np.int64)
-        idx_parts = []
-        val_parts = []
-        for j, (idx, vals) in enumerate(columns):
-            idx = np.asarray(idx, dtype=np.int64)
-            col_ptr[j + 1] = col_ptr[j] + idx.shape[0]
-            idx_parts.append(idx)
-            val_parts.append(np.asarray(vals, dtype=np.float64))
-        row_idx = np.concatenate(idx_parts) if idx_parts else np.zeros(0, dtype=np.int64)
-        values = np.concatenate(val_parts) if val_parts else np.zeros(0)
+        idx_parts = [np.asarray(idx, dtype=np.int64) for idx, _ in columns]
+        val_parts = [np.asarray(vals, dtype=np.float64) for _, vals in columns]
+        col_ptr = np.cumsum([0, *map(len, idx_parts)], dtype=np.int64)
+        row_idx = np.concatenate([np.zeros(0, dtype=np.int64), *idx_parts])
+        values = np.concatenate([np.zeros(0), *val_parts])
         return cls(n_samples, len(columns), col_ptr, row_idx, values, labels)
 
     @classmethod
@@ -133,10 +132,7 @@ class Dataset:
         """
         matrix = np.asarray(matrix, dtype=np.float64)
         labels = np.where(np.asarray(labels, dtype=np.float64) > 0, 1.0, -1.0)
-        cols = []
-        for j in range(matrix.shape[1]):
-            idx = np.flatnonzero(matrix[:, j] != 0.0)
-            cols.append((idx, matrix[idx, j]))
+        cols = [(np.flatnonzero(column), column[column != 0.0]) for column in matrix.T]
         return cls.from_columns(cols, labels, n_samples=matrix.shape[0])
 
     @cached_property
@@ -282,61 +278,60 @@ def parse_sparse_text(text, strict_labels=False):
     Raises
     ------
     DataFormatError
-        Naming the first bad line in file order and its first bad token.
+        Naming the first bad line in file order and its first bad token,
+        found by a per-line scan that runs only once the strict record
+        read of all pairs has rejected the file.
     """
     lines = text.splitlines()
     labels, rests, line_of_row = [], [], []
-    bad_line = 0  # first line failing a check of its own text, 0 if none
     for lineno, raw in enumerate(lines, start=1):
         head = raw.split(None, 1)
         if not head or head[0].startswith("#"):
             continue
-        rest = head[1] if len(head) == 2 else ""
         try:
             label = float(head[0])
         except ValueError:
-            bad_line = lineno
-            break
-        if (strict_labels and label not in (1.0, -1.0)) or not _PAIRS.fullmatch(rest):
-            bad_line = lineno
-            break
+            raise _first_fault(text, strict_labels) from None
+        if strict_labels and label not in (1.0, -1.0):
+            raise _first_fault(text, strict_labels)
         labels.append(1.0 if label > 0 else -1.0)
-        rests.append(rest)
+        rests.append(head[1] if len(head) == 2 else "")
         line_of_row.append(lineno)
     del lines
-
-    # Every pair of every line before bad_line, parsed at once.  Each stage
-    # is dropped before the next is built, which keeps the peak within about
-    # three times the size of the text.
-    counts = np.array([rest.count(":") for rest in rests], dtype=np.int64)
-    # Empty rests are left out: np.fromstring reads a blank string as [-1.0].
-    body = " ".join(filter(None, rests))
-    del rests
-    body = body.replace(":", " ")
-    if not body.isascii() or "\x1f" in body:
-        # str.split() separates tokens at any Unicode whitespace,
-        # np.fromstring only at ASCII whitespace other than \x1f.
-        body = " ".join(body.split())
-    nums = np.fromstring(body, dtype=np.float64, sep=" ")
-    del body
-    if nums.size != 2 * counts.sum():
-        # numpy < 2 truncates at the first number it cannot read.
-        raise DataFormatError("index:value pairs could not be read as numbers")
-    index, values = nums[0::2], nums[1::2]
-    ends = np.cumsum(counts)
-    opens_line = np.zeros(index.size, dtype=bool)
-    opens_line[(ends - counts)[counts > 0]] = True
-    bad = (index < 1) | (index > MAX_INDEX) | ~np.isfinite(values)
-    bad[1:] |= (np.diff(index) <= 0) & ~opens_line[1:]
-    if bad.any():
-        bad_line = line_of_row[np.searchsorted(ends, np.argmax(bad), side="right")]
-    if bad_line:
-        raise _line_fault(text.splitlines()[bad_line - 1], bad_line, strict_labels)
     if not labels:
         raise DataFormatError("no data lines found")
-    if index.size == 0:
+    if not any(rests):  # every data line is a label alone
         raise DataFormatError("no features present in any line")
 
+    # Every pair at once, one per line of an ASCII body.  Dropping each stage
+    # before the next keeps the peak within about three times the text.
+    counts = np.array([rest.count(":") for rest in rests], dtype=np.int64)
+    body = "\n".join(filter(None, rests))
+    del rests
+    if not body.isascii():
+        body = "\n".join(body.split())  # str.split() knows Unicode whitespace
+    body = body.encode("ascii", "replace")  # '?' for the rest, which no pair holds
+    body = body.translate(_SPACES_TO_NEWLINES)
+    if body.translate(None, _PAIR_BYTES):  # a byte no valid pair holds
+        raise _first_fault(text, strict_labels)
+    try:
+        with warnings.catch_warnings():
+            # Some numpy releases only warn when they read 1.0 into an integer.
+            warnings.simplefilter("error")
+            pairs = np.loadtxt(
+                io.BytesIO(body), dtype=_PAIR_RECORD, delimiter=":", comments=None, ndmin=1
+            )
+    except (ValueError, Warning):
+        raise _first_fault(text, strict_labels) from None
+    del body
+    # Each pair read is one token with one ':', so line i holds counts[i].
+    index, values = pairs["index"], pairs["value"]
+    ends = np.cumsum(counts)
+    rises = np.diff(index) > 0
+    rises[ends[(ends > 0) & (ends < index.size)] - 1] = True  # into the next line
+    bad = index.min() < 1 or index.max() > MAX_INDEX or not np.isfinite(values).all()
+    if bad or not rises.all():
+        raise _first_fault(text, strict_labels)
     n, m = len(labels), int(index.max())
     # col_ptr and the bincount it is summed from hold 8 bytes per feature
     # each: a valid file with one large index could ask for gigabytes.
@@ -347,10 +342,8 @@ def parse_sparse_text(text, strict_labels=False):
             f"line {lineno}: index {m} needs {needed} bytes of column pointers, "
             f"more than the {physical} bytes of physical memory"
         )
-    col = index.astype(np.int64)
-    col -= 1
-    vals = values.copy()
-    del nums, index, values
+    col, vals = index - 1, values.copy()
+    del pairs, index, values
     col_ptr = np.zeros(m + 1, dtype=np.int64)
     np.cumsum(np.bincount(col, minlength=m), out=col_ptr[1:])
     # Stable sort by column as two stable sorts of its 16-bit digits
@@ -375,9 +368,20 @@ def _physical_memory():
         return None
 
 
+def _first_fault(text, strict_labels):
+    """The DataFormatError of the first bad line of a text known to be bad."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fault = _line_fault(raw, lineno, strict_labels)
+        if fault is not None:
+            return fault
+    raise AssertionError("the text was rejected but has no bad line")
+
+
 def _line_fault(raw, lineno, strict_labels):
-    """The DataFormatError for the first bad token of a line known to be bad."""
+    """The DataFormatError for the first bad token of a line; None if it has none."""
     tokens = raw.split()
+    if not tokens or tokens[0].startswith("#"):
+        return None
     try:
         label = float(tokens[0])
     except ValueError:
@@ -402,7 +406,7 @@ def _line_fault(raw, lineno, strict_labels):
         if not math.isfinite(float(pair[2])):
             return DataFormatError(f"line {lineno}: feature values must be finite, got {token!r}")
         previous = index
-    raise AssertionError(f"line {lineno} was flagged but has no fault")
+    return None
 
 
 def serialize_sparse_text(dataset):
@@ -411,16 +415,11 @@ def serialize_sparse_text(dataset):
     Values are written with shortest round-trip formatting, so
     parse(serialize(d)) reproduces d exactly.
     """
-    per_row = [[] for _ in range(dataset.n_samples)]
-    for j in range(dataset.n_features):
-        idx, vals = dataset.column(j)
-        for i, v in zip(idx, vals):
-            per_row[i].append(f"{j + 1}:{float(v)!r}")
-    lines = []
-    for i in range(dataset.n_samples):
-        head = "+1" if dataset.labels[i] > 0 else "-1"
-        lines.append(" ".join([head] + per_row[i]))
-    return "\n".join(lines) + "\n"
+    rows = [["+1" if label > 0 else "-1"] for label in dataset.labels.tolist()]
+    features = kernels.column_index(dataset.col_ptr) + 1
+    for i, j, v in zip(dataset.row_idx.tolist(), features.tolist(), dataset.values.tolist()):
+        rows[i].append(f"{j}:{v!r}")
+    return "".join(" ".join(row) + "\n" for row in rows)
 
 
 def read_sparse_file(path, strict_labels=False):

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,13 @@ def test_parse_error_messages(text, message):
 
 def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _assert_same_arrays(ds, expected):
+    assert (ds.n_samples, ds.n_features) == (expected.n_samples, expected.n_features)
+    for name in ("col_ptr", "row_idx", "labels"):
+        np.testing.assert_array_equal(getattr(ds, name), getattr(expected, name))
+    np.testing.assert_array_equal(_bits(ds.values), _bits(expected.values))
 
 
 def reference_parse(text, strict_labels=False):
@@ -202,6 +210,73 @@ def test_parse_matches_token_by_token_reference():
             np.testing.assert_array_equal(getattr(ds, name), getattr(expected, name), err_msg=text)
         np.testing.assert_array_equal(_bits(ds.values), _bits(expected.values), err_msg=text)
     assert outcomes == {"ok", *FAULT_KINDS}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # \x0b, \x0c and \x1c end a line, so the pair after them is read as a label.
+        *(f"+1 1:1{sep}2:3\n-1 1:2\n" for sep in ("\x0b", "\x0c", "\x1c", "\x1f", " ")),
+        "+1 1:1 \t\x1f \u00a0\u2003 2:3\t \n-1\t\t1:2  \x1f3:4\n",
+        "+1 +0005:1\n",
+        "+1 -0:1\n",
+        "+1 1:+.5e-3\n",
+        "+1 1:-0.0\n",
+        "+1 1:7.\n",
+        "+1 1e3:2\n",
+        "+1 1:1.2.3\n",
+        "+1 1:e5\n",
+        "+1 1:--5\n",
+        "+1 " + "1" * 25 + ":1\n",
+        "+1 1:1\n-1\n+1 2:5\n",
+        "+1\n-1 2:1 1:1\n",
+        "+1 1:1\n-1 2:.5",
+        "+1 1:1\n-1",
+    ],
+)
+def test_grammar_corners_match_reference(text):
+    try:
+        expected = reference_parse(text)
+    except DataFormatError as err:
+        with pytest.raises(DataFormatError) as got:
+            parse_sparse_text(text)
+        assert str(got.value) == str(err)
+        return
+    _assert_same_arrays(parse_sparse_text(text), expected)
+
+
+# Lines with comments, CRLF ends, tabs, \x1f and a label alone.  An ASCII
+# file is read as bytes; Unicode whitespace sends it through str.split() first.
+VALID_TEXT = (
+    "# header\r\n+1 1:0.5\t3:-2\r\n\r\n-1 2:1e-3  4:7.\r\n"
+    "# note\n+1\n-1 1:+.25\x1f5:-0.0 \n+1\t6:3"
+)
+
+
+@pytest.mark.parametrize(
+    "text", [VALID_TEXT, VALID_TEXT.replace("-1 2", "-1\u00a02").replace("  4", "\u20034")]
+)
+def test_valid_file_never_reaches_the_line_scan(monkeypatch, text):
+    expected = reference_parse(text)
+
+    def scan(*args):
+        raise AssertionError("a valid file reached the per-line scan")
+
+    monkeypatch.setattr(data, "_line_fault", scan)
+    _assert_same_arrays(parse_sparse_text(text), expected)
+
+
+def test_a_warning_from_the_record_read_rejects_the_file(monkeypatch):
+    # Some numpy releases read "1.0" into an integer field through a float
+    # and only emit a DeprecationWarning; the parser must still reject it.
+    def lenient_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return np.array([(1, 2.0)], dtype=[("index", np.int64), ("value", np.float64)])
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    with pytest.raises(DataFormatError) as err:
+        parse_sparse_text("+1 1.0:2\n")
+    assert str(err.value) == "line 1: expected index:value, got '1.0:2'"
 
 
 def test_parse_accepts_any_whitespace_and_signed_indices():
