@@ -160,6 +160,29 @@ class Dataset:
             return None
         return kernels.column_index(self.col_ptr)
 
+    @cached_property
+    def gram(self):
+        """Gram matrix B'B of B = [X, 1, y] when X has a dense block at most
+        as wide as it is tall (m <= n), else None; built on first use.
+
+        Rows and columns 0..m-1 belong to the features, m to the ones
+        column and m + 1 to the labels, so any [X_S, 1]'[X_S, 1] and
+        [X_S, 1]'y is a principal submatrix.  Its (m + 2)^2 cells take no
+        more memory than the n x m block plus 4n + 4 cells, which is why
+        wider data gets none.
+        """
+        block = self.dense_block
+        m = self.n_features
+        if block is None or m > self.n_samples:
+            return None
+        ends = np.vstack((np.ones(self.n_samples), self.labels))
+        out = np.empty((m + 2, m + 2))
+        out[:m, :m] = block.T @ block
+        out[m:, :m] = ends @ block
+        out[:m, m:] = out[m:, :m].T
+        out[m:, m:] = ends @ ends.T
+        return out
+
     def matvec(self, v):
         """X @ v for a weight vector v of length n_features."""
         return kernels.csc_matvec(
@@ -185,17 +208,9 @@ class Dataset:
             return (u @ self.dense_block)[cols]
         return kernels.csc_rmatvec(*self._columns(cols), u)
 
-    def _entries(self, cols):
-        """Positions in row_idx/values of the stored entries of cols, column
-        after column, and the number of entries of each column."""
-        lo = self.col_ptr[cols]
-        counts = self.col_ptr[cols + 1] - lo
-        starts = np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        return starts + np.arange(starts.size), counts
-
     def _columns(self, cols):
         """CSC arrays (col_ptr, row_idx, values) of the columns cols alone."""
-        entries, counts = self._entries(cols)
+        entries, counts = kernels.column_entries(self.col_ptr, cols)
         col_ptr = np.zeros(cols.size + 1, dtype=np.int64)
         np.cumsum(counts, out=col_ptr[1:])
         return col_ptr, self.row_idx[entries], self.values[entries]
@@ -205,7 +220,7 @@ class Dataset:
         block is materialised, gathered from the stored columns cols."""
         if self.dense_block is not None:
             return self.dense_block[:, cols][rows]
-        entries, counts = self._entries(cols)
+        entries, counts = kernels.column_entries(self.col_ptr, cols)
         position = np.full(self.n_samples, -1)
         position[rows] = np.arange(rows.size)
         r = position[self.row_idx[entries]]
@@ -238,8 +253,10 @@ class Dataset:
 class FeatureStats:
     """Per-feature statistics of fhat_j = labels * f_j, as parallel arrays.
 
-    ``proj_y_norm`` is the norm of fhat_j projected off the label vector;
-    it satisfies proj_y_norm^2 = sq_norm - dot_y^2 / n because y'y = n.
+    ``proj_y_norm`` is the norm of fhat_j projected off the label vector.
+    It equals sqrt(sq_norm - dot_y^2 / n) because y'y = n, but is summed
+    from the centred column, since that difference cancels for a nearly
+    constant one (see ``kernels.feature_stats``).
     """
 
     dot_y: np.ndarray  # fhat_j' y
@@ -252,7 +269,7 @@ def compute_feature_stats(dataset):
     """One O(nnz) pass producing the FeatureStats table for all features."""
     dot_y, dot_one, sq_norm, proj_y_norm = kernels.feature_stats(
         dataset.col_ptr, dataset.row_idx, dataset.values, dataset.labels,
-        cols=dataset.column_index,
+        block=dataset.dense_block, cols=dataset.column_index,
     )
     return FeatureStats(dot_y, dot_one, sq_norm, proj_y_norm)
 

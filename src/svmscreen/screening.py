@@ -238,7 +238,7 @@ def neg_min(ctx, fhat):
     syf = float(fhat @ ctx.labels)
     s1f = float(fhat.sum())
     sff = float(fhat @ fhat)
-    pyf = float(np.sqrt(max(sff - syf * syf / ctx.n, 0.0)))
+    pyf = float(np.linalg.norm(fhat - (syf / ctx.n) * ctx.labels))
     sth = float(fhat @ ctx.theta1)
     return kernels.neg_min_scalar(ctx, syf, s1f, sff, pyf, sth)
 

@@ -11,11 +11,15 @@ only has to find the pattern of the optimum: F is piecewise quadratic, so
 with the margin set I = {i : xi_i > 0}, the support S and the signs s of
 w_S fixed, the optimum solves one (|S|+1)-square linear system.  As soon
 as an accepted step leaves the pattern unchanged, the exact finish solves
-that system on the block [X_IS, 1]; a solution off its own pattern is
-rejected on the block alone, and any other is kept only when the KKT
-check certifies it within the tolerance.  Otherwise proximal gradient
-continues, at most FINISH_ATTEMPTS systems per solve.  The full KKT check
-on an iterate costs a pass over the data, so it runs only once the free
+that system for A = [X_IS, 1].  Dense data at most as wide as it is tall
+(m <= n) reads A'A and A'y_I from its cached Gram of [X, 1, y], whose
+(m + 2)^2 cells are then no more than the dense block plus 4n + 4; other
+data, and margin sets of under half the rows, gather the block X_IS.  A
+solution off its own pattern is rejected on its support columns alone,
+and any other is kept only when the KKT check certifies it within the
+tolerance.  Otherwise proximal gradient continues, at most
+FINISH_ATTEMPTS systems per solve.  The full KKT check on an iterate
+costs a pass over the data, so it runs only once the free
 gradient-mapping estimate is below FINISH_FROM.  Either way "converged"
 means the largest KKT residual, computed exactly, is within the
 tolerance: the same thing the screening safety guarantees assume.
@@ -147,24 +151,34 @@ def _exact_finish(dataset, lam, w, rows):
     """Stationary point of F for the margin rows and the support of w.
 
     On that pattern xi_I = y_I - A z with A = [X_IS, 1] and z = [w_S; b],
-    so stationarity reads A'A z = A'y_I - lam [sign(w_S); 0].  The system
-    is equilibrated, as if each column of A had unit norm, before the
-    Cholesky factorisation.  Returns (weights, bias), or None when A'A is
-    singular or the solution leaves its own pattern: a weight off its sign
-    in s, or a margin row with 1 - y_i a_i z <= 0.  Both are read from the
-    block, without a pass over the data.
+    so stationarity reads A'A z = A'y_I - lam [sign(w_S); 0].  A'A and
+    A'y_I are read from the Dataset's cached Gram when it has one and at
+    most half the rows lie outside I; otherwise A is gathered.  The system
+    is equilibrated, as if each column of A had unit norm, and solved
+    once the Cholesky factorisation has shown it well posed.  Returns
+    (weights, bias), or None when A'A is singular or the solution leaves
+    its own pattern: a weight off its sign in s, or a margin row with
+    1 - y_i a_i z <= 0.  Both are read from the support columns alone,
+    without a pass over the data.
     """
     support = np.flatnonzero(w)
     signs = np.sign(w[support])
     y = dataset.labels[rows]
-    a = np.ones((rows.size, support.size + 1))
-    a[:, :-1] = dataset.block(rows, support)
-    gram = a.T @ a
-    scale = np.sqrt(np.diagonal(gram))
-    if scale.min() == 0.0:
+    a = None
+    if dataset.gram is not None and 2 * rows.size >= dataset.n_samples:
+        gram, rhs = _cached_system(dataset, support, rows)
+    else:
+        a = np.ones((rows.size, support.size + 1))
+        a[:, :-1] = dataset.block(rows, support)
+        gram = a.T @ a
+        rhs = y @ a
+    # A column with no entry on I: the Gram's difference can leave it a
+    # round-off diagonal of either sign, the gathered block an exact 0.
+    diagonal = np.diagonal(gram)
+    if diagonal.min() <= 0.0:
         return None
+    scale = np.sqrt(diagonal)
     gram /= np.outer(scale, scale)
-    rhs = y @ a
     rhs[:-1] -= lam * signs
     try:
         chol = np.linalg.cholesky(gram)
@@ -174,12 +188,39 @@ def _exact_finish(dataset, lam, w, rows):
     # in the span of the others to within round-off.
     if np.diagonal(chol).min() <= np.sqrt(np.finfo(np.float64).eps):
         return None
-    z = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs / scale)) / scale
-    if np.any(np.sign(z[:-1]) != signs) or np.any(y * (a @ z) >= 1.0):
+    z = np.linalg.solve(gram, rhs / scale) / scale
+    if np.any(np.sign(z[:-1]) != signs):
+        return None
+    if a is None:
+        scores = (dataset.dense_block[:, support] @ z[:-1])[rows] + z[-1]
+    else:
+        scores = a @ z
+    if np.any(y * scores >= 1.0):
         return None
     weights = np.zeros_like(w)
     weights[support] = z[:-1]
     return weights, float(z[-1])
+
+
+def _cached_system(dataset, support, rows):
+    """(A'A, A'y_I) for A = [X_IS, 1], read from the Dataset's Gram.
+
+    The principal submatrix of [X, 1, y]'[X, 1, y] on the support, the
+    ones and the labels sums over every row; the rows outside I are taken
+    back out as one product of their few augmented rows.
+    """
+    m = dataset.n_features
+    pick = np.concatenate((support, (m, m + 1)))
+    system = dataset.gram[np.ix_(pick, pick)]
+    if rows.size < dataset.n_samples:
+        outside = np.ones(dataset.n_samples, dtype=bool)
+        outside[rows] = False
+        others = np.flatnonzero(outside)
+        e = np.ones((others.size, pick.size))
+        e[:, :-2] = dataset.dense_block[others][:, support]
+        e[:, -1] = dataset.labels[others]
+        system -= e.T @ e
+    return system[:-1, :-1], system[:-1, -1]
 
 
 class _Counted:

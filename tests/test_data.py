@@ -463,6 +463,26 @@ def test_dense_block_from_half_the_cells_stored():
     np.testing.assert_array_equal(ds.subset([17, 4]).dense_block, wide[:, [17, 4]])
 
 
+def test_gram_for_dense_data_at_most_as_wide_as_tall():
+    # [X, 1, y]'[X, 1, y], cached; None without a dense block or for m > n.
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(12, 5))
+    ds = Dataset.from_dense(x, random_dataset(rng, 12, 1).labels)
+    b = np.column_stack([x, np.ones(12), ds.labels])
+    np.testing.assert_allclose(ds.gram, b.T @ b, rtol=1e-13, atol=1e-13)
+    np.testing.assert_array_equal(ds.gram, ds.gram.T)
+    assert ds.gram is ds.gram
+    square = Dataset.from_dense(x[:5], ds.labels[:5])
+    assert square.gram.shape == (7, 7)
+
+    wide = Dataset.from_dense(rng.normal(size=(5, 6)), ds.labels[:5])
+    assert wide.dense_block is not None and wide.gram is None
+    sparse = x.copy()
+    sparse[rng.random(size=x.shape) >= 0.3] = 0.0
+    sparse = Dataset.from_dense(sparse, ds.labels)
+    assert sparse.dense_block is None and sparse.gram is None
+
+
 def test_block_gathers_rows_and_columns():
     rng = np.random.default_rng(31)
     x = rng.normal(size=(12, 9))

@@ -92,17 +92,22 @@ def test_numpy_kernels_match_dense_on_mixed_scale_columns():
         for out in (kernels.csc_matvec(*csc, v, ds.n_samples), ds.matvec(v)):
             _assert_columns_close(out, ref, ax @ np.abs(v))
 
-        stats = kernels.feature_stats(ds.col_ptr, ds.row_idx, ds.values, y)
-        dot_y, dot_one, sq_norm, proj_y_norm = stats
-        _assert_columns_close(dot_y, _exact_column_sums(x), ax.sum(axis=0))
-        _assert_columns_close(dot_one, _exact_column_sums(fhat), ax.sum(axis=0))
-        ref_sq = _exact_column_sums(x * x)
-        _assert_columns_close(sq_norm, ref_sq, ref_sq)
-        off_y = fhat - np.outer(y, fhat.T @ y) / ds.n_samples
-        ref_proj = np.sqrt(_exact_column_sums(off_y * off_y))
-        _assert_columns_close(proj_y_norm, ref_proj, ref_proj)
-        for column in stats:
-            assert np.all(column[empty] == 0.0)
+        # on the stored entries and on the dense block alike
+        block = np.asfortranarray(x)
+        for stats in (
+            kernels.feature_stats(ds.col_ptr, ds.row_idx, ds.values, y),
+            kernels.feature_stats(ds.col_ptr, ds.row_idx, ds.values, y, block=block),
+        ):
+            dot_y, dot_one, sq_norm, proj_y_norm = stats
+            _assert_columns_close(dot_y, _exact_column_sums(x), ax.sum(axis=0))
+            _assert_columns_close(dot_one, _exact_column_sums(fhat), ax.sum(axis=0))
+            ref_sq = _exact_column_sums(x * x)
+            _assert_columns_close(sq_norm, ref_sq, ref_sq)
+            off_y = fhat - np.outer(y, fhat.T @ y) / ds.n_samples
+            ref_proj = np.sqrt(_exact_column_sums(off_y * off_y))
+            _assert_columns_close(proj_y_norm, ref_proj, ref_proj)
+            for column in stats:
+                assert np.all(column[empty] == 0.0)
 
 
 def test_numpy_kernels_equal_with_and_without_column_index():

@@ -169,12 +169,20 @@ def test_context_scalar_cache_matches_vectors():
         assert abs(float(a @ (min_ball.center - ctx.theta1))) <= 1e-9
 
 
-def test_constant_and_zero_features_are_degenerate():
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+@pytest.mark.parametrize("constant", [0.1, 1.0 / 3.0, 3.7, 7.77])
+def test_constant_and_zero_features_are_degenerate(constant, storage):
+    # fhat = constant * y is collinear with y.  The difference of squares
+    # sq_norm - dot_y^2 / n leaves a round-off residue for most constants
+    # (3.7 happens to cancel exactly), which the centred column does not.
     rng = np.random.default_rng(29)
     x = rng.normal(size=(6, 4))
     x[:, 1] = 0.0
-    x[:, 2] = 3.7  # constant: fhat = 3.7 * y is collinear with y
+    x[:, 2] = constant
+    if storage == "sparse":
+        x = np.column_stack([x, np.zeros((6, 4))])  # 18 of 48 cells stored
     ds = Dataset.from_dense(x, [1, -1, 1, -1, 1, -1])
+    assert (ds.dense_block is None) == (storage == "sparse")
     lam_cap, _, _ = lambda_max(ds)
     ctx = build_context(theta_at_lambda_max(ds), lam_cap, 0.5 * lam_cap, ds)
     report = screen_all(ctx, ds, compute_feature_stats(ds))
@@ -183,6 +191,8 @@ def test_constant_and_zero_features_are_degenerate():
         assert report.branch2[j] == Branch.DEGENERATE_F
         assert report.m1[j] == 0.0 and report.m2[j] == 0.0
         assert j not in report.kept
+        fhat = ds.labels * x[:, j]
+        assert neg_min(ctx, fhat) == neg_min(ctx, -fhat) == (0.0, Branch.DEGENERATE_F)
 
 
 def test_screen_feature_matches_neg_min_and_bulk():

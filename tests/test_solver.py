@@ -395,15 +395,46 @@ def test_unconverged_model_reports_its_exact_residual():
     assert model.kkt_residual == kkt_report(ds, model, lam).max_residual
 
 
+def _tall_dense_problem():
+    """80 x 10 dense data, labels planted on three features: a Dataset with
+    a cached Gram, whose margin set shrinks as lambda falls."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(80, 10))
+    labels = np.where(x[:, :3] @ [2.0, -1.5, 1.0] + 0.3 * rng.normal(size=80) > 0, 1.0, -1.0)
+    ds = Dataset.from_dense(x, labels)
+    assert ds.gram is not None
+    return ds, lambda_max(ds)[0]
+
+
+def _optimum_patterns(fractions):
+    """The tall dense problem, and (lam, model, margin rows) of its optimum
+    at each fraction of lambda_max."""
+    ds, lam_max_dense = _tall_dense_problem()
+    patterns = []
+    for fraction in fractions:
+        lam = fraction * lam_max_dense
+        model = solve_primal(ds, lam)
+        xi = np.maximum(1.0 - ds.labels * (ds.matvec(model.weights) + model.bias), 0.0)
+        patterns.append((lam, model, np.flatnonzero(xi > 0.0)))
+    return ds, patterns
+
+
 def test_passes_count_every_data_product(monkeypatch):
+    # On the tall dense problem the finish reads its system from the cached
+    # Gram; it adds no product the count misses.
     ds, lam = _sparse_problem()
+    dense, lam_dense = _tall_dense_problem()
     products = _count_calls(monkeypatch, Dataset, "matvec", "rmatvec")
-    model = solve_primal(ds, lam)
-    assert model.passes == len(products) > 0
-    # A second solve on the same Dataset counts only its own products.
-    products.clear()
-    again = solve_primal(ds, 0.9 * lam, warm=(model.weights, model.bias))
-    assert again.passes == len(products) > 0
+    for ds, lam in ((ds, lam), (dense, 0.2 * lam_dense)):
+        products.clear()
+        model = solve_primal(ds, lam)
+        assert model.finished
+        assert model.passes == len(products) > 0
+        # A second solve on the same Dataset counts only its own products.
+        products.clear()
+        again = solve_primal(ds, 0.9 * lam, warm=(model.weights, model.bias))
+        assert again.finished
+        assert again.passes == len(products) > 0
 
 
 @pytest.mark.parametrize(
@@ -420,8 +451,23 @@ def test_passes_count_every_data_product(monkeypatch):
 def test_off_pattern_candidate_rejected_on_its_block(monkeypatch, column, lam):
     # One feature with s = +1, labels (+1, +1, -1, -1), all rows margin rows.
     ds = Dataset.from_dense(np.array(column)[:, None], [1.0, 1.0, -1.0, -1.0])
+    assert ds.gram is not None  # the system comes from the cached Gram
     products = _count_calls(monkeypatch, Dataset, "matvec", "rmatvec")
     assert solver._exact_finish(ds, lam, np.ones(1), np.arange(4)) is None
+    assert products == []
+
+
+def test_off_pattern_candidate_rejected_on_tall_dense_block(monkeypatch):
+    # Each optimum's pattern with its signs flipped: the finish solves the
+    # system, from the Gram or from the gathered rows, and rejects the
+    # solution without a product.
+    ds, patterns = _optimum_patterns((0.5, 0.2, 0.05))
+    # 79, 68 and 36 of the 80 rows: the Gram twice, the gathered rows once
+    assert [rows.size for _, _, rows in patterns] == [79, 68, 36]
+    products = _count_calls(monkeypatch, Dataset, "matvec", "rmatvec")
+    for lam, model, rows in patterns:
+        assert solver._exact_finish(ds, lam, -model.weights, rows) is None
+        assert solver._exact_finish(ds, lam, model.weights, rows) is not None
     assert products == []
 
 
@@ -446,3 +492,43 @@ def test_rejected_candidates_cost_no_data_pass(monkeypatch):
     assert rejected.finish_attempts == plain.finish_attempts == len(results)
     assert rejected.passes == plain.passes
     assert rejected.iterations == plain.iterations
+
+
+def test_cached_system_equals_the_gathered_one():
+    # A'A and A'y_I for A = [X_IS, 1], read from the cached Gram of tall
+    # dense data, against the gathered block, for I every row, all but 3
+    # and half of them.
+    rng = np.random.default_rng(127)
+    ds = random_dataset(rng, 60, 9)
+    assert ds.gram is not None
+    x = ds.to_dense()
+    for support in (np.array([4]), np.array([0, 2, 3, 7, 8]), np.arange(9)):
+        for rows in (
+            np.arange(60),
+            np.sort(rng.choice(60, 57, replace=False)),
+            np.sort(rng.choice(60, 30, replace=False)),
+        ):
+            a = np.column_stack([x[np.ix_(rows, support)], np.ones(rows.size)])
+            gram, rhs = solver._cached_system(ds, support, rows)
+            np.testing.assert_allclose(gram, a.T @ a, rtol=1e-12, atol=1e-12 * 60)
+            np.testing.assert_allclose(rhs, ds.labels[rows] @ a, rtol=1e-12, atol=1e-12 * 60)
+
+
+def test_finish_from_the_gram_equals_the_gathered_finish(monkeypatch):
+    # The optimum's own pattern at several lambdas, with the margin set I
+    # from every row but one down to under half of them: the finish from
+    # the Gram and the one from the gathered block return the same point.
+    ds, cases = _optimum_patterns((0.5, 0.2, 0.05, 0.01))
+    blocks = _count_calls(monkeypatch, Dataset, "block")
+    cached = [solver._exact_finish(ds, lam, model.weights, rows) for lam, model, rows in cases]
+    assert [rows.size for _, _, rows in cases] == [79, 68, 36, 18]
+    assert len(blocks) == 2  # under half the rows: gathered all the same
+    # A property outranks the Gram the instance has cached.
+    monkeypatch.setattr(Dataset, "gram", property(lambda self: None))
+    blocks.clear()
+    gathered = [solver._exact_finish(ds, lam, model.weights, rows) for lam, model, rows in cases]
+    assert len(blocks) == 4
+    for (_, model, _), one, other in zip(cases, cached, gathered):
+        np.testing.assert_allclose(one[0], other[0], rtol=0, atol=1e-9)
+        assert one[1] == pytest.approx(other[1], abs=1e-9)
+        np.testing.assert_allclose(one[0], model.weights, rtol=0, atol=1e-9)
