@@ -219,7 +219,7 @@ class Dataset:
         """Dense X[rows][:, cols] for arrays of distinct indices; only that
         block is materialised, gathered from the stored columns cols."""
         if self.dense_block is not None:
-            return self.dense_block[:, cols][rows]
+            return self.dense_block[np.ix_(rows, cols)]
         entries, counts = kernels.column_entries(self.col_ptr, cols)
         position = np.full(self.n_samples, -1)
         position[rows] = np.arange(rows.size)
@@ -274,7 +274,7 @@ def compute_feature_stats(dataset):
     return FeatureStats(dot_y, dot_one, sq_norm, proj_y_norm)
 
 
-def parse_sparse_text(text, strict_labels=False):
+def parse_sparse_text(text):
     """Parse sparse classification text into a Dataset.
 
     Parameters
@@ -284,9 +284,6 @@ def parse_sparse_text(text, strict_labels=False):
         blank lines are skipped; both LF and CRLF line ends are accepted.
         An index is an optional sign and ASCII digits, at most 2**31 - 1; a
         value is a finite decimal float without ``_`` digit separators.
-    strict_labels : bool
-        When true, label tokens must literally be +1 or -1 instead of
-        being mapped by sign.
 
     Returns
     -------
@@ -308,9 +305,7 @@ def parse_sparse_text(text, strict_labels=False):
         try:
             label = float(head[0])
         except ValueError:
-            raise _first_fault(text, strict_labels) from None
-        if strict_labels and label not in (1.0, -1.0):
-            raise _first_fault(text, strict_labels)
+            raise _first_fault(text) from None
         labels.append(1.0 if label > 0 else -1.0)
         rests.append(head[1] if len(head) == 2 else "")
         line_of_row.append(lineno)
@@ -330,7 +325,7 @@ def parse_sparse_text(text, strict_labels=False):
     body = body.encode("ascii", "replace")  # '?' for the rest, which no pair holds
     body = body.translate(_SPACES_TO_NEWLINES)
     if body.translate(None, _PAIR_BYTES):  # a byte no valid pair holds
-        raise _first_fault(text, strict_labels)
+        raise _first_fault(text)
     try:
         with warnings.catch_warnings():
             # Some numpy releases only warn when they read 1.0 into an integer.
@@ -339,7 +334,7 @@ def parse_sparse_text(text, strict_labels=False):
                 io.BytesIO(body), dtype=_PAIR_RECORD, delimiter=":", comments=None, ndmin=1
             )
     except (ValueError, Warning):
-        raise _first_fault(text, strict_labels) from None
+        raise _first_fault(text) from None
     del body
     # Each pair read is one token with one ':', so line i holds counts[i].
     index, values = pairs["index"], pairs["value"]
@@ -348,7 +343,7 @@ def parse_sparse_text(text, strict_labels=False):
     rises[ends[(ends > 0) & (ends < index.size)] - 1] = True  # into the next line
     bad = index.min() < 1 or index.max() > MAX_INDEX or not np.isfinite(values).all()
     if bad or not rises.all():
-        raise _first_fault(text, strict_labels)
+        raise _first_fault(text)
     n, m = len(labels), int(index.max())
     # col_ptr and the bincount it is summed from hold 8 bytes per feature
     # each: a valid file with one large index could ask for gigabytes.
@@ -385,26 +380,24 @@ def _physical_memory():
         return None
 
 
-def _first_fault(text, strict_labels):
+def _first_fault(text):
     """The DataFormatError of the first bad line of a text known to be bad."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        fault = _line_fault(raw, lineno, strict_labels)
+        fault = _line_fault(raw, lineno)
         if fault is not None:
             return fault
     raise AssertionError("the text was rejected but has no bad line")
 
 
-def _line_fault(raw, lineno, strict_labels):
+def _line_fault(raw, lineno):
     """The DataFormatError for the first bad token of a line; None if it has none."""
     tokens = raw.split()
     if not tokens or tokens[0].startswith("#"):
         return None
     try:
-        label = float(tokens[0])
+        float(tokens[0])
     except ValueError:
         return DataFormatError(f"line {lineno}: bad label token {tokens[0]!r}")
-    if strict_labels and label not in (1.0, -1.0):
-        return DataFormatError(f"line {lineno}: label must be +1 or -1, got {tokens[0]}")
     previous = 0
     for token in tokens[1:]:
         pair = _PAIR.fullmatch(token)
@@ -439,7 +432,7 @@ def serialize_sparse_text(dataset):
     return "".join(" ".join(row) + "\n" for row in rows)
 
 
-def read_sparse_file(path, strict_labels=False):
+def read_sparse_file(path):
     """Parse a sparse text file from disk (UTF-8)."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_sparse_text(handle.read(), strict_labels=strict_labels)
+        return parse_sparse_text(handle.read())

@@ -4,25 +4,30 @@ Minimizes ``F(w, b) = 0.5 * sum_i max(1 - y_i (w'x_i + b), 0)^2
 + lam * ||w||_1`` in two stages.  Accelerated proximal gradient warms up:
 soft-thresholding on w (the bias is an unpenalized coordinate),
 backtracking line search on the smooth part, and a function-value restart
-so accepted objectives never increase.  Every solve starts at step 1/n:
-the ones column gives L = lambda_max(A'A) >= n for A = [X, 1], so the
-line search halves the step at most ceil(log2(L / n)) times.  The warm-up
-only has to find the pattern of the optimum: F is piecewise quadratic, so
-with the margin set I = {i : xi_i > 0}, the support S and the signs s of
-w_S fixed, the optimum solves one (|S|+1)-square linear system.  As soon
-as an accepted step leaves the pattern unchanged, the exact finish solves
-that system for A = [X_IS, 1].  Dense data at most as wide as it is tall
-(m <= n) reads A'A and A'y_I from its cached Gram of [X, 1, y], whose
-(m + 2)^2 cells are then no more than the dense block plus 4n + 4; other
-data, and margin sets of under half the rows, gather the block X_IS.  A
-solution off its own pattern is rejected on its support columns alone,
-and any other is kept only when the KKT check certifies it within the
-tolerance.  Otherwise proximal gradient continues, at most
-FINISH_ATTEMPTS systems per solve.  The full KKT check on an iterate
-costs a pass over the data, so it runs only once the free
-gradient-mapping estimate is below FINISH_FROM.  Either way "converged"
-means the largest KKT residual, computed exactly, is within the
-tolerance: the same thing the screening safety guarantees assume.
+so accepted objectives never increase.  Each point the solver evaluates
+costs one matvec, and its hinge and objective are read from those scores
+X w; the extrapolated point's scores are the same combination of the last
+two accepted points' scores, so they cost none.  Every solve starts at
+step 1/n: the ones column gives L = lambda_max(A'A) >= n for A = [X, 1],
+so the line search halves the step at most ceil(log2(L / n)) times.  The
+warm-up only has to find the pattern of the optimum: F is piecewise
+quadratic, so with the margin set I = {i : xi_i > 0}, the support S and
+the signs s of w_S fixed, the optimum solves one (|S|+1)-square linear
+system.  As soon as an accepted step leaves the pattern unchanged, the
+exact finish solves that system for A = [X_IS, 1].  Dense data at most as
+wide as it is tall (m <= n) reads A'A and A'y_I from its cached Gram of
+[X, 1, y], whose (m + 2)^2 cells are then no more than the dense block
+plus 4n + 4; other data, and margin sets of under half the rows, gather
+the block X_IS.  A solution whose weights leave their signs is rejected
+without a product.  Any other costs the one matvec an accepted point
+needs anyway: a margin row with xi = 0 rejects it, and otherwise it is
+kept only when the KKT check certifies it within the tolerance.
+Otherwise proximal gradient continues, at most FINISH_ATTEMPTS systems
+per solve.  The full KKT check on an iterate costs a pass over the data,
+so it runs only once the free gradient-mapping estimate is below
+FINISH_FROM.  Either way "converged" means the largest KKT residual,
+computed exactly, is within the tolerance: the same thing the screening
+safety guarantees assume.
 """
 
 import json
@@ -108,10 +113,14 @@ class KktReport:
         return max(self.r1, self.r2, self.r3, self.r4)
 
 
+def _slack(labels, scores, b):
+    """xi_i = max(1 - y_i (s_i + b), 0) from the scores s = X w."""
+    return np.maximum(1.0 - labels * (scores + b), 0.0)
+
+
 def _hinge(dataset, w, b):
     """xi_i = max(1 - y_i (w'x_i + b), 0) for all samples."""
-    scores = dataset.matvec(w)
-    return np.maximum(1.0 - dataset.labels * (scores + b), 0.0)
+    return _slack(dataset.labels, dataset.matvec(w), b)
 
 
 def grad_h(dataset, w, b):
@@ -156,22 +165,20 @@ def _exact_finish(dataset, lam, w, rows):
     most half the rows lie outside I; otherwise A is gathered.  The system
     is equilibrated, as if each column of A had unit norm, and solved
     once the Cholesky factorisation has shown it well posed.  Returns
-    (weights, bias), or None when A'A is singular or the solution leaves
-    its own pattern: a weight off its sign in s, or a margin row with
-    1 - y_i a_i z <= 0.  Both are read from the support columns alone,
-    without a pass over the data.
+    (weights, bias), or None when A'A is singular or a weight of the
+    solution leaves its sign in s.  The margin rows are the caller's to
+    check: the product that does so also gives an accepted point its
+    hinge.
     """
     support = np.flatnonzero(w)
     signs = np.sign(w[support])
-    y = dataset.labels[rows]
-    a = None
     if dataset.gram is not None and 2 * rows.size >= dataset.n_samples:
         gram, rhs = _cached_system(dataset, support, rows)
     else:
         a = np.ones((rows.size, support.size + 1))
         a[:, :-1] = dataset.block(rows, support)
         gram = a.T @ a
-        rhs = y @ a
+        rhs = dataset.labels[rows] @ a
     # A column with no entry on I: the Gram's difference can leave it a
     # round-off diagonal of either sign, the gathered block an exact 0.
     diagonal = np.diagonal(gram)
@@ -190,12 +197,6 @@ def _exact_finish(dataset, lam, w, rows):
         return None
     z = np.linalg.solve(gram, rhs / scale) / scale
     if np.any(np.sign(z[:-1]) != signs):
-        return None
-    if a is None:
-        scores = (dataset.dense_block[:, support] @ z[:-1])[rows] + z[-1]
-    else:
-        scores = a @ z
-    if np.any(y * scores >= 1.0):
         return None
     weights = np.zeros_like(w)
     weights[support] = z[:-1]
@@ -217,7 +218,7 @@ def _cached_system(dataset, support, rows):
         outside[rows] = False
         others = np.flatnonzero(outside)
         e = np.ones((others.size, pick.size))
-        e[:, :-2] = dataset.dense_block[others][:, support]
+        e[:, :-2] = dataset.block(others, support)
         e[:, -1] = dataset.labels[others]
         system -= e.T @ e
     return system[:-1, :-1], system[:-1, -1]
@@ -277,59 +278,59 @@ def solve_primal(dataset, lam, options=None, warm=None):
     data = _Counted(dataset)
     labels = dataset.labels
     step = 1.0 / dataset.n_samples  # (A'A)_{m+1,m+1} = n, so never below 1/L
-    xi = _hinge(data, w, b)
+    scores = data.matvec(w)
+    xi = _slack(labels, scores, b)
     f_x = 0.5 * float(xi @ xi) + lam * float(np.abs(w).sum())
     trace = [f_x] if opts.keep_trace else None
 
-    wz, bz = w.copy(), b
+    # The extrapolated point z and its hinge, read from the accepted
+    # points' scores: X z = X w + beta (X w - X w_prev) costs no product.
+    wz, bz, xi_z = w, b, xi
     t_momentum = 1.0
     converged = finished = False
     iterations = backtracks = restarts = attempts = 0
     pattern = np.concatenate((xi > 0.0, np.sign(w)))
     tried = None
 
-    def prox_step(w_from, b_from, grad_w, grad_b, h_from):
-        """Backtracked proximal step; also returns the gradient-mapping norm."""
+    def prox_step(w_from, b_from, xi_from):
+        """Backtracked proximal step from a point with hinge xi_from.
+
+        Returns the new point's weights, bias, scores, hinge, objective and
+        gradient-mapping norm; each trial point costs one matvec.
+        """
         nonlocal step, backtracks
+        g = xi_from * labels
+        grad_w = -data.rmatvec(g)
+        grad_b = -float(g.sum())
+        h_from = 0.5 * float(xi_from @ xi_from)
         while True:
             w_new = _soft_threshold(w_from - step * grad_w, lam * step)
             b_new = b_from - step * grad_b
-            xi_new = _hinge(data, w_new, b_new)
+            s_new = data.matvec(w_new)
+            xi_new = _slack(labels, s_new, b_new)
             h_new = 0.5 * float(xi_new @ xi_new)
             dw = w_new - w_from
             db = b_new - b_from
             moved = float(dw @ dw) + db * db
             majorant = h_from + float(grad_w @ dw) + grad_b * db + moved / (2.0 * step)
             if h_new <= majorant + 1e-12 * max(1.0, abs(h_from)) or step < 1e-18:
-                return w_new, b_new, xi_new, h_new, np.sqrt(moved) / step
+                f_new = h_new + lam * float(np.abs(w_new).sum())
+                return w_new, b_new, s_new, xi_new, f_new, np.sqrt(moved) / step
             step *= 0.5
             backtracks += 1
 
     for iterations in range(1, opts.max_iter + 1):
-        xi_z = _hinge(data, wz, bz)
-        h_z = 0.5 * float(xi_z @ xi_z)
-        g = xi_z * labels
-        grad_w = -data.rmatvec(g)
-        grad_b = -float(g.sum())
-
-        w_new, b_new, xi_new, h_new, mapping = prox_step(wz, bz, grad_w, grad_b, h_z)
-        f_new = h_new + lam * float(np.abs(w_new).sum())
-
+        w_new, b_new, s_new, xi_new, f_new, mapping = prox_step(wz, bz, xi_z)
         if f_new > f_x:
             # Momentum overshot: redo a plain proximal step from the last
             # accepted point, which the majorant makes non-increasing, and
             # drop the accumulated momentum.
-            g = xi * labels
-            grad_w = -data.rmatvec(g)
-            grad_b = -float(g.sum())
-            h_x = 0.5 * float(xi @ xi)
-            w_new, b_new, xi_new, h_new, mapping = prox_step(w, b, grad_w, grad_b, h_x)
-            f_new = h_new + lam * float(np.abs(w_new).sum())
+            w_new, b_new, s_new, xi_new, f_new, mapping = prox_step(w, b, xi)
             t_momentum = 1.0
             restarts += 1
 
-        w_prev, b_prev = w, b
-        w, b, xi, f_x = w_new, b_new, xi_new, f_new
+        w_prev, b_prev, s_prev = w, b, scores
+        w, b, scores, xi, f_x = w_new, b_new, s_new, xi_new, f_new
         if trace is not None:
             trace.append(f_x)
 
@@ -337,6 +338,7 @@ def solve_primal(dataset, lam, options=None, warm=None):
         beta = (t_momentum - 1.0) / t_next
         wz = w + beta * (w - w_prev)
         bz = b + beta * (b - b_prev)
+        xi_z = _slack(labels, scores + beta * (scores - s_prev), bz)
         t_momentum = t_next
 
         # grad h(x+) - grad h(z) + (z - x+) / step lies in the subdifferential
@@ -363,11 +365,17 @@ def solve_primal(dataset, lam, options=None, warm=None):
         found = _exact_finish(data, lam, w, rows)
         if found is None:
             continue
-        xi_f = _hinge(data, *found)
-        f_f = 0.5 * float(xi_f @ xi_f) + lam * float(np.abs(found[0]).sum())
-        residual_f = _kkt_residuals(data, found[0], xi_f, lam).max_residual
+        # The candidate's scores: a margin row with xi = 0 puts it off its
+        # own pattern, and an accepted one needs its hinge anyway.
+        w_f, b_f = found
+        s_f = data.matvec(w_f)
+        xi_f = _slack(labels, s_f, b_f)
+        if np.any(xi_f[rows] <= 0.0):
+            continue
+        f_f = 0.5 * float(xi_f @ xi_f) + lam * float(np.abs(w_f).sum())
+        residual_f = _kkt_residuals(data, w_f, xi_f, lam).max_residual
         if residual_f <= opts.tol and f_f <= f_x + 1e-12 * max(1.0, abs(f_x)):
-            (w, b), xi, f_x, residual = found, xi_f, f_f, residual_f
+            w, b, xi, f_x, residual = w_f, b_f, xi_f, f_f, residual_f
             if trace is not None:
                 trace.append(f_x)
             converged = finished = True
@@ -453,28 +461,10 @@ def model_to_json(model, lam):
 
 
 def model_from_json(text, n_features):
-    """Inverse of model_to_json; needs the feature count to size the array.
-
-    JSON written before kkt_residual and finished existed reads as NaN and
-    False for them, and before the work counters as 0.
-    """
+    """Inverse of model_to_json; needs the feature count to size the array."""
     payload = json.loads(text)
     w = np.zeros(n_features)
     for index, value in payload["weights"]:
         w[index - 1] = value
-    return (
-        PrimalModel(
-            weights=w,
-            bias=float(payload["bias"]),
-            objective=float(payload["objective"]),
-            iterations=int(payload["iterations"]),
-            converged=bool(payload["converged"]),
-            kkt_residual=float(payload.get("kkt_residual", float("nan"))),
-            finished=bool(payload.get("finished", False)),
-            passes=int(payload.get("passes", 0)),
-            backtracks=int(payload.get("backtracks", 0)),
-            restarts=int(payload.get("restarts", 0)),
-            finish_attempts=int(payload.get("finish_attempts", 0)),
-        ),
-        float(payload["lambda"]),
-    )
+    fields = {name: payload[name] for name in JSON_FIELDS}
+    return PrimalModel(weights=w, bias=float(payload["bias"]), **fields), float(payload["lambda"])

@@ -41,13 +41,6 @@ def test_parse_maps_labels_by_sign():
     np.testing.assert_array_equal(ds.labels, [1.0, -1.0, -1.0])
 
 
-def test_parse_strict_labels_rejects_other_values():
-    with pytest.raises(DataFormatError, match=r"line 1: label must be \+1 or -1, got 3"):
-        parse_sparse_text("3 1:1\n", strict_labels=True)
-    ds = parse_sparse_text("+1 1:1\n-1 1:2\n", strict_labels=True)
-    assert ds.n_samples == 2
-
-
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -105,7 +98,7 @@ def _assert_same_arrays(ds, expected):
     np.testing.assert_array_equal(_bits(ds.values), _bits(expected.values))
 
 
-def reference_parse(text, strict_labels=False):
+def reference_parse(text):
     """Token-by-token reading of the documented format, built with loops.
 
     parse_sparse_text must return the same arrays or raise the same message.
@@ -119,8 +112,6 @@ def reference_parse(text, strict_labels=False):
             label = float(tokens[0])
         except ValueError:
             raise DataFormatError(f"line {lineno}: bad label token {tokens[0]!r}") from None
-        if strict_labels and label not in (1.0, -1.0):
-            raise DataFormatError(f"line {lineno}: label must be +1 or -1, got {tokens[0]}")
         row, previous = [], 0
         for token in tokens[1:]:
             head, sep, tail = token.partition(":")
@@ -167,7 +158,7 @@ FUZZ_TOKENS = [
 FUZZ_LABELS = ["+1", "-1", "1", "0", "-2.5", "1e0", "x", "#", "#c"]
 FUZZ_SPACES = [" ", "  ", "\t", "\u00a0", "\x1f", " \t "]
 FAULT_KINDS = (
-    "bad label", "label must", "expected index:value", "1-based", "exceeds", "not increasing",
+    "bad label", "expected index:value", "1-based", "exceeds", "not increasing",
     "finite", "no data", "no features",
 )
 
@@ -194,16 +185,15 @@ def test_parse_matches_token_by_token_reference():
                 line += str(rng.choice(FUZZ_SPACES)) + token
             lines.append(line + str(rng.choice(["", " ", "\t"])))
         text = str(rng.choice(["\n", "\r\n"])).join(lines) + "\n"
-        strict = bool(rng.random() < 0.2)
         try:
-            expected = reference_parse(text, strict_labels=strict)
+            expected = reference_parse(text)
         except DataFormatError as err:
             with pytest.raises(DataFormatError) as got:
-                parse_sparse_text(text, strict_labels=strict)
+                parse_sparse_text(text)
             assert str(got.value) == str(err), text
             outcomes.add(next(kind for kind in FAULT_KINDS if kind in str(err)))
             continue
-        ds = parse_sparse_text(text, strict_labels=strict)
+        ds = parse_sparse_text(text)
         outcomes.add("ok")
         assert (ds.n_samples, ds.n_features) == (expected.n_samples, expected.n_features), text
         for name in ("col_ptr", "row_idx", "labels"):

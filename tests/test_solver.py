@@ -11,7 +11,6 @@ Frozen cases, derived by hand:
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -201,24 +200,12 @@ def test_model_json_round_trip():
     assert lam == 1.0
     np.testing.assert_allclose(back.weights, model.weights, atol=0.0)
     assert back.bias == model.bias
-    assert back.objective == model.objective
-    assert back.iterations == model.iterations
-    assert back.converged == model.converged
-    assert back.kkt_residual == model.kkt_residual <= 1e-9
-    assert back.finished is model.finished is True
-    counters = ("passes", "backtracks", "restarts", "finish_attempts")
-    for name in counters:
+    for name in solver.JSON_FIELDS:
         assert getattr(back, name) == getattr(model, name)
+        assert type(getattr(back, name)) is type(getattr(model, name))
+    assert back.kkt_residual <= 1e-9
+    assert back.finished is True
     assert model.passes > 0 and model.finish_attempts >= 1
-
-    # JSON written without the accounting fields still reads.
-    payload = json.loads(text)
-    for name in ("kkt_residual", "finished") + counters:
-        del payload[name]
-    old, _ = model_from_json(json.dumps(payload), ds.n_features)
-    assert np.isnan(old.kkt_residual)
-    assert old.finished is False
-    assert all(getattr(old, name) == 0 for name in counters)
 
 
 def test_kkt_report_recompute():
@@ -438,23 +425,52 @@ def test_passes_count_every_data_product(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "column, lam",
+    "column, lam, candidate",
     [
         # z = (-4/9, -1/3): every margin row keeps xi > 0, but w has the
-        # wrong sign.
-        ([0.0, -2.0, -2.0, 1.0], 2.0),
+        # wrong sign, so the finish proposes nothing.
+        pytest.param([0.0, -2.0, -2.0, 1.0], 2.0, None, id="column0-2.0"),
         # z = (16/43, -12/43): the sign holds, but the last row's
-        # 1 - y a z is -1/43.
-        ([2.0, 2.0, 1.0, -2.0], 1.0),
+        # 1 - y a z is -1/43, which only the candidate's scores show.
+        pytest.param([2.0, 2.0, 1.0, -2.0], 1.0, (16 / 43, -12 / 43), id="column1-1.0"),
     ],
 )
-def test_off_pattern_candidate_rejected_on_its_block(monkeypatch, column, lam):
+def test_off_pattern_candidate_rejected_on_its_block(monkeypatch, column, lam, candidate):
     # One feature with s = +1, labels (+1, +1, -1, -1), all rows margin rows.
     ds = Dataset.from_dense(np.array(column)[:, None], [1.0, 1.0, -1.0, -1.0])
     assert ds.gram is not None  # the system comes from the cached Gram
-    products = _count_calls(monkeypatch, Dataset, "matvec", "rmatvec")
-    assert solver._exact_finish(ds, lam, np.ones(1), np.arange(4)) is None
-    assert products == []
+    matvecs = _count_calls(monkeypatch, Dataset, "matvec")
+    rmatvecs = _count_calls(monkeypatch, Dataset, "rmatvec")
+    found = solver._exact_finish(ds, lam, np.ones(1), np.arange(4))
+    assert matvecs == rmatvecs == []
+    if candidate is None:
+        assert found is None
+        return
+    np.testing.assert_allclose([found[0][0], found[1]], candidate, rtol=1e-12)
+
+    # In a solve this candidate is the finish's first proposal.  Rejecting it
+    # costs one matvec and no rmatvec more than proposing nothing there.
+    original = solver._exact_finish
+    proposals = _finish_results(monkeypatch)
+    model = solve_primal(ds, lam)
+    np.testing.assert_array_equal(proposals[0][0], found[0])
+    assert proposals[0][1] == found[1]
+    products = len(matvecs), len(rmatvecs)
+    matvecs.clear()
+    rmatvecs.clear()
+    calls = []
+
+    def first_proposes_nothing(*args):
+        calls.append(args)
+        return None if len(calls) == 1 else original(*args)
+
+    monkeypatch.setattr(solver, "_exact_finish", first_proposes_nothing)
+    skipped = solve_primal(ds, lam)
+    assert model.finished and skipped.finished
+    assert (model.iterations, model.finish_attempts) == (skipped.iterations, skipped.finish_attempts)
+    assert products == (len(matvecs) + 1, len(rmatvecs))
+    np.testing.assert_array_equal(model.weights, skipped.weights)
+    assert model.bias == skipped.bias
 
 
 def test_off_pattern_candidate_rejected_on_tall_dense_block(monkeypatch):
@@ -469,6 +485,35 @@ def test_off_pattern_candidate_rejected_on_tall_dense_block(monkeypatch):
         assert solver._exact_finish(ds, lam, -model.weights, rows) is None
         assert solver._exact_finish(ds, lam, model.weights, rows) is not None
     assert products == []
+
+
+def test_every_evaluated_point_costs_one_matvec(monkeypatch):
+    # The start, every trial point of the line search (first tries, restarts
+    # and halvings) and every candidate the finish proposes take one matvec
+    # each; the extrapolated point's hinge is read from the accepted points'
+    # scores.  The 30 x 50 problem with one column a thousand times the
+    # others takes halvings.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((30, 50))
+    x[:, 7] *= 1e3
+    unscaled = Dataset.from_dense(x, np.where(rng.standard_normal(30) > 0, 1.0, -1.0))
+    dense, lam_dense = _tall_dense_problem()
+    problems = [
+        _sparse_problem(),
+        (dense, 0.2 * lam_dense),
+        (unscaled, 0.3 * lambda_max(unscaled)[0]),
+    ]
+    results = _finish_results(monkeypatch)
+    matvecs = _count_calls(monkeypatch, Dataset, "matvec")
+    for ds, lam in problems:
+        results.clear()
+        matvecs.clear()
+        model = solve_primal(ds, lam)
+        assert model.converged and model.finished
+        proposals = sum(found is not None for found in results)
+        points = 1 + model.iterations + model.restarts + model.backtracks + proposals
+        assert len(matvecs) == points
+    assert model.backtracks > 0
 
 
 def test_rejected_candidates_cost_no_data_pass(monkeypatch):
@@ -522,7 +567,9 @@ def test_finish_from_the_gram_equals_the_gathered_finish(monkeypatch):
     blocks = _count_calls(monkeypatch, Dataset, "block")
     cached = [solver._exact_finish(ds, lam, model.weights, rows) for lam, model, rows in cases]
     assert [rows.size for _, _, rows in cases] == [79, 68, 36, 18]
-    assert len(blocks) == 2  # under half the rows: gathered all the same
+    # The Gram gathers the 1 and 12 rows outside I; I itself is gathered
+    # only where it is under half the rows.
+    assert [args[1].size for args in blocks] == [1, 12, 36, 18]
     # A property outranks the Gram the instance has cached.
     monkeypatch.setattr(Dataset, "gram", property(lambda self: None))
     blocks.clear()
