@@ -30,8 +30,14 @@ bound only for the features whose carried bound reaches the keep
 threshold, and keeps the smaller of the two; the rest are discarded on
 the carried bound alone.  The kept set is thus never larger than that of
 the per-step rule, and every certificate rests on one region bound, so
-safety needs no slack beyond EPS_KEEP.  A step that does not screen, or
-whose screening input is untrusted, leaves no certificates behind.
+safety needs no slack beyond EPS_KEEP.
+
+Each step takes one of two routes, with one solve either way.  It screens
+when the previous step converged, build_context accepts that step's dual
+point and the region keeps a feature: the halfspace is theta1's own
+optimality condition, and below lambda_max the optimum has a feature with
+|theta2'fhat_j| = 1, which a correct region keeps.  Otherwise the step
+keeps every feature and leaves no certificates behind.
 
 The same projection view certifies a step after the fact.  The reduced
 problem on the kept columns K has the dual point theta2 = P_{F_K}(1/l2 1),
@@ -80,14 +86,16 @@ class PathConfig:
 class PathStep(solver.PrimalModel):
     """One grid value of a path: the step's model, weights over all features.
 
-    The model is the solve on the kept columns alone, or the closed form
-    when none are kept (bias as at lambda_max; ``kkt_residual`` is then
-    |theta'y|, the counters 0).  Being a PrimalModel, a step goes to
-    kkt_report or model_to_json as it is.  The step adds:
+    The model is the solve on the kept columns alone.  Being a PrimalModel,
+    a step goes to kkt_report or model_to_json as it is.  The step adds:
 
+    ``trusted``, whether the previous step converged and, when screening
+    is on, its dual point gave a region that keeps a feature; an untrusted
+    step keeps every feature.
     ``screen_ms``, the wall time of screening for this step: building the
     screening region, bounding every feature and copying out the kept
-    columns; 0 when screening is off.  ``solve_ms``, the solve alone.
+    columns; 0 when the step did not screen because screening is off or
+    the previous step did not converge.  ``solve_ms``, the solve alone.
     ``evaluated``, the number of features whose region bound was computed
     this step; the others were discarded on a bound carried from an
     earlier step (0 when screening did not run).  ``margin``, the largest
@@ -242,26 +250,20 @@ def run_path(dataset, config=None):
     steps = []
     for lam2 in grid:
         lam2 = float(lam2)
-        kept_idx = np.arange(m, dtype=np.int64)
         reduced, warm = dataset, (w_prev, b_prev)
-        screen_ms = 0.0
-        evaluated = 0
-        margin = None
+        screen_ms, evaluated, margin = 0.0, 0, None
         trusted = prev_converged
-        if cfg.screen:
+        if cfg.screen and trusted:
             t0 = time.perf_counter()
             try:
-                ctx = screening.build_context(
-                    theta_prev, lam_prev, lam2, dataset, lam_max=lam_max
-                )
+                ctx = screening.build_context(theta_prev, lam_prev, lam2, dataset, lam_max=lam_max)
             except ValueError:
-                # Unconverged previous step can leave theta slightly
-                # infeasible; keep everything rather than abort the path.
+                # A converged step's theta can still fall outside
+                # build_context's tolerances, e.g. at a loose --tol.
                 trusted = False
-                cert = None
             else:
                 # stale: the features whose bound must be computed afresh.
-                if trusted and cert is not None:
+                if cert is not None:
                     bounds = cert + drift * (1.0 / lam2 - inv)
                     stale = np.flatnonzero(bounds >= threshold)
                 else:
@@ -273,40 +275,27 @@ def run_path(dataset, config=None):
                 cert[stale] = fresh
                 inv[stale] = 1.0 / lam2
                 evaluated = int(stale.size)
-                if not trusted:
-                    cert = None  # bounds from an untrusted dual point certify nothing
                 # Features left out of stale are below the threshold already.
                 kept_idx = stale[fresh >= threshold]
-                if kept_idx.size < m:
+                # Below lambda_max a correct region keeps at least one feature.
+                trusted = kept_idx.size > 0
+                if trusted and kept_idx.size < m:
                     margin = float(np.max(bounds, where=bounds < threshold, initial=-np.inf))
-                if 0 < kept_idx.size < m:
                     reduced = dataset.subset(kept_idx)
                     warm = (w_prev[kept_idx], b_prev)
             screen_ms = (time.perf_counter() - t0) * 1000.0
+        if not (cfg.screen and trusted):
+            # Keep every feature; nothing is certified.
+            kept_idx, cert = np.arange(m, dtype=np.int64), None
 
         t0 = time.perf_counter()
-        if kept_idx.size == 0:
-            # No features survive: optimal bias has the closed form used
-            # at lambda_max, since the hinge stays active on both classes.
-            xi = np.maximum(1.0 - dataset.labels * bias0, 0.0)
-            model = solver.PrimalModel(
-                weights=np.zeros(m),
-                bias=bias0,
-                objective=0.5 * float(xi @ xi),
-                iterations=0,
-                converged=True,
-                # Safe screening bounds every correlation below 1, so only
-                # the bias condition theta'y = 0 is left to round-off.
-                kkt_residual=abs(float(xi @ dataset.labels)) / lam2,
-            )
-        else:
-            model = solver.solve_primal(reduced, lam2, options=cfg.solver, warm=warm)
+        model = solver.solve_primal(reduced, lam2, options=cfg.solver, warm=warm)
         solve_ms = (time.perf_counter() - t0) * 1000.0
 
         # The next dual point comes from the reduced problem: the discarded
         # weights are 0, so its margins are those of the full data.
         theta = solver.theta_from_primal(reduced, model.weights, model.bias, lam2)
-        if 0 < kept_idx.size < m:
+        if kept_idx.size < m:
             weights = np.zeros(m)
             weights[kept_idx] = model.weights
             model = replace(model, weights=weights)

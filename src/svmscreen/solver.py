@@ -123,19 +123,31 @@ def _hinge(dataset, w, b):
     return _slack(dataset.labels, dataset.matvec(w), b)
 
 
-def grad_h(dataset, w, b):
-    """Gradient of the smooth part: (-X' (xi * y), -sum(xi * y))."""
-    w = np.asarray(w, dtype=np.float64)
-    xi = _hinge(dataset, w, b)
+def _smooth(xi):
+    """The smooth part h = 0.5 * ||xi||^2 at a point with hinge xi."""
+    return 0.5 * float(xi @ xi)
+
+
+def _gradient(dataset, xi):
+    """Gradient of h at a point with hinge xi: (-X' (xi * y), -sum(xi * y))."""
     g = xi * dataset.labels
-    grad_w = -dataset.rmatvec(g)
-    return grad_w, -float(g.sum())
+    return -dataset.rmatvec(g), -float(g.sum())
+
+
+def _objective(h, w, lam):
+    """F = h + lam * ||w||_1 from the smooth part h at weights w."""
+    return h + lam * float(np.abs(w).sum())
+
+
+def grad_h(dataset, w, b):
+    """Gradient of the smooth part, as solve_primal computes it."""
+    return _gradient(dataset, _hinge(dataset, np.asarray(w, dtype=np.float64), b))
 
 
 def objective_value(dataset, w, b, lam):
-    """F(w, b) recomputed from scratch."""
-    xi = _hinge(dataset, np.asarray(w, dtype=np.float64), b)
-    return 0.5 * float(xi @ xi) + lam * float(np.abs(w).sum())
+    """F(w, b) recomputed from scratch, as solve_primal computes it."""
+    w = np.asarray(w, dtype=np.float64)
+    return _objective(_smooth(_hinge(dataset, w, b)), w, lam)
 
 
 def _soft_threshold(x, t):
@@ -280,7 +292,7 @@ def solve_primal(dataset, lam, options=None, warm=None):
     step = 1.0 / dataset.n_samples  # (A'A)_{m+1,m+1} = n, so never below 1/L
     scores = data.matvec(w)
     xi = _slack(labels, scores, b)
-    f_x = 0.5 * float(xi @ xi) + lam * float(np.abs(w).sum())
+    f_x = _objective(_smooth(xi), w, lam)
     trace = [f_x] if opts.keep_trace else None
 
     # The extrapolated point z and its hinge, read from the accepted
@@ -299,22 +311,20 @@ def solve_primal(dataset, lam, options=None, warm=None):
         gradient-mapping norm; each trial point costs one matvec.
         """
         nonlocal step, backtracks
-        g = xi_from * labels
-        grad_w = -data.rmatvec(g)
-        grad_b = -float(g.sum())
-        h_from = 0.5 * float(xi_from @ xi_from)
+        grad_w, grad_b = _gradient(data, xi_from)
+        h_from = _smooth(xi_from)
         while True:
             w_new = _soft_threshold(w_from - step * grad_w, lam * step)
             b_new = b_from - step * grad_b
             s_new = data.matvec(w_new)
             xi_new = _slack(labels, s_new, b_new)
-            h_new = 0.5 * float(xi_new @ xi_new)
+            h_new = _smooth(xi_new)
             dw = w_new - w_from
             db = b_new - b_from
             moved = float(dw @ dw) + db * db
             majorant = h_from + float(grad_w @ dw) + grad_b * db + moved / (2.0 * step)
             if h_new <= majorant + 1e-12 * max(1.0, abs(h_from)) or step < 1e-18:
-                f_new = h_new + lam * float(np.abs(w_new).sum())
+                f_new = _objective(h_new, w_new, lam)
                 return w_new, b_new, s_new, xi_new, f_new, np.sqrt(moved) / step
             step *= 0.5
             backtracks += 1
@@ -372,7 +382,7 @@ def solve_primal(dataset, lam, options=None, warm=None):
         xi_f = _slack(labels, s_f, b_f)
         if np.any(xi_f[rows] <= 0.0):
             continue
-        f_f = 0.5 * float(xi_f @ xi_f) + lam * float(np.abs(w_f).sum())
+        f_f = _objective(_smooth(xi_f), w_f, lam)
         residual_f = _kkt_residuals(data, w_f, xi_f, lam).max_residual
         if residual_f <= opts.tol and f_f <= f_x + 1e-12 * max(1.0, abs(f_x)):
             w, b, xi, f_x, residual = w_f, b_f, xi_f, f_f, residual_f

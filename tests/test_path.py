@@ -206,14 +206,15 @@ def test_verify_catches_an_unsafe_discard(monkeypatch):
     assert report.total_violations > 0
 
 
-def test_nothing_kept_gives_the_closed_form_and_verify_flags_it(monkeypatch):
-    # With every bound reported as 0 each step keeps nothing and takes the
-    # closed form at lambda_max's bias.  Its dual point correlates with
-    # feature j as direction_j / lam, so the top feature reads
-    # lambda_max / lam > 1 and verify flags it.
+def test_a_region_that_keeps_nothing_is_distrusted(monkeypatch):
+    # Below lambda_max a correct region keeps at least one feature.  With
+    # every bound reported as 0 each step distrusts its region and keeps
+    # every feature, so it solves exactly what an unscreened path solves.
     rng = np.random.default_rng(29)
     ds = random_dataset(rng, 10, 20)
-    lam_cap, bias0, direction = lambda_max(ds)
+    m = ds.n_features
+    config = PathConfig(grid_size=3, ratio=0.8, verify=True)
+    reference = run_path(ds, dataclasses.replace(config, screen=False))
     screen_all = screening.screen_all
 
     def discard_all(*args, **kwargs):
@@ -221,18 +222,12 @@ def test_nothing_kept_gives_the_closed_form_and_verify_flags_it(monkeypatch):
         return dataclasses.replace(report, bounds=np.zeros_like(report.bounds))
 
     monkeypatch.setattr(screening, "screen_all", discard_all)
-    report = run_path(ds, PathConfig(grid_size=3, ratio=0.8, verify=True))
-    xi = np.maximum(1.0 - ds.labels * bias0, 0.0)
-    for step in report.steps:
-        assert isinstance(step, solver.PrimalModel)
-        assert step.kept == step.active == 0
-        np.testing.assert_array_equal(step.weights, np.zeros(ds.n_features))
-        assert step.bias == bias0 and step.iterations == 0 and step.converged
-        assert step.objective == 0.5 * float(xi @ xi)
-        assert step.violations == np.count_nonzero(np.abs(direction) / step.lam - 1.0 > 1e-9)
-        assert step.violations >= 1
-        assert step.discarded_corr == pytest.approx(lam_cap / step.lam, rel=1e-12)
-    assert json.loads(report.to_json())["steps"][0]["iterations"] == 0
+    report = run_path(ds, config)
+    for step, ref in zip(report.steps, reference.steps, strict=True):
+        assert step.kept == m and step.converged and not step.trusted
+        assert step.margin is None and step.violations == 0
+        np.testing.assert_array_equal(step.weights, ref.weights)
+        assert step.bias == ref.bias
 
 
 def test_custom_grid_is_used_verbatim():
@@ -440,6 +435,9 @@ def test_fine_grid_certificates_are_safe(seed, p_positive, scaled, ratio, steps)
         theta = theta_from_primal(ds, step.weights, step.bias, step.lam).values
         true = np.abs(ds.rmatvec(theta * ds.labels))
         assert np.all(bounds >= true - 1e-9)
+        # Below lambda_max the optimum has a feature with |theta'fhat_j| = 1,
+        # so every step keeps at least that one.
+        assert np.argmax(true) in step.kept_indices
 
 
 @pytest.mark.parametrize("fault", ["unconverged solve", "infeasible theta"])
@@ -474,8 +472,9 @@ def test_untrusted_step_clears_certificates(monkeypatch, fault):
         monkeypatch.setattr(screening, "build_context", failing)
     report = run_path(ds, config)
     evaluated = [s.evaluated for s in report.steps]
-    assert not report.steps[3].trusted
-    assert evaluated[3] == (m if fault == "unconverged solve" else 0)
+    # Step 4 screens nothing: it keeps every feature and evaluates none.
+    assert not report.steps[3].trusted and report.steps[3].kept == m
+    assert evaluated[3] == 0
     assert evaluated[4] == m  # no certificate survives an untrusted step
     assert all(e < m for e in evaluated[5:])
     assert all(s.trusted for i, s in enumerate(report.steps) if i != 3)
