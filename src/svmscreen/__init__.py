@@ -11,7 +11,6 @@ from .data import (
     DataFormatError,
     Dataset,
     FeatureStats,
-    compute_feature_stats,
     parse_sparse_text,
     read_sparse_file,
     serialize_sparse_text,
@@ -64,7 +63,6 @@ __all__ = [
     "ThetaVector",
     "ball_at_t",
     "build_context",
-    "compute_feature_stats",
     "first_features",
     "grad_h",
     "kkt_report",

@@ -24,7 +24,7 @@ import numpy as np
 from . import oracle
 from . import screening
 from . import solver
-from .data import DataFormatError, compute_feature_stats, read_sparse_file
+from .data import DataFormatError, read_sparse_file
 from .path import PathConfig, run_path
 
 VERIFY_TOL = 1e-6
@@ -78,7 +78,7 @@ def _theta_for(args, dataset, lam1, lam_max, bias0):
     model = solver.solve_primal(dataset, lam1, options=_solver_options(args))
     if not model.converged:
         _warn("solver did not reach tolerance at lambda1; the screening bound may not be safe")
-    return solver.theta_from_primal(dataset, model.weights, model.bias, lam1)
+    return model.theta
 
 
 def cmd_lambda_max(args):
@@ -116,8 +116,7 @@ def cmd_screen(args):
         raise ValueError("lambda2 must be < lambda1")
     theta1 = _theta_for(args, dataset, lam1, lam_max, bias0)
     ctx = screening.build_context(theta1, lam1, lam2, dataset, lam_max=lam_max)
-    stats = compute_feature_stats(dataset)
-    report = screening.screen_all(ctx, dataset, stats)
+    report = screening.screen_all(ctx)
     _emit(report.to_json(), args.output)
     return 0
 
@@ -159,7 +158,6 @@ def cmd_verify(args):
     else:
         lam2_list = [f * lam1 for f in (0.5, 0.8, 0.95)]
     theta1 = _theta_for(args, dataset, lam1, lam_max, bias0)
-    stats = compute_feature_stats(dataset)
     dense = dataset.to_dense()
 
     worst = {}
@@ -168,7 +166,7 @@ def cmd_verify(args):
     total = 0
     for lam2 in lam2_list:
         ctx = screening.build_context(theta1, lam1, lam2, dataset, lam_max=lam_max)
-        report = screening.screen_all(ctx, dataset, stats)
+        report = screening.screen_all(ctx)
         for j in range(dataset.n_features):
             fhat = dataset.labels * dense[:, j]
             for closed, branch, direction in (

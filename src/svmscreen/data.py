@@ -16,7 +16,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,9 +51,11 @@ class Dataset:
 
     Columns are stored in CSC form: column j occupies the half-open slice
     ``col_ptr[j]:col_ptr[j+1]`` of ``row_idx``/``values``, with row indices
-    strictly increasing inside each column.  Dense data also gets a dense
-    copy for its products (see ``dense_block``), sparse data the column of
-    every stored entry (see ``column_index``).
+    strictly increasing inside each column.  What the data alone decides
+    is a cached property built on first use: the class counts, the
+    per-feature ``stats`` of the bound (an O(nnz) pass that the first
+    ``screen_all`` on the Dataset makes) and the form of the products,
+    ``dense_block`` for dense data or ``column_index`` for sparse data.
     """
 
     n_samples: int
@@ -62,18 +64,12 @@ class Dataset:
     row_idx: np.ndarray
     values: np.ndarray
     labels: np.ndarray
-    n_pos: int = field(default=-1)
-    n_neg: int = field(default=-1)
 
     def __post_init__(self):
         object.__setattr__(self, "col_ptr", np.ascontiguousarray(self.col_ptr, dtype=np.int64))
         object.__setattr__(self, "row_idx", np.ascontiguousarray(self.row_idx, dtype=np.int64))
         object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=np.float64))
         object.__setattr__(self, "labels", np.ascontiguousarray(self.labels, dtype=np.float64))
-        if self.n_pos < 0:
-            object.__setattr__(self, "n_pos", int((self.labels > 0).sum()))
-        if self.n_neg < 0:
-            object.__setattr__(self, "n_neg", int((self.labels < 0).sum()))
         self._validate()
 
     def _validate(self):
@@ -85,8 +81,6 @@ class Dataset:
             raise ValueError("labels length does not match n_samples")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be exactly -1 or +1")
-        if self.n_pos + self.n_neg != self.n_samples:
-            raise ValueError("n_pos + n_neg must equal n_samples")
         if self.col_ptr.shape != (self.n_features + 1,):
             raise ValueError("col_ptr length must be n_features + 1")
         if self.col_ptr[0] != 0 or self.col_ptr[-1] != self.row_idx.shape[0]:
@@ -134,6 +128,24 @@ class Dataset:
         labels = np.where(np.asarray(labels, dtype=np.float64) > 0, 1.0, -1.0)
         cols = [(np.flatnonzero(column), column[column != 0.0]) for column in matrix.T]
         return cls.from_columns(cols, labels, n_samples=matrix.shape[0])
+
+    @cached_property
+    def n_pos(self):
+        """Number of +1 labels."""
+        return int((self.labels > 0).sum())
+
+    @cached_property
+    def n_neg(self):
+        """Number of -1 labels."""
+        return self.n_samples - self.n_pos
+
+    @cached_property
+    def stats(self):
+        """FeatureStats of every feature, from one O(nnz) pass on first use."""
+        return FeatureStats(*kernels.feature_stats(
+            self.col_ptr, self.row_idx, self.values, self.labels,
+            block=self.dense_block, cols=self.column_index,
+        ))
 
     @cached_property
     def dense_block(self):
@@ -237,10 +249,7 @@ class Dataset:
     def subset(self, feature_indices):
         """New Dataset restricted to the given features, order preserved."""
         cols = np.asarray(feature_indices, dtype=np.int64)
-        return Dataset(
-            self.n_samples, cols.size, *self._columns(cols), self.labels,
-            n_pos=self.n_pos, n_neg=self.n_neg,
-        )
+        return Dataset(self.n_samples, cols.size, *self._columns(cols), self.labels)
 
     def to_dense(self):
         """Fortran-ordered dense copy of X, scattered from the stored entries."""
@@ -263,15 +272,6 @@ class FeatureStats:
     dot_one: np.ndarray  # fhat_j' 1
     sq_norm: np.ndarray  # ||fhat_j||^2
     proj_y_norm: np.ndarray  # ||P_y(fhat_j)||
-
-
-def compute_feature_stats(dataset):
-    """One O(nnz) pass producing the FeatureStats table for all features."""
-    dot_y, dot_one, sq_norm, proj_y_norm = kernels.feature_stats(
-        dataset.col_ptr, dataset.row_idx, dataset.values, dataset.labels,
-        block=dataset.dense_block, cols=dataset.column_index,
-    )
-    return FeatureStats(dot_y, dot_one, sq_norm, proj_y_norm)
 
 
 def parse_sparse_text(text):

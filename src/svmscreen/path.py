@@ -4,7 +4,7 @@ Walks a decreasing lambda grid starting from lambda_max, where the model
 is exactly zero and the dual point has a closed form.  Each step screens
 features at the next lambda using the previous converged solution, solves
 the reduced problem with a warm start, reassembles the full weight vector
-and recomputes the dual point for the step after.  Optional verify mode
+and takes the solve's dual point for the step after.  Optional verify mode
 checks at every step that this dual point certifies the discards (see
 the end of this docstring); it must find no violation whenever the
 screening inputs were trustworthy.
@@ -57,7 +57,6 @@ import numpy as np
 
 from . import screening
 from . import solver
-from .data import compute_feature_stats
 from .solver import SolverOptions
 
 
@@ -86,8 +85,10 @@ class PathConfig:
 class PathStep(solver.PrimalModel):
     """One grid value of a path: the step's model, weights over all features.
 
-    The model is the solve on the kept columns alone.  Being a PrimalModel,
-    a step goes to kkt_report or model_to_json as it is.  The step adds:
+    The model is the solve on the kept columns alone; its ``theta`` is the
+    full-data dual point too, since the discarded weights are 0.  Being a
+    PrimalModel, a step goes to kkt_report or model_to_json as it is.  The
+    step adds:
 
     ``trusted``, whether the previous step converged and, when screening
     is on, its dual point gave a region that keeps a feature; an untrusted
@@ -231,11 +232,10 @@ def run_path(dataset, config=None):
         grid = _validated_grid(grid, lam_max)
 
     m = dataset.n_features
-    stats = compute_feature_stats(dataset)
     threshold = 1.0 - screening.EPS_KEEP
     # Growth of each feature's certificate per unit of 1/lambda:
     # ||P_y fhat_j|| * ||P_y 1||.
-    drift = stats.proj_y_norm * (
+    drift = dataset.stats.proj_y_norm * (
         2.0 * np.sqrt(dataset.n_pos * dataset.n_neg / dataset.n_samples)
     )
     # cert[j] bounds |theta*'fhat_j| at the lambda with 1/lambda = inv[j];
@@ -269,7 +269,7 @@ def run_path(dataset, config=None):
                 else:
                     bounds, cert, inv = np.full(m, np.inf), np.empty(m), np.empty(m)
                     stale = np.arange(m)
-                fresh = screening.screen_all(ctx, dataset, stats, stale).bounds
+                fresh = screening.screen_all(ctx, stale).bounds
                 np.minimum(bounds[stale], fresh, out=fresh)
                 bounds[stale] = fresh
                 cert[stale] = fresh
@@ -292,9 +292,6 @@ def run_path(dataset, config=None):
         model = solver.solve_primal(reduced, lam2, options=cfg.solver, warm=warm)
         solve_ms = (time.perf_counter() - t0) * 1000.0
 
-        # The next dual point comes from the reduced problem: the discarded
-        # weights are 0, so its margins are those of the full data.
-        theta = solver.theta_from_primal(reduced, model.weights, model.bias, lam2)
         if kept_idx.size < m:
             weights = np.zeros(m)
             weights[kept_idx] = model.weights
@@ -302,12 +299,12 @@ def run_path(dataset, config=None):
 
         violations = discarded_corr = None
         if cfg.verify and model.converged:
-            # theta is the full dual optimum exactly when it also meets the
-            # discarded constraints (see the module docstring); the test is
-            # the solver's own r1 test at its tolerance.
+            # The step's theta is the full dual optimum exactly when it also
+            # meets the discarded constraints (see the module docstring); the
+            # test is the solver's own r1 test at its tolerance.
             violations = 0
             if kept_idx.size < m:
-                corr = np.abs(dataset.rmatvec(theta.values * dataset.labels))
+                corr = np.abs(dataset.rmatvec(model.theta.values * dataset.labels))
                 corr[kept_idx] = 0.0
                 violations = int(np.count_nonzero(corr - 1.0 > cfg.solver.tol))
                 discarded_corr = float(corr.max())
@@ -326,7 +323,7 @@ def run_path(dataset, config=None):
                 discarded_corr=discarded_corr,
             )
         )
-        theta_prev = theta
+        theta_prev = model.theta
         lam_prev = lam2
         w_prev = model.weights
         b_prev = model.bias

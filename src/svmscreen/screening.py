@@ -49,15 +49,13 @@ class ScreeningContext:
     n: int
     dataset: object
     normal: np.ndarray | None
-    b_vec: np.ndarray
-    c_vec: np.ndarray
     # scalars shared by all features, which the bound kernels read
     norm_u: float  # ||1/lambda1 - theta1||
     a_dot_y: float
     a_dot_one: float
     a_dot_theta1: float
     pya_norm: float  # ||P_y(a)||
-    pyb_norm: float  # ||P_y(b_vec)||
+    pyb_norm: float  # ||P_y(b)||, b = ball0.center - theta1
     b_dot_y: float
     py_a_dot_py_b: float
     pay_sq: float  # ||P_a(y)||^2
@@ -160,7 +158,7 @@ def build_context(theta1, lambda1, lambda2, dataset, lam_max=None):
     inv_l2 = 1.0 / lambda2
 
     b_vec = 0.5 * (inv_l2 - theta1)
-    c_vec = theta1 + b_vec  # exact c - theta1 == b by construction
+    c_vec = theta1 + b_vec  # the ball's center; c - theta1 is b up to round-off
 
     # Projection norms are taken from residual vectors, never from the
     # difference-of-squares identity: near-parallel inputs cancel there
@@ -208,8 +206,6 @@ def build_context(theta1, lambda1, lambda2, dataset, lam_max=None):
         n=n,
         dataset=dataset,
         normal=normal,
-        b_vec=b_vec,
-        c_vec=c_vec,
         norm_u=norm_u,
         a_dot_y=a_dot_y,
         a_dot_one=a_dot_one,
@@ -243,18 +239,18 @@ def neg_min(ctx, fhat):
     return kernels.neg_min_scalar(ctx, syf, s1f, sff, pyf, sth)
 
 
-def screen_all(ctx, dataset, stats, cols=None):
-    """Screen the features ``cols``, every feature by default.
+def screen_all(ctx, cols=None):
+    """Screen the features ``cols`` of ``ctx.dataset``, every feature by default.
 
     ``cols`` holds increasing feature indices.  The report's arrays have
     one row per feature of ``cols``, equal bit for bit to those rows of
     the full report, and its ``kept`` indexes into ``cols``.  Total cost
     is one ``Dataset.rmatvec`` for theta1' fhat plus O(1) work per
-    feature.
+    feature, read from ``Dataset.stats``; the first call on a Dataset
+    also makes that O(nnz) statistics pass.
     """
-    if dataset is not ctx.dataset:
-        raise ValueError("context was built for a different dataset")
     start = time.perf_counter()
+    dataset, stats = ctx.dataset, ctx.dataset.stats
     u = ctx.theta1 * ctx.labels
     columns = (stats.dot_y, stats.dot_one, stats.sq_norm, stats.proj_y_norm)
     if cols is None or cols.size == dataset.n_features:

@@ -64,6 +64,7 @@ class PrimalModel:
     backtracks: int = 0  # step halvings of the line search
     restarts: int = 0  # momentum restarts
     finish_attempts: int = 0  # linear systems tried by the exact finish
+    theta: object = None  # ThetaVector xi / lam at the returned point
 
 
 #: The PrimalModel fields written to JSON as they are, by model_to_json and
@@ -406,11 +407,16 @@ def solve_primal(dataset, lam, options=None, warm=None):
         backtracks=backtracks,
         restarts=restarts,
         finish_attempts=attempts,
+        theta=ThetaVector(values=xi / lam, lam=lam),
     )
 
 
 def theta_from_primal(dataset, w, b, lam):
-    """Recover the scaled dual point: theta_i = max(1 - y_i (w'x_i + b), 0) / lam."""
+    """Recover the scaled dual point: theta_i = max(1 - y_i (w'x_i + b), 0) / lam.
+
+    solve_primal returns this point as ``PrimalModel.theta`` from the
+    hinge it already holds; this recomputes it with one matvec.
+    """
     if lam <= 0:
         raise ValueError("lam must be positive")
     xi = _hinge(dataset, np.asarray(w, dtype=np.float64), b)

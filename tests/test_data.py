@@ -10,7 +10,7 @@ import pytest
 from svmscreen import (
     DataFormatError,
     Dataset,
-    compute_feature_stats,
+    lambda_max,
     parse_sparse_text,
     read_sparse_file,
     serialize_sparse_text,
@@ -535,6 +535,21 @@ def test_container_validation(mutate, message):
         Dataset(**fields)
 
 
+def test_class_counts_are_read_from_the_labels():
+    # The class counts come from the labels alone: the constructor takes
+    # none that could disagree with them and turn lambda_max's bias around.
+    rng = np.random.default_rng(0)
+    y = np.array([1.0] * 7 + [-1.0] * 3)
+    ds = Dataset.from_dense(rng.normal(size=(10, 30)), y)
+    assert (ds.n_pos, ds.n_neg) == (7, 3)
+    arrays = (ds.col_ptr, ds.row_idx, ds.values, ds.labels)
+    with pytest.raises(TypeError):
+        Dataset(ds.n_samples, ds.n_features, *arrays, n_pos=3, n_neg=7)
+    lam_cap, bias, _ = lambda_max(ds)
+    assert bias == (7 - 3) / 10
+    assert lam_cap == float(np.max(np.abs(ds.to_dense().T @ (y - bias))))
+
+
 def test_container_rejects_nonfinite_values():
     with pytest.raises(ValueError, match="feature values must be finite"):
         Dataset(
@@ -553,7 +568,7 @@ def test_feature_stats_match_dense_recompute():
         n = int(rng.integers(2, 12))
         m = int(rng.integers(1, 15))
         ds = random_dataset(rng, n, m, density=float(rng.uniform(0.2, 1.0)))
-        stats = compute_feature_stats(ds)
+        stats = ds.stats
         fhat = ds.labels[:, None] * ds.to_dense()
         np.testing.assert_allclose(stats.dot_y, fhat.T @ ds.labels, atol=1e-12)
         np.testing.assert_allclose(stats.dot_one, fhat.sum(axis=0), atol=1e-12)
@@ -574,6 +589,7 @@ def test_feature_stats_zero_and_constant_columns():
     y = np.array([1.0, -1.0, 1.0])
     x = np.column_stack([np.zeros(3), np.ones(3), 2.5 * np.ones(3)])
     ds = Dataset.from_dense(x, y)
-    stats = compute_feature_stats(ds)
+    stats = ds.stats
     np.testing.assert_allclose(stats.proj_y_norm, 0.0, atol=1e-12)
     np.testing.assert_allclose(stats.dot_y, [0.0, 3.0, 7.5])
+    assert ds.stats is stats  # cached on the Dataset

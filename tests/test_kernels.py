@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from svmscreen import Dataset, build_context, compute_feature_stats
+from svmscreen import Dataset, build_context
 from svmscreen import kernels
 
 from conftest import feasible_theta, random_dataset, random_labels
@@ -160,8 +160,7 @@ def _bound_inputs(kind, lam1=1.2, lam2=0.7):
     x[:, 3] = -y * (a - (a @ y / n) * y)
     ds = Dataset.from_dense(x, y)
     ctx = build_context(theta1, lam1, lam2, ds)
-    stats = compute_feature_stats(ds)
-    return ctx, stats, ds.rmatvec(theta1 * y)
+    return ctx, ds.stats, ds.rmatvec(theta1 * y)
 
 
 def test_bulk_numpy_matches_scalar_reference():

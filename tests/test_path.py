@@ -20,7 +20,7 @@ from svmscreen import (
     run_path,
     theta_from_primal,
 )
-from svmscreen import compute_feature_stats, screening, solver
+from svmscreen import kernels, screening, solver
 
 from conftest import random_dataset, random_labels, unsafe_screening
 
@@ -41,7 +41,6 @@ def _certified_bounds(ds, contexts):
     """Each step's certified bounds and evaluated count, replayed from
     screen_all on the recorded contexts and the drift lemma; for paths
     whose every step is trusted."""
-    stats = compute_feature_stats(ds)
     drift = _drift(ds)
     threshold = 1.0 - screening.EPS_KEEP
     # cert[j] bounds |theta*'fhat_j| where 1/lambda = inv[j].
@@ -49,7 +48,7 @@ def _certified_bounds(ds, contexts):
     inv = np.zeros(ds.n_features)
     replayed = []
     for ctx in contexts:
-        fresh = screening.screen_all(ctx, ds, stats).bounds
+        fresh = screening.screen_all(ctx).bounds
         bounds = cert + drift * (1.0 / ctx.lambda2 - inv)
         stale = bounds >= threshold
         bounds[stale] = np.minimum(bounds, fresh)[stale]
@@ -304,13 +303,21 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_one_lambda_max_pass_per_path(monkeypatch):
+    # One lambda_max pass per path, and one statistics pass per Dataset
+    # however many paths and screens read it.
     rng = np.random.default_rng(31)
     ds = random_dataset(rng, 12, 60, density=0.3)
     calls = _counting(monkeypatch, solver, "lambda_max")
-    calls += _counting(monkeypatch, screening, "lambda_max")
+    context_calls = _counting(monkeypatch, screening, "lambda_max")
+    stats_calls = _counting(monkeypatch, kernels, "feature_stats")
     report = run_path(ds, PathConfig(grid_size=5, ratio=0.8))
-    assert len(calls) == 1
+    assert len(calls) + len(context_calls) == 1
     assert all(s.trusted for s in report.steps)
+    run_path(ds, PathConfig(grid_size=3, ratio=0.5))
+    assert len(calls) + len(context_calls) == 2
+    step = report.steps[-1]
+    screening.screen_all(screening.build_context(step.theta, step.lam, 0.5 * step.lam, ds))
+    assert len(stats_calls) == 1
 
 
 @pytest.mark.parametrize("density", [0.15, 1.0])
@@ -318,7 +325,10 @@ def test_next_theta_from_reduced_solve_matches_full_data(monkeypatch, density):
     rng = np.random.default_rng(41)
     ds = random_dataset(rng, 15, 120, density=density)
     calls = _counting(monkeypatch, screening, "build_context")
+    recomputed = _counting(monkeypatch, solver, "theta_from_primal")
     report = run_path(ds, PathConfig(grid_size=6, ratio=0.7))
+    # Each step's dual point is the solve's own, not a fresh product.
+    assert recomputed == []
     assert any(s.kept < ds.n_features for s in report.steps)
     assert len(calls) == len(report.steps)
     for step, (theta, *_) in zip(report.steps, calls[1:]):
@@ -422,10 +432,9 @@ def test_fine_grid_certificates_are_safe(seed, p_positive, scaled, ratio, steps)
     assert report.total_violations == 0
     assert all(s.violations == 0 and s.trusted for s in report.steps)
     assert any(s.evaluated < ds.n_features for s in report.steps)
-    stats = compute_feature_stats(ds)
     for step, ctx, (bounds, evaluated) in zip(report.steps, contexts, _certified_bounds(ds, contexts)):
         # The per-step rule from the same anchor keeps a superset.
-        per_step = screening.screen_all(ctx, ds, stats).kept
+        per_step = screening.screen_all(ctx).kept
         assert set(step.kept_indices.tolist()) <= set(per_step.tolist())
         assert step.evaluated == evaluated
         np.testing.assert_array_equal(

@@ -17,7 +17,6 @@ from svmscreen import (
     Dataset,
     SolverOptions,
     build_context,
-    compute_feature_stats,
     lambda_max,
     min_radius_ball,
     neg_min,
@@ -52,9 +51,9 @@ def frozen_context():
 def test_frozen_context_values():
     ctx, _ = frozen_context()
     np.testing.assert_allclose(ctx.theta1, [1.0, 1.0, 2.0], atol=1e-12)
-    np.testing.assert_allclose(ctx.b_vec, [1.0, 1.0, 0.5], atol=1e-12)
-    np.testing.assert_allclose(ctx.c_vec, [2.0, 2.0, 2.5], atol=1e-12)
     np.testing.assert_allclose(ctx.ball0.center, [2.0, 2.0, 2.5], atol=1e-12)
+    # b = c - theta1
+    np.testing.assert_allclose(ctx.ball0.center - ctx.theta1, [1.0, 1.0, 0.5], atol=1e-12)
     assert ctx.ball0.radius == pytest.approx(1.5, abs=1e-12)
     assert ctx.half_dl == pytest.approx(0.75, abs=1e-12)
     assert ctx.b_dot_y == pytest.approx(1.5, abs=1e-12)
@@ -68,7 +67,7 @@ def test_frozen_context_values():
 
 def test_frozen_feature_bounds():
     ctx, ds = frozen_context()
-    report = screen_all(ctx, ds, compute_feature_stats(ds))
+    report = screen_all(ctx)
     np.testing.assert_array_equal(report.kept, [0, 1])
     for j in range(2):
         assert report.m1[j] == pytest.approx(2.0, abs=1e-12)
@@ -117,7 +116,7 @@ def test_normal_absent_for_balanced_labels_at_lambda_max():
     ctx = build_context(theta_at_lambda_max(ds), lam_cap, 0.6 * lam_cap, ds)
     assert ctx.normal is None
     assert ctx.norm_u <= 1e-12
-    report = screen_all(ctx, ds, compute_feature_stats(ds))
+    report = screen_all(ctx)
     assert np.all(np.isfinite(report.bounds))
 
 
@@ -142,7 +141,7 @@ def test_context_scalar_cache_matches_vectors():
         ctx = synthetic_context(rng, int(rng.integers(3, 12)))
         y = ctx.labels
         n = ctx.n
-        b = ctx.b_vec
+        b = ctx.ball0.center - ctx.theta1
         assert ctx.b_dot_y == pytest.approx(float(b @ y), abs=1e-12)
         pyb = b - (float(b @ y) / n) * y
         assert ctx.pyb_norm == pytest.approx(float(np.linalg.norm(pyb)), abs=1e-12)
@@ -185,7 +184,7 @@ def test_constant_and_zero_features_are_degenerate(constant, storage):
     assert (ds.dense_block is None) == (storage == "sparse")
     lam_cap, _, _ = lambda_max(ds)
     ctx = build_context(theta_at_lambda_max(ds), lam_cap, 0.5 * lam_cap, ds)
-    report = screen_all(ctx, ds, compute_feature_stats(ds))
+    report = screen_all(ctx)
     for j in (1, 2):
         assert report.branch1[j] == Branch.DEGENERATE_F
         assert report.branch2[j] == Branch.DEGENERATE_F
@@ -202,8 +201,7 @@ def test_screen_feature_matches_neg_min_and_bulk():
         m = int(rng.integers(2, 12))
         ctx = synthetic_context(rng, n, m=m)
         ds = ctx.dataset
-        stats = compute_feature_stats(ds)
-        report = screen_all(ctx, ds, stats)
+        report = screen_all(ctx)
         dense = ds.to_dense()
         for j in range(m):
             fhat = ds.labels * dense[:, j]
@@ -227,31 +225,22 @@ def test_screen_all_over_cols_equals_rows_of_full_report():
     assert sparse.dense_block is None and dense.dense_block is not None
     for ds in (sparse, dense):
         ctx = solved_context(rng, ds, 0.6, 0.7)
-        stats = compute_feature_stats(ds)
-        full = screen_all(ctx, ds, stats)
+        full = screen_all(ctx)
         assert 0 < full.kept.size < ds.n_features
         subset = np.flatnonzero(rng.random(ds.n_features) < 0.5)
         subset = np.union1d(subset, full.kept[::2])
         for cols in (subset, np.array([full.kept[-1]])):
-            part = screen_all(ctx, ds, stats, cols)
+            part = screen_all(ctx, cols)
             for name in ("bounds", "m1", "m2", "branch1", "branch2"):
                 np.testing.assert_array_equal(getattr(part, name), getattr(full, name)[cols])
             np.testing.assert_array_equal(cols[part.kept], np.intersect1d(cols, full.kept))
-
-
-def test_screen_all_rejects_foreign_dataset():
-    rng = np.random.default_rng(37)
-    ctx = synthetic_context(rng, 5)
-    other = random_dataset(rng, 5, 3)
-    with pytest.raises(ValueError, match="different dataset"):
-        screen_all(ctx, other, compute_feature_stats(other))
 
 
 def test_report_bookkeeping_and_json():
     rng = np.random.default_rng(41)
     ctx = synthetic_context(rng, 6, m=9)
     ds = ctx.dataset
-    report = screen_all(ctx, ds, compute_feature_stats(ds))
+    report = screen_all(ctx)
     np.testing.assert_array_equal(
         report.kept, np.flatnonzero(report.bounds >= 1.0 - EPS_KEEP)
     )
@@ -287,7 +276,7 @@ def test_membership_and_safety_on_solved_instances():
             continue
         theta2 = theta_from_primal(ds, model2.weights, model2.bias, ctx.lambda2).values
 
-        assert float(np.linalg.norm(theta2 - ctx.c_vec)) <= ctx.ball0.radius + 1e-7
+        assert float(np.linalg.norm(theta2 - ctx.ball0.center)) <= ctx.ball0.radius + 1e-7
         assert abs(float(theta2 @ ds.labels)) <= 1e-6
         if ctx.normal is not None:
             assert float(ctx.normal @ (theta2 - ctx.theta1)) <= 1e-7
@@ -295,7 +284,7 @@ def test_membership_and_safety_on_solved_instances():
             gap = float(np.linalg.norm(theta2 - min_ball.center))
             assert gap <= min_ball.radius + 1e-7
 
-        report = screen_all(ctx, ds, compute_feature_stats(ds))
+        report = screen_all(ctx)
         kept = set(report.kept.tolist())
         fhat = ds.labels[:, None] * ds.to_dense()
         corr = np.abs(fhat.T @ theta2)
@@ -317,7 +306,7 @@ def test_only_entering_features_survive_adjacent_penalties():
         if lam_cap <= 0:
             continue
         ctx = build_context(theta_at_lambda_max(ds), lam_cap, 0.999 * lam_cap, ds)
-        report = screen_all(ctx, ds, compute_feature_stats(ds))
+        report = screen_all(ctx)
         entering = np.flatnonzero(
             np.abs(direction) >= lam_cap * (1.0 - 1e-12)
         )
@@ -334,9 +323,8 @@ def test_bounds_match_oracle_on_small_problems():
         n = int(rng.integers(2, 4))  # oracle dense check is exhaustive here
         ctx = synthetic_context(rng, n, m=5)
         ds = ctx.dataset
-        stats = compute_feature_stats(ds)
         dense = ds.to_dense()
-        report = screen_all(ctx, ds, stats)
+        report = screen_all(ctx)
         for j in range(ds.n_features):
             fhat = ds.labels * dense[:, j]
             ref1 = oracle_neg_min(ctx, fhat)
@@ -361,9 +349,8 @@ def test_beta_branch_fires_on_active_features_and_matches_oracle():
         ctx = solved_context(rng, ds, 0.7, 0.8, tol=1e-12)
         if ctx is None or ctx.normal is None:
             continue
-        stats = compute_feature_stats(ds)
         dense = ds.to_dense()
-        report = screen_all(ctx, ds, stats)
+        report = screen_all(ctx)
         for j in range(m):
             for closed, branch, sign in (
                 (report.m1[j], report.branch1[j], 1.0),
@@ -418,9 +405,8 @@ def test_corner_bound_equals_rim_max_for_any_family_ball():
         np.testing.assert_allclose(z0_min, z0_base, atol=1e-9)
         assert rho_min == pytest.approx(rho_base, abs=1e-9)
 
-        stats = compute_feature_stats(ds)
         dense = ds.to_dense()
-        report = screen_all(ctx, ds, stats)
+        report = screen_all(ctx)
         for j in range(ds.n_features):
             for value, branch, sign in (
                 (report.m1[j], report.branch1[j], -1.0),
@@ -454,7 +440,7 @@ def test_features_active_at_lambda1_survive_adjacent_step():
             continue
         theta1 = theta_from_primal(ds, model.weights, model.bias, lam1)
         ctx = build_context(theta1, lam1, 0.999 * lam1, ds)
-        report = screen_all(ctx, ds, compute_feature_stats(ds))
+        report = screen_all(ctx)
         kept = set(report.kept.tolist())
         for j in np.flatnonzero(model.weights != 0.0):
             assert int(j) in kept
@@ -467,7 +453,7 @@ def test_large_instance_rejects_features_and_stays_safe():
     ds = random_dataset(rng, 50, 500, density=0.5)
     lam_cap, _, _ = lambda_max(ds)
     ctx = build_context(theta_at_lambda_max(ds), lam_cap, 0.5 * lam_cap, ds)
-    report = screen_all(ctx, ds, compute_feature_stats(ds))
+    report = screen_all(ctx)
     assert report.rejection_rate > 0.0
     model = solve_primal(ds, 0.5 * lam_cap, options=SolverOptions(tol=1e-9))
     assert model.converged

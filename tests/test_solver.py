@@ -174,6 +174,16 @@ def test_theta_from_primal_matches_hinge():
     assert np.all(theta.values >= 0.0)
     with pytest.raises(ValueError, match="lam must be positive"):
         theta_from_primal(ds, w, b, 0.0)
+    # solve_primal returns this point from the hinge it already holds, on
+    # dense and sparse data, finished or stopped at the iteration cap.
+    for density, max_iter in ((1.0, 100_000), (0.3, 100_000), (1.0, 2)):
+        data = random_dataset(rng, 12, 8, density)
+        lam = 0.5 * lambda_max(data)[0]
+        model = solve_primal(data, lam, options=SolverOptions(max_iter=max_iter))
+        assert model.converged == (max_iter > 2)
+        again = theta_from_primal(data, model.weights, model.bias, lam)
+        np.testing.assert_array_equal(model.theta.values, again.values)
+        assert model.theta.lam == lam
 
 
 def test_zero_model_exactly_above_threshold():
