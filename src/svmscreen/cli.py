@@ -63,9 +63,13 @@ def _solver_options(args):
 def _load_theta1(path, n_samples):
     with open(path, encoding="utf-8") as fh:
         values = json.load(fh)
-    arr = np.asarray(values, dtype=np.float64)
+    message = "theta1 file must hold a JSON array with one value per sample"
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):  # an object or a string, alone or in the array
+        raise ValueError(message) from None
     if arr.ndim != 1 or arr.shape[0] != n_samples:
-        raise ValueError("theta1 file must hold a JSON array with one value per sample")
+        raise ValueError(message)
     return arr
 
 

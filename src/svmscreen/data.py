@@ -143,8 +143,7 @@ class Dataset:
     def stats(self):
         """FeatureStats of every feature, from one O(nnz) pass on first use."""
         return FeatureStats(*kernels.feature_stats(
-            self.col_ptr, self.row_idx, self.values, self.labels,
-            block=self.dense_block, cols=self.column_index,
+            self.col_ptr, self.row_idx, self.values, self.labels, cols=self.column_index
         ))
 
     @cached_property

@@ -6,13 +6,13 @@ implementation.
 The products and feature statistics sum per column with ``np.bincount``
 over the column of every stored entry (``column_index``), which a sparse
 Dataset builds once and passes as ``cols``.  The matrix-vector products
-``csc_matvec`` / ``csc_rmatvec`` and ``feature_stats`` also accept the
-dense column block a Dataset keeps for dense data, and then run as BLAS
-products and column sums on it instead.  The bound kernels take the
-screening region as its ``ScreeningContext``: the bulk bound
-``screen_bulk`` forms both signs of every feature from shared even and
-odd parts; ``neg_min_scalar`` is the per-feature reference it
-transcribes.
+``csc_matvec`` / ``csc_rmatvec`` also accept the dense column block a
+Dataset keeps for dense data, and then run as BLAS products on it
+instead; ``feature_stats``, made once per Dataset, has the one form for
+dense and sparse data alike.  The bound kernels take the screening
+region as its ``ScreeningContext``: the bulk bound ``screen_bulk`` forms
+both signs of every feature from shared even and odd parts;
+``neg_min_scalar`` is the per-feature reference it transcribes.
 """
 
 import math
@@ -35,13 +35,6 @@ class Branch(IntEnum):
 # exact -1; anything looser would let near-misses through with an
 # unbounded formula error.
 EPS_COS = 1e-12
-
-#: Relative size below which a difference of squares keeps less than half
-#: the digits of its terms.
-SQRT_EPS = math.sqrt(np.finfo(np.float64).eps)
-
-#: Cells of the dense block feature_stats centres at a time (256 KB).
-CENTRED_CELLS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -94,48 +87,33 @@ def csc_rmatvec(col_ptr, row_idx, values, u, block=None, cols=None):
     return _sums_by(cols, values * u[row_idx], col_ptr.shape[0] - 1)
 
 
-def feature_stats(col_ptr, row_idx, values, y, block=None, cols=None):
+def feature_stats(col_ptr, row_idx, values, y, cols=None):
     """Per-column statistics of the label-weighted features fhat_j = y * f_j.
 
     Returns (dot_y, dot_one, sq_norm, proj_y_norm) where dot_y = fhat' y,
     dot_one = fhat' 1, sq_norm = ||fhat||^2 and proj_y_norm is the norm of
     fhat after removing its component along y.  That component is
     (dot_y / n) y, so proj_y_norm is the norm of the centred column
-    f_j - mean(f_j).  With ``block``, the dense n x m copy of X, the sums
-    are BLAS column sums on it and every column is centred; otherwise
-    they sum through ``cols`` as the products do.
+    f_j - mean(f_j).  Every sum runs through ``cols``, the
+    ``column_index(col_ptr)``, built here when not given.
     """
-    n = y.shape[0]
-    if block is not None:
-        dot_y = np.ones(n) @ block
-        dot_one = y @ block
-        sq_norm = np.einsum("ij,ij->j", block, block)
-        mean = dot_y / n
-        proj_sq = np.empty_like(mean)
-        # A few columns at a time, so that no n x m temporary is made.
-        width = max(1, CENTRED_CELLS // n)
-        for lo in range(0, mean.size, width):
-            centred = block[:, lo:lo + width] - mean[lo:lo + width]
-            proj_sq[lo:lo + width] = np.einsum("ij,ij->j", centred, centred)
-        return dot_y, dot_one, sq_norm, np.sqrt(proj_sq)
     if cols is None:
         cols = column_index(col_ptr)
+    n = y.shape[0]
     m = col_ptr.shape[0] - 1
     dot_y = _sums_by(cols, values, m)  # fhat' y == sum of f values
+    # Summed from the centred column, not as sq_norm - dot_y^2 / n, whose
+    # difference cancels for a column that is nearly constant over all n
+    # rows: its stored entries, plus the mean once for each implicit zero.
+    # Squared in place, so that one array of nnz values is made at a time.
+    mean = dot_y / n
+    centred = mean[cols]
+    np.subtract(values, centred, out=centred)
+    proj_sq = _sums_by(cols, np.square(centred, out=centred), m)
+    del centred
+    proj_sq += (n - np.diff(col_ptr)) * mean * mean
     dot_one = _sums_by(cols, values * y[row_idx], m)  # fhat' 1 == f' y
     sq_norm = _sums_by(cols, values * values, m)
-    # The difference of squares cancels for a column that is nearly
-    # constant over all n rows.  Where it has lost more than half its
-    # digits, sum the centred column instead: its stored entries, plus the
-    # mean once for each implicit zero.
-    proj_sq = sq_norm - dot_y * dot_y / n
-    redo = np.flatnonzero(proj_sq <= SQRT_EPS * sq_norm)
-    if redo.size:
-        entries, counts = column_entries(col_ptr, redo)
-        mean = dot_y[redo] / n
-        owner = np.repeat(np.arange(redo.size), counts)
-        centred = values[entries] - mean[owner]
-        proj_sq[redo] = _sums_by(owner, centred * centred, redo.size) + (n - counts) * mean * mean
     return dot_y, dot_one, sq_norm, np.sqrt(proj_sq)
 
 

@@ -13,6 +13,7 @@ module certifies this orientation together with every closed form.
 """
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -120,7 +121,7 @@ def build_context(theta1, lambda1, lambda2, dataset, lam_max=None):
         Dual point at lambda1; must be (approximately) feasible:
         componentwise >= -1e-10 and |theta1' y| <= 1e-6.
     lambda1, lambda2 : float
-        Must satisfy lambda_max >= lambda1 > lambda2 > 0.
+        Finite, and lambda_max >= lambda1 > lambda2 > 0.
     dataset : Dataset
     lam_max : float, optional
         lambda_max of ``dataset`` when the caller already has it; it is
@@ -136,6 +137,8 @@ def build_context(theta1, lambda1, lambda2, dataset, lam_max=None):
         theta1 = theta1.values
     theta1 = np.ascontiguousarray(theta1, dtype=np.float64)
 
+    if not (math.isfinite(lambda1) and math.isfinite(lambda2)):
+        raise ValueError("lambda1 and lambda2 must be finite")
     if lambda2 <= 0 or lambda1 <= lambda2:
         raise ValueError("lambda ordering violated: require lambda1 > lambda2 > 0")
     if lam_max is None:

@@ -14,14 +14,14 @@ warm-up only has to find the pattern of the optimum: F is piecewise
 quadratic, so with the margin set I = {i : xi_i > 0}, the support S and
 the signs s of w_S fixed, the optimum solves one (|S|+1)-square linear
 system.  As soon as an accepted step leaves the pattern unchanged, the
-exact finish solves that system for A = [X_IS, 1].  Dense data at most as
-wide as it is tall (m <= n) reads A'A and A'y_I from its cached Gram of
-[X, 1, y], whose (m + 2)^2 cells are then no more than the dense block
-plus 4n + 4; other data, and margin sets of under half the rows, gather
-the block X_IS.  A solution whose weights leave their signs is rejected
-without a product.  Any other costs the one matvec an accepted point
-needs anyway: a margin row with xi = 0 rejects it, and otherwise it is
-kept only when the KKT check certifies it within the tolerance.
+exact finish solves that system for A = [X_IS, 1].  When every row is in
+I, dense data at most as wide as it is tall (m <= n) reads A'A and A'y
+from its cached Gram of [X, 1, y], whose (m + 2)^2 cells are then no more
+than the dense block plus 4n + 4; other margin sets, and other data,
+gather the block X_IS.  A solution whose weights leave their signs is
+rejected without a product.  Any other costs the one matvec an accepted
+point needs anyway: a margin row with xi = 0 rejects it, and otherwise it
+is kept only when the KKT check certifies it within the tolerance.
 Otherwise proximal gradient continues, at most FINISH_ATTEMPTS systems
 per solve.  The full KKT check on an iterate costs a pass over the data,
 so it runs only once the free gradient-mapping estimate is below
@@ -31,6 +31,7 @@ safety guarantees assume.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,10 @@ class SolverOptions:
     tol: float = 1e-9  # on the max KKT residual
     max_iter: int = 100_000
     keep_trace: bool = False  # record accepted objective values
+
+    def __post_init__(self):
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -173,11 +178,12 @@ def _exact_finish(dataset, lam, w, rows):
     """Stationary point of F for the margin rows and the support of w.
 
     On that pattern xi_I = y_I - A z with A = [X_IS, 1] and z = [w_S; b],
-    so stationarity reads A'A z = A'y_I - lam [sign(w_S); 0].  A'A and
-    A'y_I are read from the Dataset's cached Gram when it has one and at
-    most half the rows lie outside I; otherwise A is gathered.  The system
-    is equilibrated, as if each column of A had unit norm, and solved
-    once the Cholesky factorisation has shown it well posed.  Returns
+    so stationarity reads A'A z = A'y_I - lam [sign(w_S); 0].  When I is
+    every row and the Dataset has a cached Gram, A'A is its principal
+    submatrix on the support and the ones, and A'y its labels column;
+    otherwise A is gathered.  The system is equilibrated, as if each
+    column of A had unit norm, and solved once the Cholesky factorisation
+    has shown it well posed.  Returns
     (weights, bias), or None when A'A is singular or a weight of the
     solution leaves its sign in s.  The margin rows are the caller's to
     check: the product that does so also gives an accepted point its
@@ -185,15 +191,16 @@ def _exact_finish(dataset, lam, w, rows):
     """
     support = np.flatnonzero(w)
     signs = np.sign(w[support])
-    if dataset.gram is not None and 2 * rows.size >= dataset.n_samples:
-        gram, rhs = _cached_system(dataset, support, rows)
+    if dataset.gram is not None and rows.size == dataset.n_samples:
+        pick = np.append(support, dataset.n_features)
+        gram = dataset.gram[np.ix_(pick, pick)]
+        rhs = dataset.gram[pick, -1]
     else:
         a = np.ones((rows.size, support.size + 1))
         a[:, :-1] = dataset.block(rows, support)
         gram = a.T @ a
         rhs = dataset.labels[rows] @ a
-    # A column with no entry on I: the Gram's difference can leave it a
-    # round-off diagonal of either sign, the gathered block an exact 0.
+    # A column with no entry on I has an exact 0 diagonal.
     diagonal = np.diagonal(gram)
     if diagonal.min() <= 0.0:
         return None
@@ -214,27 +221,6 @@ def _exact_finish(dataset, lam, w, rows):
     weights = np.zeros_like(w)
     weights[support] = z[:-1]
     return weights, float(z[-1])
-
-
-def _cached_system(dataset, support, rows):
-    """(A'A, A'y_I) for A = [X_IS, 1], read from the Dataset's Gram.
-
-    The principal submatrix of [X, 1, y]'[X, 1, y] on the support, the
-    ones and the labels sums over every row; the rows outside I are taken
-    back out as one product of their few augmented rows.
-    """
-    m = dataset.n_features
-    pick = np.concatenate((support, (m, m + 1)))
-    system = dataset.gram[np.ix_(pick, pick)]
-    if rows.size < dataset.n_samples:
-        outside = np.ones(dataset.n_samples, dtype=bool)
-        outside[rows] = False
-        others = np.flatnonzero(outside)
-        e = np.ones((others.size, pick.size))
-        e[:, :-2] = dataset.block(others, support)
-        e[:, -1] = dataset.labels[others]
-        system -= e.T @ e
-    return system[:-1, :-1], system[:-1, -1]
 
 
 class _Counted:
@@ -263,7 +249,7 @@ def solve_primal(dataset, lam, options=None, warm=None):
     ----------
     dataset : Dataset
     lam : float
-        Positive L1 weight; lam = 0 leaves the problem potentially
+        Positive, finite L1 weight; lam = 0 leaves the problem potentially
         unbounded and is rejected.
     options : SolverOptions, optional
     warm : (weights, bias), optional
@@ -274,8 +260,8 @@ def solve_primal(dataset, lam, options=None, warm=None):
     PrimalModel; converged is True when every KKT residual is within
     options.tol, finished when the exact finish found that point.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     opts = options or SolverOptions()
 
     m = dataset.n_features
@@ -417,8 +403,8 @@ def theta_from_primal(dataset, w, b, lam):
     solve_primal returns this point as ``PrimalModel.theta`` from the
     hinge it already holds; this recomputes it with one matvec.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     xi = _hinge(dataset, np.asarray(w, dtype=np.float64), b)
     return ThetaVector(values=xi / lam, lam=lam)
 
@@ -429,8 +415,8 @@ def kkt_report(dataset, model, lam):
     The residuals are computed as solve_primal computes them, so its
     kkt_residual equals max_residual here exactly.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     w = np.asarray(model.weights, dtype=np.float64)
     return _kkt_residuals(dataset, w, _hinge(dataset, w, model.bias), lam)
 

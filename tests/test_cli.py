@@ -149,19 +149,20 @@ def test_screen_theta1_file(capsys, three_sample_file, tmp_path):
     payload = json.loads(out)
     assert payload["kept"] == [1, 2]
 
-    bad = tmp_path / "short.json"
-    bad.write_text(json.dumps([1.0, 2.0]), encoding="utf-8")
-    code, _, err = run_cli(
-        capsys,
-        "screen",
-        three_sample_file,
-        "--lambda2",
-        "0.5xMAX",
-        "--theta1",
-        str(bad),
-    )
-    assert code == 2
-    assert "one value per sample" in err
+    bad = tmp_path / "bad.json"
+    for content in ([1.0, 2.0], {"theta": [1.0, 1.0, 2.0]}, [{"a": 1.0}, 1.0, 2.0], "1 1 2"):
+        bad.write_text(json.dumps(content), encoding="utf-8")
+        code, _, err = run_cli(
+            capsys,
+            "screen",
+            three_sample_file,
+            "--lambda2",
+            "0.5xMAX",
+            "--theta1",
+            str(bad),
+        )
+        assert code == 2
+        assert "one value per sample" in err
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])
@@ -353,6 +354,23 @@ def test_argparse_failures_exit_2(capsys, two_sample_file):
     assert code == 2
     code, _, _ = run_cli(capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--lambda", "nan"], "lam must be positive and finite"),
+        (["solve", "--lambda", "inf"], "lam must be positive and finite"),
+        (["solve", "--lambda", "infxMAX"], "lam must be positive and finite"),
+        (["path", "--tol", "-1"], "tol must be positive and finite"),
+        (["path", "--tol", "nan"], "tol must be positive and finite"),
+        (["screen", "--lambda2", "nanxMAX"], "lambda1 and lambda2 must be finite"),
+        (["verify", "--lambda2", "nan"], "lambda1 and lambda2 must be finite"),
+    ],
+)
+def test_nonfinite_penalties_and_tolerances_exit_2(capsys, two_sample_file, argv, message):
+    code, out, err = run_cli(capsys, argv[0], two_sample_file, *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_solver_flags_are_plumbed(capsys, two_sample_file):

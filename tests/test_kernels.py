@@ -51,7 +51,10 @@ def _mixed_scale_datasets(rng):
 
     In the sparse ones columns 0, m // 2 and m - 1 are empty; then comes
     one fully stored dataset, which gets a dense block, with the 1e7 column
-    first; the last dataset stores no entries at all.
+    first; then one dataset stores no entries at all.  Last come nearly
+    constant columns, c (1 + 1e-9 noise) for c from 1e-2 to 1e2, whose
+    sq_norm - dot_y^2 / n would keep none of the digits of their centred
+    norm: alone, with a dense block, and beside empty columns, without.
     """
     for _ in range(10):
         n, m = int(rng.integers(2, 12)), int(rng.integers(6, 30))
@@ -69,6 +72,15 @@ def _mixed_scale_datasets(rng):
     yield x, dense
     y = random_labels(rng, 5)
     yield np.zeros((5, 4)), Dataset.from_dense(np.zeros((5, 4)), y)
+    y = random_labels(rng, 12)
+    x = 10.0 ** np.arange(-2, 3) * (1.0 + 1e-9 * rng.normal(size=(12, 5)))
+    near_constant = Dataset.from_dense(x, y)
+    assert near_constant.dense_block is not None
+    yield x, near_constant
+    x = np.hstack([x, np.zeros((12, 10))])
+    beside_empty = Dataset.from_dense(x, y)
+    assert beside_empty.dense_block is None
+    yield x, beside_empty
 
 
 def test_numpy_kernels_match_dense_on_mixed_scale_columns():
@@ -92,19 +104,23 @@ def test_numpy_kernels_match_dense_on_mixed_scale_columns():
         for out in (kernels.csc_matvec(*csc, v, ds.n_samples), ds.matvec(v)):
             _assert_columns_close(out, ref, ax @ np.abs(v))
 
-        # on the stored entries and on the dense block alike
-        block = np.asfortranarray(x)
+        # on the stored entries, and on a Dataset storing every cell of x,
+        # zeros too, which has a dense block
+        every_cell = Dataset.from_columns([(np.arange(ds.n_samples), col) for col in x.T], y)
+        assert every_cell.dense_block is not None
         for stats in (
             kernels.feature_stats(ds.col_ptr, ds.row_idx, ds.values, y),
-            kernels.feature_stats(ds.col_ptr, ds.row_idx, ds.values, y, block=block),
+            dataclasses.astuple(every_cell.stats),
         ):
             dot_y, dot_one, sq_norm, proj_y_norm = stats
             _assert_columns_close(dot_y, _exact_column_sums(x), ax.sum(axis=0))
             _assert_columns_close(dot_one, _exact_column_sums(fhat), ax.sum(axis=0))
             ref_sq = _exact_column_sums(x * x)
             _assert_columns_close(sq_norm, ref_sq, ref_sq)
-            off_y = fhat - np.outer(y, fhat.T @ y) / ds.n_samples
-            ref_proj = np.sqrt(_exact_column_sums(off_y * off_y))
+            ref_proj = np.array([
+                math.sqrt(math.fsum((v - math.fsum(col) / ds.n_samples) ** 2 for v in col))
+                for col in x.T
+            ])
             _assert_columns_close(proj_y_norm, ref_proj, ref_proj)
             for column in stats:
                 assert np.all(column[empty] == 0.0)

@@ -103,6 +103,9 @@ def test_build_context_validation():
         build_context(np.array([1.0, 1.0, -0.5]), 2.0 / 3.0, 0.3, ds)
     with pytest.raises(ValueError, match="not 0"):
         build_context(np.array([1.0, 2.0, 1.0]), 2.0 / 3.0, 0.3, ds)
+    for lambda1, lambda2 in ((np.nan, 0.3), (2.0 / 3.0, np.nan), (np.inf, 0.3), (0.5, -np.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            build_context(theta1, lambda1, lambda2, ds)
 
 
 def test_normal_absent_for_balanced_labels_at_lambda_max():

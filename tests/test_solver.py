@@ -118,6 +118,25 @@ def test_solve_rejects_bad_inputs():
         solve_primal(ds, 1.0, warm=(np.zeros(3), 0.0))
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_nonfinite_penalty_is_rejected(lam):
+    ds = parse_sparse_text(TWO_SAMPLE)
+    model = solve_primal(ds, 1.0)
+    for call in (
+        lambda: solve_primal(ds, lam),
+        lambda: theta_from_primal(ds, model.weights, model.bias, lam),
+        lambda: kkt_report(ds, model, lam),
+    ):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            call()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_solver_options_need_a_positive_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        SolverOptions(tol=tol)
+
+
 def test_trace_is_nonincreasing():
     rng = np.random.default_rng(79)
     for _ in range(10):
@@ -417,8 +436,8 @@ def _optimum_patterns(fractions):
 
 
 def test_passes_count_every_data_product(monkeypatch):
-    # On the tall dense problem the finish reads its system from the cached
-    # Gram; it adds no product the count misses.
+    # On the tall dense problem, whose Dataset has a cached Gram, the finish
+    # adds no product the count misses.
     ds, lam = _sparse_problem()
     dense, lam_dense = _tall_dense_problem()
     products = _count_calls(monkeypatch, Dataset, "matvec", "rmatvec")
@@ -485,10 +504,10 @@ def test_off_pattern_candidate_rejected_on_its_block(monkeypatch, column, lam, c
 
 def test_off_pattern_candidate_rejected_on_tall_dense_block(monkeypatch):
     # Each optimum's pattern with its signs flipped: the finish solves the
-    # system, from the Gram or from the gathered rows, and rejects the
-    # solution without a product.
+    # system from the gathered rows and rejects the solution without a
+    # product.
     ds, patterns = _optimum_patterns((0.5, 0.2, 0.05))
-    # 79, 68 and 36 of the 80 rows: the Gram twice, the gathered rows once
+    # 79, 68 and 36 of the 80 rows: each margin set is gathered
     assert [rows.size for _, _, rows in patterns] == [79, 68, 36]
     products = _count_calls(monkeypatch, Dataset, "matvec", "rmatvec")
     for lam, model, rows in patterns:
@@ -549,42 +568,21 @@ def test_rejected_candidates_cost_no_data_pass(monkeypatch):
     assert rejected.iterations == plain.iterations
 
 
-def test_cached_system_equals_the_gathered_one():
-    # A'A and A'y_I for A = [X_IS, 1], read from the cached Gram of tall
-    # dense data, against the gathered block, for I every row, all but 3
-    # and half of them.
-    rng = np.random.default_rng(127)
-    ds = random_dataset(rng, 60, 9)
-    assert ds.gram is not None
-    x = ds.to_dense()
-    for support in (np.array([4]), np.array([0, 2, 3, 7, 8]), np.arange(9)):
-        for rows in (
-            np.arange(60),
-            np.sort(rng.choice(60, 57, replace=False)),
-            np.sort(rng.choice(60, 30, replace=False)),
-        ):
-            a = np.column_stack([x[np.ix_(rows, support)], np.ones(rows.size)])
-            gram, rhs = solver._cached_system(ds, support, rows)
-            np.testing.assert_allclose(gram, a.T @ a, rtol=1e-12, atol=1e-12 * 60)
-            np.testing.assert_allclose(rhs, ds.labels[rows] @ a, rtol=1e-12, atol=1e-12 * 60)
-
-
 def test_finish_from_the_gram_equals_the_gathered_finish(monkeypatch):
-    # The optimum's own pattern at several lambdas, with the margin set I
-    # from every row but one down to under half of them: the finish from
-    # the Gram and the one from the gathered block return the same point.
-    ds, cases = _optimum_patterns((0.5, 0.2, 0.05, 0.01))
+    # The optimum's own pattern at several lambdas.  Where the margin set I
+    # is every row, the finish reads its system from the Gram and gathers
+    # no block; any other I, even every row but one, is gathered.  Either
+    # way it returns the point of the finish that gathers every I.
+    ds, cases = _optimum_patterns((0.8, 0.5, 0.2, 0.05, 0.01))
+    assert [rows.size for _, _, rows in cases] == [80, 79, 68, 36, 18]
     blocks = _count_calls(monkeypatch, Dataset, "block")
     cached = [solver._exact_finish(ds, lam, model.weights, rows) for lam, model, rows in cases]
-    assert [rows.size for _, _, rows in cases] == [79, 68, 36, 18]
-    # The Gram gathers the 1 and 12 rows outside I; I itself is gathered
-    # only where it is under half the rows.
-    assert [args[1].size for args in blocks] == [1, 12, 36, 18]
+    assert [args[1].size for args in blocks] == [79, 68, 36, 18]
     # A property outranks the Gram the instance has cached.
     monkeypatch.setattr(Dataset, "gram", property(lambda self: None))
     blocks.clear()
     gathered = [solver._exact_finish(ds, lam, model.weights, rows) for lam, model, rows in cases]
-    assert len(blocks) == 4
+    assert [args[1].size for args in blocks] == [80, 79, 68, 36, 18]
     for (_, model, _), one, other in zip(cases, cached, gathered):
         np.testing.assert_allclose(one[0], other[0], rtol=0, atol=1e-9)
         assert one[1] == pytest.approx(other[1], abs=1e-9)
