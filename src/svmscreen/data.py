@@ -53,9 +53,11 @@ class Dataset:
     ``col_ptr[j]:col_ptr[j+1]`` of ``row_idx``/``values``, with row indices
     strictly increasing inside each column.  What the data alone decides
     is a cached property built on first use: the class counts, the
-    per-feature ``stats`` of the bound (an O(nnz) pass that the first
-    ``screen_all`` on the Dataset makes) and the form of the products,
-    ``dense_block`` for dense data or ``column_index`` for sparse data.
+    per-feature ``stats`` of the bound and of the solver's step (an O(nnz)
+    pass that the first ``screen_all`` or solve on the Dataset makes, or
+    a ``subset`` of a parent that has them takes from it) and the form of
+    the products, ``dense_block`` for dense data or ``column_index`` for
+    sparse data.
     """
 
     n_samples: int
@@ -246,9 +248,19 @@ class Dataset:
         return self.row_idx[lo:hi], self.values[lo:hi]
 
     def subset(self, feature_indices):
-        """New Dataset restricted to the given features, order preserved."""
+        """New Dataset restricted to the given features, order preserved.
+
+        Once this Dataset has built its ``stats``, the child gets them
+        indexed by the kept columns, bit for bit the pass it would make:
+        each column's sums read the same entries in the same order.
+        """
         cols = np.asarray(feature_indices, dtype=np.int64)
-        return Dataset(self.n_samples, cols.size, *self._columns(cols), self.labels)
+        child = Dataset(self.n_samples, cols.size, *self._columns(cols), self.labels)
+        if "stats" in self.__dict__:
+            child.__dict__["stats"] = FeatureStats(
+                **{name: a[cols] for name, a in vars(self.stats).items()}
+            )
+        return child
 
     def to_dense(self):
         """Fortran-ordered dense copy of X, scattered from the stored entries."""

@@ -7,9 +7,15 @@ backtracking line search on the smooth part, and a function-value restart
 so accepted objectives never increase.  Each point the solver evaluates
 costs one matvec, and its hinge and objective are read from those scores
 X w; the extrapolated point's scores are the same combination of the last
-two accepted points' scores, so they cost none.  Every solve starts at
-step 1/n: the ones column gives L = lambda_max(A'A) >= n for A = [X, 1],
-so the line search halves the step at most ceil(log2(L / n)) times.  The
+two accepted points' scores, so they cost none.  The proximal step is
+taken in the metric M = diag(||x_j||^2, n), the diagonal of A'A for
+A = [X, 1] (variable-metric forward-backward splitting; Combettes & Vu,
+2014), so each column moves by its own curvature: w_j steps by
+c^-1 / ||x_j||^2 and is thresholded at lam c^-1 / ||x_j||^2, b steps by
+c^-1 / n.  The column norms are the Dataset's ``stats.sq_norm`` (y_i^2 =
+1), and an empty column gets 1.  Every solve starts at c^-1 = 1: the
+scaled M^-1/2 A'A M^-1/2 has a unit diagonal, so its L >= 1 and the line
+search halves the step at most ceil(log2(L)) times.  The
 warm-up only has to find the pattern of the optimum: F is piecewise
 quadratic, so with the margin set I = {i : xi_i > 0}, the support S and
 the signs s of w_S fixed, the optimum solves one (|S|+1)-square linear
@@ -47,12 +53,14 @@ FINISH_MAX_CELLS = 1 << 22
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-9  # on the max KKT residual
-    max_iter: int = 100_000
+    max_iter: int = 100_000  # 0 evaluates the starting point alone
     keep_trace: bool = False  # record accepted objective values
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -248,6 +256,8 @@ def solve_primal(dataset, lam, options=None, warm=None):
     Parameters
     ----------
     dataset : Dataset
+        Its ``stats`` give the step's metric; a Dataset that has not built
+        them makes that O(nnz) pass here.
     lam : float
         Positive, finite L1 weight; lam = 0 leaves the problem potentially
         unbounded and is rejected.
@@ -276,7 +286,10 @@ def solve_primal(dataset, lam, options=None, warm=None):
 
     data = _Counted(dataset)
     labels = dataset.labels
-    step = 1.0 / dataset.n_samples  # (A'A)_{m+1,m+1} = n, so never below 1/L
+    n = dataset.n_samples
+    # The weights' part of M; an empty column's weight has zero gradient.
+    metric_w = np.where(dataset.stats.sq_norm > 0.0, dataset.stats.sq_norm, 1.0)
+    step = 1.0  # M^{-1/2} A'A M^{-1/2} has a unit diagonal, so never below 1/L
     scores = data.matvec(w)
     xi = _slack(labels, scores, b)
     f_x = _objective(_smooth(xi), w, lam)
@@ -292,27 +305,32 @@ def solve_primal(dataset, lam, options=None, warm=None):
     tried = None
 
     def prox_step(w_from, b_from, xi_from):
-        """Backtracked proximal step from a point with hinge xi_from.
+        """Backtracked proximal step, in the metric M, from a point with
+        hinge xi_from.
 
         Returns the new point's weights, bias, scores, hinge, objective and
-        gradient-mapping norm; each trial point costs one matvec.
+        gradient-mapping norm ||M d|| / step; each trial point costs one
+        matvec.
         """
         nonlocal step, backtracks
         grad_w, grad_b = _gradient(data, xi_from)
         h_from = _smooth(xi_from)
         while True:
-            w_new = _soft_threshold(w_from - step * grad_w, lam * step)
-            b_new = b_from - step * grad_b
+            shrink = step / metric_w
+            w_new = _soft_threshold(w_from - shrink * grad_w, lam * shrink)
+            b_new = b_from - step * grad_b / n
             s_new = data.matvec(w_new)
             xi_new = _slack(labels, s_new, b_new)
             h_new = _smooth(xi_new)
             dw = w_new - w_from
             db = b_new - b_from
-            moved = float(dw @ dw) + db * db
+            metric_dw = metric_w * dw
+            moved = float(metric_dw @ dw) + n * db * db
             majorant = h_from + float(grad_w @ dw) + grad_b * db + moved / (2.0 * step)
             if h_new <= majorant + 1e-12 * max(1.0, abs(h_from)) or step < 1e-18:
                 f_new = _objective(h_new, w_new, lam)
-                return w_new, b_new, s_new, xi_new, f_new, np.sqrt(moved) / step
+                mapping = math.sqrt(float(metric_dw @ metric_dw) + (n * db) ** 2) / step
+                return w_new, b_new, s_new, xi_new, f_new, mapping
             step *= 0.5
             backtracks += 1
 
@@ -338,9 +356,11 @@ def solve_primal(dataset, lam, options=None, warm=None):
         xi_z = _slack(labels, scores + beta * (scores - s_prev), bz)
         t_momentum = t_next
 
-        # grad h(x+) - grad h(z) + (z - x+) / step lies in the subdifferential
-        # of F at x+, so 2 * mapping / lam estimates the max KKT residual; it
-        # bounds it only when step <= 1/L, which an accepted step may exceed.
+        # grad h(x+) - grad h(z) + M (z - x+) / step lies in the
+        # subdifferential of F at x+, so 2 * mapping / lam, with mapping =
+        # ||M (x+ - z)|| / step, estimates the max KKT residual; it bounds
+        # it only when M / step dominates A'A, which an accepted step need
+        # not ensure.
         # The estimate decides when the exact (full-data) check runs; that
         # check alone decides converged.
         if 2.0 * mapping <= FINISH_FROM * lam:

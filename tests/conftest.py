@@ -112,3 +112,23 @@ def unsafe_screening(monkeypatch):
         return dataclasses.replace(report, bounds=bounds)
 
     monkeypatch.setattr(screening, "screen_all", unsafe)
+
+
+def skewed_dataset(rng, n=200, m=1000, spread=2.0, positive=0.03, density=0.02, signal=8):
+    """Badly scaled, skewed sparse data.
+
+    Column j is stored in about a fraction proportional to 1 / (j + 1) of
+    the rows (Zipf-like, about ``density`` overall), and scaled by
+    10^U(-spread, spread).  The labels are +1 on the ``positive`` share of
+    rows that score highest on ``signal`` planted features among the most
+    frequent tenth, -1 elsewhere.
+    """
+    share = 1.0 / np.arange(1, m + 1)
+    share = np.minimum(density * m * share / share.sum(), 1.0)
+    raw = rng.standard_normal((n, m)) * (rng.random((n, m)) < share)
+    planted = rng.choice(max(signal, m // 10), size=signal, replace=False)
+    score = raw[:, planted] @ rng.choice([-1.0, 1.0], signal)
+    labels = -np.ones(n)
+    labels[np.argsort(-score, kind="stable")[: max(1, round(positive * n))]] = 1.0
+    scales = 10.0 ** rng.uniform(-spread, spread, m)
+    return Dataset.from_dense(raw * scales, labels)

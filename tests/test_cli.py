@@ -373,6 +373,18 @@ def test_nonfinite_penalties_and_tolerances_exit_2(capsys, two_sample_file, argv
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_negative_max_iter_exits_2(capsys, two_sample_file):
+    for command in (["solve", "--lambda", "0.1"], ["path"]):
+        code, out, err = run_cli(
+            capsys, command[0], two_sample_file, *command[1:], "--max-iter", "-5"
+        )
+        assert (code, out, err) == (2, "", "error: max_iter must be non-negative\n")
+    # 0 stays valid: it evaluates the starting point and warns.
+    code, out, err = run_cli(capsys, "solve", two_sample_file, "--lambda", "0.1", "--max-iter", "0")
+    assert code == 0 and json.loads(out)["iterations"] == 0
+    assert "did not reach tolerance" in err
+
+
 def test_solver_flags_are_plumbed(capsys, two_sample_file):
     code, out, _ = run_cli(
         capsys, "solve", two_sample_file, "--lambda", "1", "--tol", "1e-6",

@@ -15,7 +15,7 @@ from svmscreen import (
     read_sparse_file,
     serialize_sparse_text,
 )
-from svmscreen import data
+from svmscreen import data, kernels
 
 from conftest import random_dataset
 
@@ -411,6 +411,28 @@ def test_subset_matches_per_column_reference():
                 got, want = getattr(sub, name), getattr(ref, name)
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
+
+
+def test_subset_hands_down_the_statistics_bit_for_bit():
+    # A subset of a Dataset that has built its stats takes them indexed by
+    # the kept columns, equal bit for bit to a fresh pass on the subset;
+    # before the parent builds them the child has none of its own.
+    rng = np.random.default_rng(43)
+    x = rng.normal(size=(9, 7)) * 10.0 ** rng.uniform(-2, 2, 7)
+    x[rng.random(size=x.shape) >= 0.4] = 0.0
+    x[:, [0, 3, 6]] = 0.0  # empty first, middle and last columns
+    y = random_dataset(rng, 9, 1).labels
+    for ds in (Dataset.from_dense(x, y), Dataset.from_dense(rng.normal(size=(9, 7)), y)):
+        for indices in ([0, 1, 2, 3, 4, 5, 6], [6, 0, 3], [2, 2, 5, 2], [5, 1, 4, 0], [3]):
+            assert "stats" not in ds.subset(indices).__dict__
+        ds.stats  # built on first use
+        for indices in ([0, 1, 2, 3, 4, 5, 6], [6, 0, 3], [2, 2, 5, 2], [5, 1, 4, 0], [3]):
+            sub = ds.subset(indices)
+            assert "stats" in sub.__dict__
+            fresh = kernels.feature_stats(sub.col_ptr, sub.row_idx, sub.values, sub.labels)
+            for name, want in zip(("dot_y", "dot_one", "sq_norm", "proj_y_norm"), fresh):
+                got = getattr(sub.stats, name)
+                assert got.tobytes() == want.tobytes(), name
 
 
 def test_column_restricted_rmatvec_matches_full_product():

@@ -22,7 +22,7 @@ from svmscreen import (
 )
 from svmscreen import kernels, screening, solver
 
-from conftest import random_dataset, random_labels, unsafe_screening
+from conftest import random_dataset, random_labels, skewed_dataset, unsafe_screening
 
 
 def _drift(ds):
@@ -310,9 +310,21 @@ def test_one_lambda_max_pass_per_path(monkeypatch):
     calls = _counting(monkeypatch, solver, "lambda_max")
     context_calls = _counting(monkeypatch, screening, "lambda_max")
     stats_calls = _counting(monkeypatch, kernels, "feature_stats")
+    # The solver reads its column metric from stats: every reduced Dataset
+    # arrives holding the parent's, handed down by subset.
+    solve_primal, arrived_with_stats = solver.solve_primal, []
+
+    def solve(reduced, *args, **kwargs):
+        arrived_with_stats.append("stats" in reduced.__dict__)
+        return solve_primal(reduced, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_primal", solve)
     report = run_path(ds, PathConfig(grid_size=5, ratio=0.8))
     assert len(calls) + len(context_calls) == 1
     assert all(s.trusted for s in report.steps)
+    assert any(s.kept < ds.n_features for s in report.steps)
+    assert len(stats_calls) == 1
+    assert len(arrived_with_stats) == 5 and all(arrived_with_stats)
     run_path(ds, PathConfig(grid_size=3, ratio=0.5))
     assert len(calls) + len(context_calls) == 2
     step = report.steps[-1]
@@ -447,6 +459,41 @@ def test_fine_grid_certificates_are_safe(seed, p_positive, scaled, ratio, steps)
         # Below lambda_max the optimum has a feature with |theta'fhat_j| = 1,
         # so every step keeps at least that one.
         assert np.argmax(true) in step.kept_indices
+
+
+@pytest.mark.parametrize("seed", [4, 5, 7, 8])
+def test_badly_scaled_skewed_path_finishes_every_step(seed):
+    # Column scales spread over four decades, Zipf-like column frequencies
+    # and 3% positives.  Under one scalar step for all columns the small
+    # ones barely move: the worst step of these seeds took from 29,000
+    # iterations to the 100,000 cap, and several steps never finished
+    # exactly.  The per-column metric finishes each step in a few dozen.
+    ds = skewed_dataset(np.random.default_rng(seed))
+    config = PathConfig(grid_size=20, ratio=0.85, solver=SolverOptions(max_iter=300))
+    report = run_path(ds, config)
+    assert len(report.steps) == 20
+    assert all(s.converged and s.finished for s in report.steps)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.floats(0.0, 2.0),
+    positive=st.floats(0.05, 0.5),
+)
+def test_screening_is_safe_over_column_scale_spread(seed, spread, positive):
+    ds = skewed_dataset(
+        np.random.default_rng(seed), n=60, m=200, spread=spread, positive=positive, density=0.05
+    )
+    config = PathConfig(grid_size=12, ratio=0.8, verify=True)
+    report = run_path(ds, config)
+    full = run_path(ds, dataclasses.replace(config, screen=False, verify=False))
+    assert report.total_violations == 0
+    assert all(s.converged and s.violations == 0 for s in report.steps)
+    for step, reference in zip(report.steps, full.steps):
+        # Every discarded feature has weight 0 on the unscreened path too.
+        discarded = np.setdiff1d(np.arange(ds.n_features), step.kept_indices)
+        np.testing.assert_array_equal(reference.weights[discarded], 0.0)
 
 
 @pytest.mark.parametrize("fault", ["unconverged solve", "infeasible theta"])

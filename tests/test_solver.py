@@ -137,6 +137,19 @@ def test_solver_options_need_a_positive_finite_tol(tol):
         SolverOptions(tol=tol)
 
 
+def test_solver_options_need_a_non_negative_max_iter():
+    for max_iter in (-1, -5):
+        with pytest.raises(ValueError, match="max_iter must be non-negative"):
+            SolverOptions(max_iter=max_iter)
+    # 0 evaluates the starting point alone.
+    ds = parse_sparse_text(TWO_SAMPLE)
+    model = solve_primal(ds, 1.0, options=SolverOptions(max_iter=0))
+    assert (model.iterations, model.passes) == (0, 2)  # its scores and its KKT check
+    assert not model.converged
+    np.testing.assert_array_equal(model.weights, 0.0)
+    assert model.kkt_residual == kkt_report(ds, model, 1.0).max_residual
+
+
 def test_trace_is_nonincreasing():
     rng = np.random.default_rng(79)
     for _ in range(10):
@@ -265,8 +278,9 @@ def _unscaled_problem():
 
 
 def test_unscaled_column_converges_at_default_options():
-    # Proximal gradient alone stalls (KKT ~1e-7 after 20k iterations); the
-    # exact finish certifies.
+    # With one step for all columns proximal gradient alone stalled (KKT
+    # ~1e-7 after 20k iterations); in the column metric it converges in a
+    # few dozen, and the exact finish certifies sooner still.
     ds, lam = _unscaled_problem()
     model = solve_primal(ds, lam)
     assert model.converged and model.finished
@@ -361,9 +375,11 @@ def _sparse_problem():
     return ds, 0.5 * lambda_max(ds)[0]
 
 
-def test_step_starts_at_one_over_n_on_every_solve():
-    # L = ||[X, 1]||_2^2 >= n, so the first step 1/n is halved at most
-    # ceil(log2(L / n)) times; nothing carries over from an earlier solve.
+def test_step_starts_at_one_in_the_column_metric_on_every_solve():
+    # In the metric M = diag(||x_j||^2, n) of A = [X, 1], L = lambda_max(
+    # M^{-1/2} A'A M^{-1/2}) >= 1, its largest diagonal entry, so the first
+    # step 1 is halved at most ceil(log2(L)) times; nothing carries over
+    # from an earlier solve.
     dense = random_dataset(np.random.default_rng(5), 60, 8)
     problems = [(dense, 0.3 * lambda_max(dense)[0]), _sparse_problem(), _unscaled_problem()]
     for ds, lam in problems:
@@ -372,9 +388,9 @@ def test_step_starts_at_one_over_n_on_every_solve():
         assert (again.passes, again.iterations) == (fresh.passes, fresh.iterations)
         np.testing.assert_array_equal(again.weights, fresh.weights)
         a = np.column_stack([ds.to_dense(), np.ones(ds.n_samples)])
-        lipschitz = np.linalg.norm(a, 2) ** 2
-        assert fresh.backtracks <= np.ceil(np.log2(lipschitz / ds.n_samples))
-    assert fresh.backtracks > 0  # the last problem, the unscaled column, needs halvings
+        scale = np.sqrt(np.sum(a * a, axis=0))
+        lipschitz = np.linalg.norm(a / scale, 2) ** 2
+        assert 0 < fresh.backtracks <= np.ceil(np.log2(lipschitz))
 
 
 def _count_calls(monkeypatch, owner, *names):
