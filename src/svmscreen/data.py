@@ -53,11 +53,11 @@ class Dataset:
     ``col_ptr[j]:col_ptr[j+1]`` of ``row_idx``/``values``, with row indices
     strictly increasing inside each column.  What the data alone decides
     is a cached property built on first use: the class counts, the
-    per-feature ``stats`` of the bound and of the solver's step (an O(nnz)
-    pass that the first ``screen_all`` or solve on the Dataset makes, or
-    a ``subset`` of a parent that has them takes from it) and the form of
-    the products, ``dense_block`` for dense data or ``column_index`` for
-    sparse data.
+    per-feature ``stats`` of the bound (an O(nnz) pass that the first
+    ``screen_all`` or path on the Dataset makes, or a ``subset`` of a
+    parent that has them takes from it), the column norms ``sq_norm`` of
+    the solver's step, and the form of the products, ``dense_block`` for
+    dense data or ``column_index`` for sparse data.
     """
 
     n_samples: int
@@ -149,6 +149,15 @@ class Dataset:
         ))
 
     @cached_property
+    def sq_norm(self):
+        """||f_j||^2 = ||fhat_j||^2 of every feature, the solver's step
+        metric: ``stats.sq_norm`` once the stats are built, else that one
+        sum alone, by the same formula, without the rest of their pass."""
+        if "stats" in self.__dict__:
+            return self.stats.sq_norm
+        return kernels.column_sq_norms(self.col_ptr, self.values, cols=self.column_index)
+
+    @cached_property
     def dense_block(self):
         """Fortran-ordered n x m copy of X when at least half its cells are
         stored, else None; built on first use.
@@ -206,20 +215,32 @@ class Dataset:
     def rmatvec(self, u, cols=None):
         """X.T @ u for a sample vector u of length n_samples.
 
-        With ``cols``, an array of feature indices, only X[:, cols].T @ u,
-        equal bit for bit to those rows of the full product.  Sparse data
-        reads the stored entries of those columns alone; dense data takes
-        the full BLAS product, whose sum for a column depends on the
-        columns beside it in the call.
+        With ``cols``, a 1-d array of feature indices in [0, n_features)
+        (ValueError otherwise), only X[:, cols].T @ u, equal bit for bit
+        to those rows of the full product.  Dense data takes the full BLAS
+        product, whose sum for a column depends on the columns beside it
+        in the call, and so does sparse data when ``cols`` holds at least
+        half the features: a gather of that many columns costs more than
+        the product it saves.  Sparse data reads the stored entries of
+        fewer columns alone, summed per column in the same order as the
+        full product sums them.
         """
         if cols is None:
             return kernels.csc_rmatvec(
                 self.col_ptr, self.row_idx, self.values, u,
                 block=self.dense_block, cols=self.column_index,
             )
-        if self.dense_block is not None:
-            return (u @ self.dense_block)[cols]
+        self._check_features(cols)
+        if self.dense_block is not None or 2 * cols.size >= self.n_features:
+            return self.rmatvec(u)[cols]
         return kernels.csc_rmatvec(*self._columns(cols), u)
+
+    def _check_features(self, cols):
+        """Raise ValueError unless cols is a 1-d array of indices in [0, n_features)."""
+        if cols.ndim != 1:
+            raise ValueError("feature indices must form a 1-d array")
+        if cols.size and (cols.min() < 0 or cols.max() >= self.n_features):
+            raise ValueError(f"feature indices must lie in [0, {self.n_features})")
 
     def _columns(self, cols):
         """CSC arrays (col_ptr, row_idx, values) of the columns cols alone."""
@@ -250,16 +271,31 @@ class Dataset:
     def subset(self, feature_indices):
         """New Dataset restricted to the given features, order preserved.
 
-        Once this Dataset has built its ``stats``, the child gets them
-        indexed by the kept columns, bit for bit the pass it would make:
-        each column's sums read the same entries in the same order.
+        The indices must be a nonempty 1-d sequence in [0, n_features),
+        checked by one min and max (ValueError otherwise; a negative index
+        does not count from the end).  The columns of a valid Dataset make
+        a valid one, so the child is built without ``_validate``.  Once
+        this Dataset has built its ``stats``, or its ``sq_norm`` alone,
+        the child gets them indexed by the kept columns, bit for bit the
+        pass it would make: each column's sums read the same entries in
+        the same order.
         """
         cols = np.asarray(feature_indices, dtype=np.int64)
-        child = Dataset(self.n_samples, cols.size, *self._columns(cols), self.labels)
+        if cols.size == 0:
+            raise ValueError("need at least one feature")
+        self._check_features(cols)
+        col_ptr, row_idx, values = self._columns(cols)
+        child = object.__new__(Dataset)
+        child.__dict__.update(
+            n_samples=self.n_samples, n_features=cols.size, col_ptr=col_ptr,
+            row_idx=row_idx, values=values, labels=self.labels,
+        )
         if "stats" in self.__dict__:
             child.__dict__["stats"] = FeatureStats(
                 **{name: a[cols] for name, a in vars(self.stats).items()}
             )
+        elif "sq_norm" in self.__dict__:
+            child.__dict__["sq_norm"] = self.sq_norm[cols]
         return child
 
     def to_dense(self):

@@ -113,8 +113,15 @@ def feature_stats(col_ptr, row_idx, values, y, cols=None):
     del centred
     proj_sq += (n - np.diff(col_ptr)) * mean * mean
     dot_one = _sums_by(cols, values * y[row_idx], m)  # fhat' 1 == f' y
-    sq_norm = _sums_by(cols, values * values, m)
-    return dot_y, dot_one, sq_norm, np.sqrt(proj_sq)
+    return dot_y, dot_one, column_sq_norms(col_ptr, values, cols), np.sqrt(proj_sq)
+
+
+def column_sq_norms(col_ptr, values, cols=None):
+    """||f_j||^2 = ||fhat_j||^2 of every column, the ``sq_norm`` of
+    ``feature_stats``, summed through ``cols`` as it sums it."""
+    if cols is None:
+        cols = column_index(col_ptr)
+    return _sums_by(cols, values * values, col_ptr.shape[0] - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,12 @@ taken in the metric M = diag(||x_j||^2, n), the diagonal of A'A for
 A = [X, 1] (variable-metric forward-backward splitting; Combettes & Vu,
 2014), so each column moves by its own curvature: w_j steps by
 c^-1 / ||x_j||^2 and is thresholded at lam c^-1 / ||x_j||^2, b steps by
-c^-1 / n.  The column norms are the Dataset's ``stats.sq_norm`` (y_i^2 =
-1), and an empty column gets 1.  Every solve starts at c^-1 = 1: the
-scaled M^-1/2 A'A M^-1/2 has a unit diagonal, so its L >= 1 and the line
-search halves the step at most ceil(log2(L)) times.  The
-warm-up only has to find the pattern of the optimum: F is piecewise
+c^-1 / n.  The column norms are the Dataset's ``sq_norm`` (y_i^2 = 1),
+which a Dataset without ``stats`` sums alone, and an empty column gets 1.
+Every solve starts at c^-1 = 1: the scaled M^-1/2 A'A M^-1/2 has a unit
+diagonal, so its L >= 1 and the line search halves the step at most
+ceil(log2(L)) times.  The warm-up only has to find the pattern of the
+optimum: F is piecewise
 quadratic, so with the margin set I = {i : xi_i > 0}, the support S and
 the signs s of w_S fixed, the optimum solves one (|S|+1)-square linear
 system.  As soon as an accepted step leaves the pattern unchanged, the
@@ -24,16 +25,19 @@ exact finish solves that system for A = [X_IS, 1].  When every row is in
 I, dense data at most as wide as it is tall (m <= n) reads A'A and A'y
 from its cached Gram of [X, 1, y], whose (m + 2)^2 cells are then no more
 than the dense block plus 4n + 4; other margin sets, and other data,
-gather the block X_IS.  A solution whose weights leave their signs is
-rejected without a product.  Any other costs the one matvec an accepted
-point needs anyway: a margin row with xi = 0 rejects it, and otherwise it
-is kept only when the KKT check certifies it within the tolerance.
-Otherwise proximal gradient continues, at most FINISH_ATTEMPTS systems
-per solve.  The full KKT check on an iterate costs a pass over the data,
-so it runs only once the free gradient-mapping estimate is below
-FINISH_FROM.  Either way "converged" means the largest KKT residual,
-computed exactly, is within the tolerance: the same thing the screening
-safety guarantees assume.
+gather the block X_IS.  When the solution puts weights off their signs
+in s, the finish drops those coordinates from S and solves the principal
+submatrix of the same system again, until no weight flips (the drop step
+of the lasso modification of LARS); by Cauchy interlacing the one
+Cholesky pivot test covers each reduced system, and none costs a product.
+The candidate costs the one matvec an accepted point needs anyway: a
+margin row with xi = 0 rejects it, and otherwise it is kept only when the
+KKT check certifies it within the tolerance.  Otherwise proximal gradient
+continues, at most FINISH_ATTEMPTS factorised systems per solve.  The
+full KKT check on an iterate costs a pass over the data, so it runs only
+once the free gradient-mapping estimate is below FINISH_FROM.  Either way
+"converged" means the largest KKT residual, computed exactly, is within
+the tolerance: the same thing the screening safety guarantees assume.
 """
 
 import json
@@ -164,10 +168,6 @@ def objective_value(dataset, w, b, lam):
     return _objective(_smooth(_hinge(dataset, w, b)), w, lam)
 
 
-def _soft_threshold(x, t):
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
 def _kkt_residuals(dataset, w, xi, lam):
     theta = xi / lam
     corr = dataset.rmatvec(theta * dataset.labels)
@@ -183,7 +183,8 @@ def _kkt_residuals(dataset, w, xi, lam):
 
 
 def _exact_finish(dataset, lam, w, rows):
-    """Stationary point of F for the margin rows and the support of w.
+    """Stationary point of F for the margin rows and the support of w,
+    less the weights that leave their signs.
 
     On that pattern xi_I = y_I - A z with A = [X_IS, 1] and z = [w_S; b],
     so stationarity reads A'A z = A'y_I - lam [sign(w_S); 0].  When I is
@@ -191,11 +192,18 @@ def _exact_finish(dataset, lam, w, rows):
     submatrix on the support and the ones, and A'y its labels column;
     otherwise A is gathered.  The system is equilibrated, as if each
     column of A had unit norm, and solved once the Cholesky factorisation
-    has shown it well posed.  Returns
-    (weights, bias), or None when A'A is singular or a weight of the
-    solution leaves its sign in s.  The margin rows are the caller's to
-    check: the product that does so also gives an accepted point its
-    hinge.
+    has shown it well posed.  While a weight of the solution is off its
+    sign in s (or 0), that coordinate leaves S and the principal
+    submatrix on the rest is solved again: the drop step of the lasso
+    modification of LARS (Efron et al., 2004, section 3.1; Osborne,
+    Presnell & Turlach, 2000).  Each round removes a coordinate, so at
+    most |S| + 1 systems are solved, and by Cauchy interlacing the
+    smallest eigenvalue of a principal submatrix is no smaller than the
+    full system's, so the one pivot test covers every round.  Returns
+    (weights, bias), or None when A'A is singular.  Nothing here reads
+    the data past the system; the margin rows and the KKT conditions are
+    the caller's to check: the product that does so also gives an
+    accepted point its hinge.
     """
     support = np.flatnonzero(w)
     signs = np.sign(w[support])
@@ -215,6 +223,7 @@ def _exact_finish(dataset, lam, w, rows):
     scale = np.sqrt(diagonal)
     gram /= np.outer(scale, scale)
     rhs[:-1] -= lam * signs
+    rhs /= scale
     try:
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -223,11 +232,16 @@ def _exact_finish(dataset, lam, w, rows):
     # in the span of the others to within round-off.
     if np.diagonal(chol).min() <= np.sqrt(np.finfo(np.float64).eps):
         return None
-    z = np.linalg.solve(gram, rhs / scale) / scale
-    if np.any(np.sign(z[:-1]) != signs):
-        return None
+    z = np.linalg.solve(gram, rhs) / scale
+    stay = np.arange(support.size + 1)  # rows of the system still in it; the bias last
+    while True:
+        flipped = np.sign(z[:-1]) != signs[stay[:-1]]
+        if not flipped.any():
+            break
+        stay = np.append(stay[:-1][~flipped], support.size)
+        z = np.linalg.solve(gram[np.ix_(stay, stay)], rhs[stay]) / scale[stay]
     weights = np.zeros_like(w)
-    weights[support] = z[:-1]
+    weights[support[stay[:-1]]] = z[:-1]
     return weights, float(z[-1])
 
 
@@ -236,6 +250,7 @@ class _Counted:
 
     def __init__(self, dataset):
         self._dataset = dataset
+        self.labels = dataset.labels
         self.passes = 0
 
     def __getattr__(self, name):
@@ -256,8 +271,8 @@ def solve_primal(dataset, lam, options=None, warm=None):
     Parameters
     ----------
     dataset : Dataset
-        Its ``stats`` give the step's metric; a Dataset that has not built
-        them makes that O(nnz) pass here.
+        Its ``sq_norm`` gives the step's metric; a Dataset that has not
+        built it sums the squared entries per column here.
     lam : float
         Positive, finite L1 weight; lam = 0 leaves the problem potentially
         unbounded and is rejected.
@@ -288,8 +303,13 @@ def solve_primal(dataset, lam, options=None, warm=None):
     labels = dataset.labels
     n = dataset.n_samples
     # The weights' part of M; an empty column's weight has zero gradient.
-    metric_w = np.where(dataset.stats.sq_norm > 0.0, dataset.stats.sq_norm, 1.0)
+    sq_norm = dataset.sq_norm
+    metric_w = np.where(sq_norm > 0.0, sq_norm, 1.0)
     step = 1.0  # M^{-1/2} A'A M^{-1/2} has a unit diagonal, so never below 1/L
+    # The weights' steps and thresholds, rebuilt only when the step halves.
+    shrink = step / metric_w
+    cut = lam * shrink
+    neg_cut = -cut
     scores = data.matvec(w)
     xi = _slack(labels, scores, b)
     f_x = _objective(_smooth(xi), w, lam)
@@ -301,7 +321,8 @@ def solve_primal(dataset, lam, options=None, warm=None):
     t_momentum = 1.0
     converged = finished = False
     iterations = backtracks = restarts = attempts = 0
-    pattern = np.concatenate((xi > 0.0, np.sign(w)))
+    # The margin set and the signs, as bytes; np.sign(-0.0) is +0.
+    pattern = (xi > 0.0).tobytes() + np.sign(w).tobytes()
     tried = None
 
     def prox_step(w_from, b_from, xi_from):
@@ -312,12 +333,13 @@ def solve_primal(dataset, lam, options=None, warm=None):
         gradient-mapping norm ||M d|| / step; each trial point costs one
         matvec.
         """
-        nonlocal step, backtracks
+        nonlocal step, shrink, cut, neg_cut, backtracks
         grad_w, grad_b = _gradient(data, xi_from)
         h_from = _smooth(xi_from)
         while True:
-            shrink = step / metric_w
-            w_new = _soft_threshold(w_from - shrink * grad_w, lam * shrink)
+            # Soft-thresholding: u less its part clipped to [-cut, cut].
+            u = w_from - shrink * grad_w
+            w_new = u - np.minimum(np.maximum(u, neg_cut), cut)
             b_new = b_from - step * grad_b / n
             s_new = data.matvec(w_new)
             xi_new = _slack(labels, s_new, b_new)
@@ -332,6 +354,9 @@ def solve_primal(dataset, lam, options=None, warm=None):
                 mapping = math.sqrt(float(metric_dw @ metric_dw) + (n * db) ** 2) / step
                 return w_new, b_new, s_new, xi_new, f_new, mapping
             step *= 0.5
+            shrink = step / metric_w
+            cut = lam * shrink
+            neg_cut = -cut
             backtracks += 1
 
     for iterations in range(1, opts.max_iter + 1):
@@ -349,7 +374,7 @@ def solve_primal(dataset, lam, options=None, warm=None):
         if trace is not None:
             trace.append(f_x)
 
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
         beta = (t_momentum - 1.0) / t_next
         wz = w + beta * (w - w_prev)
         bz = b + beta * (b - b_prev)
@@ -370,12 +395,12 @@ def solve_primal(dataset, lam, options=None, warm=None):
                 break
         # A pattern that held over one step is tried once; the same pattern
         # gives the same system.
-        previous, pattern = pattern, np.concatenate((xi > 0.0, np.sign(w)))
-        if attempts == FINISH_ATTEMPTS or not np.array_equal(pattern, previous):
+        previous, pattern = pattern, (xi > 0.0).tobytes() + np.sign(w).tobytes()
+        if attempts == FINISH_ATTEMPTS or pattern != previous:
             continue
         rows = np.flatnonzero(xi > 0.0)
         k = np.count_nonzero(w) + 1
-        if k > rows.size or rows.size * k > FINISH_MAX_CELLS or np.array_equal(pattern, tried):
+        if k > rows.size or rows.size * k > FINISH_MAX_CELLS or pattern == tried:
             continue
         tried = pattern
         attempts += 1

@@ -435,7 +435,7 @@ def test_subset_hands_down_the_statistics_bit_for_bit():
                 assert got.tobytes() == want.tobytes(), name
 
 
-def test_column_restricted_rmatvec_matches_full_product():
+def test_column_restricted_rmatvec_matches_full_product(monkeypatch):
     rng = np.random.default_rng(41)
     x = rng.normal(size=(9, 7))
     x[rng.random(size=x.shape) >= 0.4] = 0.0
@@ -444,12 +444,72 @@ def test_column_restricted_rmatvec_matches_full_product():
     u = rng.normal(size=9)
     sparse, dense = Dataset.from_dense(x, y), Dataset.from_dense(rng.normal(size=(9, 7)), y)
     assert sparse.dense_block is None and dense.dense_block is not None
+    gathers = []
+    entries = kernels.column_entries
+
+    def counted(col_ptr, cols):
+        gathers.append(cols)
+        return entries(col_ptr, cols)
+
+    monkeypatch.setattr(kernels, "column_entries", counted)
+    # Fewer than half the 7 features are gathered on sparse data; 4 or more
+    # take the full product, as dense data always does.
     index_sets = [[0, 1, 2, 3, 4, 5, 6], [6, 0, 3], [2, 2, 5, 2], [5, 1, 4, 0], [3], []]
     for indices in index_sets:
         cols = np.array(indices, dtype=np.int64)
         # Each column sums its stored entries in the same order either way.
         for ds in (sparse, dense):
-            np.testing.assert_array_equal(ds.rmatvec(u, cols=cols), ds.rmatvec(u)[cols])
+            gathers.clear()
+            assert ds.rmatvec(u, cols=cols).tobytes() == ds.rmatvec(u)[cols].tobytes()
+            gathered = ds is sparse and 2 * cols.size < 7
+            assert len(gathers) == int(gathered), indices
+
+
+def test_feature_indices_outside_the_range_are_rejected():
+    # A negative index does not count from the end, and one past the last
+    # feature is named as such rather than failing inside the gather.
+    ds = Dataset.from_dense(np.arange(1.0, 7.0).reshape(2, 3), [1.0, -1.0])
+    u = np.ones(2)
+    for indices in ([-2], [0, 3], [-1, 1], [7]):
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            ds.subset(indices)
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            ds.rmatvec(u, cols=np.array(indices, dtype=np.int64))
+    with pytest.raises(ValueError, match="1-d"):
+        ds.subset([[0, 1]])
+    with pytest.raises(ValueError, match="at least one feature"):
+        ds.subset([])
+    np.testing.assert_array_equal(ds.subset([1]).to_dense(), [[2.0], [5.0]])
+
+
+def test_subset_child_is_a_valid_dataset():
+    # A child is built without _validate, from the columns of a valid
+    # Dataset; it passes it, and equals the Dataset built from the same
+    # arrays, down to the statistics and column norms it was handed.
+    rng = np.random.default_rng(47)
+    x = rng.normal(size=(9, 7))
+    x[rng.random(size=x.shape) >= 0.4] = 0.0
+    x[:, [0, 3, 6]] = 0.0  # empty first, middle and last columns
+    y = random_dataset(rng, 9, 1).labels
+    for build in (None, "sq_norm", "stats"):
+        for parent in (Dataset.from_dense(x, y), Dataset.from_dense(rng.normal(size=(9, 7)), y)):
+            if build is not None:
+                getattr(parent, build)
+            for indices in ([0, 1, 2, 3, 4, 5, 6], [6, 0, 3], [2, 2, 5, 2], [3]):
+                sub = parent.subset(indices)
+                sub._validate()
+                ref = Dataset(sub.n_samples, sub.n_features, sub.col_ptr, sub.row_idx,
+                              sub.values, sub.labels)
+                assert (sub.n_samples, sub.n_features) == (ref.n_samples, ref.n_features)
+                for name in ("col_ptr", "row_idx", "values", "labels"):
+                    got, want = getattr(sub, name), getattr(ref, name)
+                    assert got.dtype == want.dtype and got.flags.c_contiguous
+                    assert got.tobytes() == want.tobytes(), name
+                handed = {name for name in ("stats", "sq_norm") if name in sub.__dict__}
+                assert handed == ({build} if build else set())
+                assert sub.sq_norm.tobytes() == ref.sq_norm.tobytes()
+                for name, want in vars(ref.stats).items():
+                    assert getattr(sub.stats, name).tobytes() == want.tobytes(), name
 
 
 def test_dense_block_from_half_the_cells_stored():

@@ -243,13 +243,26 @@ def test_unconverged_steps_are_flagged_not_fatal():
     ds = random_dataset(rng, 12, 20, density=0.9)
     report = run_path(
         ds,
-        PathConfig(grid_size=4, ratio=0.6, verify=True, solver=SolverOptions(max_iter=2)),
+        PathConfig(grid_size=4, ratio=0.6, verify=True, solver=SolverOptions(max_iter=1)),
     )
     assert len(report.steps) == 4
     assert not any(s.converged for s in report.steps)
     # verification needs both solves converged, so no violation counts exist
     assert all(s.violations is None for s in report.steps)
     assert all(not s.trusted for s in report.steps[1:])
+    assert report.total_violations == 0
+
+    # At two iterations the first step's finish drops the weights that
+    # leave their signs and certifies the optimum, so the step after it
+    # screens; that one and the rest stop short, unverified and flagged.
+    report = run_path(
+        ds,
+        PathConfig(grid_size=4, ratio=0.6, verify=True, solver=SolverOptions(max_iter=2)),
+    )
+    assert [(s.converged, s.finished) for s in report.steps] == [(True, True)] + [(False, False)] * 3
+    assert report.steps[0].violations == 0
+    assert all(s.violations is None for s in report.steps[1:])
+    assert [s.trusted for s in report.steps] == [True, True, False, False]
     assert report.total_violations == 0
 
 

@@ -473,8 +473,9 @@ def test_passes_count_every_data_product(monkeypatch):
     "column, lam, candidate",
     [
         # z = (-4/9, -1/3): every margin row keeps xi > 0, but w has the
-        # wrong sign, so the finish proposes nothing.
-        pytest.param([0.0, -2.0, -2.0, 1.0], 2.0, None, id="column0-2.0"),
+        # wrong sign, so the finish drops it and solves for the bias alone,
+        # b = 1'y / 4 = 0: the zero model, optimal since lambda_max = 1.
+        pytest.param([0.0, -2.0, -2.0, 1.0], 2.0, (0.0, 0.0), id="column0-2.0"),
         # z = (16/43, -12/43): the sign holds, but the last row's
         # 1 - y a z is -1/43, which only the candidate's scores show.
         pytest.param([2.0, 2.0, 1.0, -2.0], 1.0, (16 / 43, -12 / 43), id="column1-1.0"),
@@ -484,14 +485,19 @@ def test_off_pattern_candidate_rejected_on_its_block(monkeypatch, column, lam, c
     # One feature with s = +1, labels (+1, +1, -1, -1), all rows margin rows.
     ds = Dataset.from_dense(np.array(column)[:, None], [1.0, 1.0, -1.0, -1.0])
     assert ds.gram is not None  # the system comes from the cached Gram
+    above_lambda_max = lam >= lambda_max(ds)[0]
     matvecs = _count_calls(monkeypatch, Dataset, "matvec")
     rmatvecs = _count_calls(monkeypatch, Dataset, "rmatvec")
     found = solver._exact_finish(ds, lam, np.ones(1), np.arange(4))
     assert matvecs == rmatvecs == []
-    if candidate is None:
-        assert found is None
+    np.testing.assert_allclose([found[0][0], found[1]], candidate, rtol=1e-12, atol=0.0)
+    if above_lambda_max:
+        # The solve starts at that optimum and certifies it unfinished.
+        model = solve_primal(ds, lam)
+        assert model.converged and model.finish_attempts == 0
+        np.testing.assert_array_equal(model.weights, found[0])
+        assert model.bias == found[1]
         return
-    np.testing.assert_allclose([found[0][0], found[1]], candidate, rtol=1e-12)
 
     # In a solve this candidate is the finish's first proposal.  Rejecting it
     # costs one matvec and no rmatvec more than proposing nothing there.
@@ -520,16 +526,72 @@ def test_off_pattern_candidate_rejected_on_its_block(monkeypatch, column, lam, c
 
 def test_off_pattern_candidate_rejected_on_tall_dense_block(monkeypatch):
     # Each optimum's pattern with its signs flipped: the finish solves the
-    # system from the gathered rows and rejects the solution without a
-    # product.
+    # system from the gathered rows, and without a product drops every
+    # weight whose solution leaves its flipped sign.  Here that is every
+    # weight, which leaves the bias alone, b = 1'y_I / |I|.  The optimum's
+    # own pattern gives back the optimum.
     ds, patterns = _optimum_patterns((0.5, 0.2, 0.05))
     # 79, 68 and 36 of the 80 rows: each margin set is gathered
     assert [rows.size for _, _, rows in patterns] == [79, 68, 36]
     products = _count_calls(monkeypatch, Dataset, "matvec", "rmatvec")
+    flipped, own = [], []
     for lam, model, rows in patterns:
-        assert solver._exact_finish(ds, lam, -model.weights, rows) is None
-        assert solver._exact_finish(ds, lam, model.weights, rows) is not None
+        flipped.append(solver._exact_finish(ds, lam, -model.weights, rows))
+        own.append(solver._exact_finish(ds, lam, model.weights, rows))
     assert products == []
+    for (lam, model, rows), (w_f, b_f), (w_o, b_o) in zip(patterns, flipped, own):
+        assert np.count_nonzero(model.weights) >= 3
+        assert not w_f.any()
+        assert b_f == pytest.approx(ds.labels[rows].mean(), rel=1e-12)
+        np.testing.assert_allclose(w_o, model.weights, rtol=0, atol=1e-9)
+        assert b_o == pytest.approx(model.bias, abs=1e-9)
+
+
+def test_finish_drops_a_weight_that_leaves_its_sign(monkeypatch):
+    # Four samples, two features, lam = lambda_max / 2 = 2.25.  The solve's
+    # pattern repeats at its second iteration with both weights negative and
+    # every row in I; that pattern's stationary point z = (-5/14, 1/8, 15/28)
+    # puts w_1 above 0.  The finish drops feature 1 and solves [x_0, 1]
+    # alone: w_0 = -9/35, b = 61/140, the optimum.
+    x = np.array([[2.0, 1.0], [0.0, -1.0], [-1.0, -2.0], [-2.0, -2.0]])
+    ds = Dataset.from_dense(x, [-1.0, 1.0, 1.0, 1.0])
+    lam = 0.5 * lambda_max(ds)[0]
+    assert lam == 2.25 and ds.gram is not None
+    a = np.column_stack([x, np.ones(4)])
+    signs = np.array([-1.0, -1.0])
+    full = np.linalg.solve(a.T @ a, a.T @ ds.labels - lam * np.append(signs, 0.0))
+    np.testing.assert_allclose(full, [-5 / 14, 1 / 8, 15 / 28], rtol=1e-12)
+
+    products = _count_calls(monkeypatch, Dataset, "matvec", "rmatvec")
+    found = solver._exact_finish(ds, lam, signs, np.arange(4))
+    assert products == []
+    assert found[0][1] == 0.0
+    assert found[0][0] == pytest.approx(-9 / 35, rel=1e-12)
+    assert found[1] == pytest.approx(61 / 140, rel=1e-12)
+
+    proposals = _finish_results(monkeypatch)
+    model = solve_primal(ds, lam)
+    assert model.finished and model.converged
+    assert (model.iterations, model.finish_attempts) == (2, 1)
+    np.testing.assert_array_equal(proposals[0][0], found[0])
+    np.testing.assert_array_equal(model.weights, found[0])
+    assert model.bias == proposals[0][1] == found[1]
+    assert kkt_report(ds, model, lam).max_residual <= 1e-9
+
+
+def test_solve_on_a_fresh_dataset_builds_no_stats():
+    # The step's metric needs the column norms alone: a solve on a Dataset
+    # without stats sums those and makes no statistics pass, and its model
+    # is bit for bit the one made once the stats are built.
+    for ds, lam in (_sparse_problem(), _unscaled_problem()):
+        fresh = Dataset(ds.n_samples, ds.n_features, ds.col_ptr, ds.row_idx, ds.values, ds.labels)
+        model = solve_primal(fresh, lam)
+        assert "stats" not in fresh.__dict__ and "sq_norm" in fresh.__dict__
+        assert fresh.sq_norm.tobytes() == ds.stats.sq_norm.tobytes()
+        again = solve_primal(ds, lam)
+        assert ds.sq_norm is ds.stats.sq_norm
+        assert model.weights.tobytes() == again.weights.tobytes()
+        assert (model.bias, model.passes, model.iterations) == (again.bias, again.passes, again.iterations)
 
 
 def test_every_evaluated_point_costs_one_matvec(monkeypatch):
@@ -562,26 +624,39 @@ def test_every_evaluated_point_costs_one_matvec(monkeypatch):
 
 
 def test_rejected_candidates_cost_no_data_pass(monkeypatch):
-    # Candidates proposed with the signs of w flipped are all rejected on
-    # their block, so the solve makes the products of one whose finish
-    # proposes nothing.
+    # Candidates proposed with the signs of w flipped: the finish drops the
+    # weights that leave those signs without a product, and each candidate
+    # it returns keeps only flipped signs.  None is the optimum, so each is
+    # rejected after the matvec of its scores and the rmatvec of its KKT
+    # check, and the solve otherwise runs as one whose finish proposes
+    # nothing.
     ds, lam = _sparse_problem()
     monkeypatch.setattr(solver, "_exact_finish", lambda *args: None)
     plain = solve_primal(ds, lam)
     monkeypatch.undo()
-    results = []
+    products = _count_calls(monkeypatch, Dataset, "matvec", "rmatvec")
+    results, inside = [], []
     original = solver._exact_finish
 
     def flipped(dataset, lam_at, w, rows):
-        results.append(original(dataset, lam_at, -w, rows))
-        return results[-1]
+        before = len(products)
+        found = original(dataset, lam_at, -w, rows)
+        inside.append(len(products) - before)
+        results.append((w, found))
+        return found
 
     monkeypatch.setattr(solver, "_exact_finish", flipped)
     rejected = solve_primal(ds, lam)
-    assert results and all(found is None for found in results)
+    assert results and all(found is not None for _, found in results)
+    assert inside == [0] * len(results)
+    for w, (w_f, _) in results:
+        kept = w_f != 0.0
+        np.testing.assert_array_equal(np.sign(w_f[kept]), -np.sign(w[kept]))
+    assert not rejected.finished
     assert rejected.finish_attempts == plain.finish_attempts == len(results)
-    assert rejected.passes == plain.passes
+    assert rejected.passes == plain.passes + 2 * len(results)
     assert rejected.iterations == plain.iterations
+    np.testing.assert_array_equal(rejected.weights, plain.weights)
 
 
 def test_finish_from_the_gram_equals_the_gathered_finish(monkeypatch):
