@@ -73,12 +73,13 @@ def _load_theta1(path, n_samples):
     return arr
 
 
-def _theta_for(args, dataset, lam1, lam_max, bias0):
+def _theta_for(args, dataset, lam1):
     """Dual point at lam1: from file, closed form at lambda_max, or a solve."""
     if args.theta1 is not None:
         return _load_theta1(args.theta1, dataset.n_samples)
+    lam_max = solver.lambda_max(dataset)[0]
     if abs(lam1 - lam_max) <= 1e-12 * max(lam_max, 1.0):
-        return screening.theta_at_lambda_max(dataset, lam_max, bias0)
+        return screening.theta_at_lambda_max(dataset)
     model = solver.solve_primal(dataset, lam1, options=_solver_options(args))
     if not model.converged:
         _warn("solver did not reach tolerance at lambda1; the screening bound may not be safe")
@@ -113,13 +114,13 @@ def cmd_solve(args):
 
 def cmd_screen(args):
     dataset = read_sparse_file(args.data)
-    lam_max, bias0, _ = solver.lambda_max(dataset)
+    lam_max = solver.lambda_max(dataset)[0]
     lam1 = _resolve(args.lambda1, lam_max)
     lam2 = _resolve(args.lambda2, lam_max)
     if lam2 >= lam1:
         raise ValueError("lambda2 must be < lambda1")
-    theta1 = _theta_for(args, dataset, lam1, lam_max, bias0)
-    ctx = screening.build_context(theta1, lam1, lam2, dataset, lam_max=lam_max)
+    theta1 = _theta_for(args, dataset, lam1)
+    ctx = screening.build_context(theta1, lam1, lam2, dataset)
     report = screening.screen_all(ctx)
     _emit(report.to_json(), args.output)
     return 0
@@ -155,13 +156,13 @@ def cmd_verify(args):
     dataset = read_sparse_file(args.data)
     if dataset.n_samples > 10:
         raise ValueError("verify is a brute-force check, limited to 10 samples")
-    lam_max, bias0, _ = solver.lambda_max(dataset)
+    lam_max = solver.lambda_max(dataset)[0]
     lam1 = _resolve(args.lambda1, lam_max)
     if args.lambda2 is not None:
         lam2_list = [_resolve(args.lambda2, lam_max)]
     else:
         lam2_list = [f * lam1 for f in (0.5, 0.8, 0.95)]
-    theta1 = _theta_for(args, dataset, lam1, lam_max, bias0)
+    theta1 = _theta_for(args, dataset, lam1)
     dense = dataset.to_dense()
 
     worst = {}
@@ -169,7 +170,7 @@ def cmd_verify(args):
     uncertified = 0
     total = 0
     for lam2 in lam2_list:
-        ctx = screening.build_context(theta1, lam1, lam2, dataset, lam_max=lam_max)
+        ctx = screening.build_context(theta1, lam1, lam2, dataset)
         report = screening.screen_all(ctx)
         for j in range(dataset.n_features):
             fhat = dataset.labels * dense[:, j]

@@ -1,4 +1,5 @@
-"""Sparse classification data: container, text parser, feature statistics.
+"""Sparse classification data: container, text parser, and what the data
+alone decides (lambda_max, column norms, feature statistics).
 
 The on-disk format is the usual sparse text layout, one sample per line::
 
@@ -52,12 +53,12 @@ class Dataset:
     Columns are stored in CSC form: column j occupies the half-open slice
     ``col_ptr[j]:col_ptr[j+1]`` of ``row_idx``/``values``, with row indices
     strictly increasing inside each column.  What the data alone decides
-    is a cached property built on first use: the class counts, the
-    per-feature ``stats`` of the bound (an O(nnz) pass that the first
-    ``screen_all`` or path on the Dataset makes, or a ``subset`` of a
-    parent that has them takes from it), the column norms ``sq_norm`` of
-    the solver's step, and the form of the products, ``dense_block`` for
-    dense data or ``column_index`` for sparse data.
+    is a cached property built on first use, each by one formula: the
+    class counts, ``lambda_max`` (one product), the column norms
+    ``sq_norm`` of the solver's step and the bound, the per-feature
+    ``stats`` of the bound (an O(nnz) pass that the first ``screen_all``
+    or path on the Dataset makes), and the form of the products,
+    ``dense_block`` for dense data or ``column_index`` for sparse data.
     """
 
     n_samples: int
@@ -142,6 +143,17 @@ class Dataset:
         return self.n_samples - self.n_pos
 
     @cached_property
+    def lambda_max(self):
+        """(lambda_max, bias, direction) of the zero model, from one product:
+        its optimal bias (n_pos - n_neg) / n, the correlations X'(y - bias),
+        read-only since they are shared, and their largest magnitude, the
+        smallest penalty at which w = 0 is optimal."""
+        bias = (self.n_pos - self.n_neg) / self.n_samples
+        direction = self.rmatvec(self.labels - bias)
+        direction.flags.writeable = False
+        return float(np.max(np.abs(direction))), float(bias), direction
+
+    @cached_property
     def stats(self):
         """FeatureStats of every feature, from one O(nnz) pass on first use."""
         return FeatureStats(*kernels.feature_stats(
@@ -150,11 +162,8 @@ class Dataset:
 
     @cached_property
     def sq_norm(self):
-        """||f_j||^2 = ||fhat_j||^2 of every feature, the solver's step
-        metric: ``stats.sq_norm`` once the stats are built, else that one
-        sum alone, by the same formula, without the rest of their pass."""
-        if "stats" in self.__dict__:
-            return self.stats.sq_norm
+        """||f_j||^2 = ||fhat_j||^2 of every feature: the solver's step
+        metric and the bound's ||fhat||^2."""
         return kernels.column_sq_norms(self.col_ptr, self.values, cols=self.column_index)
 
     @cached_property
@@ -264,7 +273,9 @@ class Dataset:
         return out
 
     def column(self, j):
-        """Row indices and values of feature j as array views."""
+        """Row indices and values of feature j in [0, n_features) as array
+        views (ValueError otherwise)."""
+        self._check_features(np.array([j]))
         lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
         return self.row_idx[lo:hi], self.values[lo:hi]
 
@@ -275,10 +286,11 @@ class Dataset:
         checked by one min and max (ValueError otherwise; a negative index
         does not count from the end).  The columns of a valid Dataset make
         a valid one, so the child is built without ``_validate``.  Once
-        this Dataset has built its ``stats``, or its ``sq_norm`` alone,
-        the child gets them indexed by the kept columns, bit for bit the
-        pass it would make: each column's sums read the same entries in
-        the same order.
+        this Dataset has built its ``sq_norm``, the child gets it indexed
+        by the kept columns, bit for bit the sum it would make: each
+        column's sum reads the same entries in the same order.  That is
+        the one per-feature array a path reads on a subset, which it
+        solves but never screens; anything else the child builds itself.
         """
         cols = np.asarray(feature_indices, dtype=np.int64)
         if cols.size == 0:
@@ -290,11 +302,7 @@ class Dataset:
             n_samples=self.n_samples, n_features=cols.size, col_ptr=col_ptr,
             row_idx=row_idx, values=values, labels=self.labels,
         )
-        if "stats" in self.__dict__:
-            child.__dict__["stats"] = FeatureStats(
-                **{name: a[cols] for name, a in vars(self.stats).items()}
-            )
-        elif "sq_norm" in self.__dict__:
+        if "sq_norm" in self.__dict__:
             child.__dict__["sq_norm"] = self.sq_norm[cols]
         return child
 
@@ -310,14 +318,14 @@ class FeatureStats:
     """Per-feature statistics of fhat_j = labels * f_j, as parallel arrays.
 
     ``proj_y_norm`` is the norm of fhat_j projected off the label vector.
-    It equals sqrt(sq_norm - dot_y^2 / n) because y'y = n, but is summed
-    from the centred column, since that difference cancels for a nearly
-    constant one (see ``kernels.feature_stats``).
+    It equals sqrt(||fhat_j||^2 - dot_y^2 / n) because y'y = n, but is
+    summed from the centred column, since that difference cancels for a
+    nearly constant one (see ``kernels.feature_stats``).  ||fhat_j||^2
+    itself is ``Dataset.sq_norm``.
     """
 
     dot_y: np.ndarray  # fhat_j' y
     dot_one: np.ndarray  # fhat_j' 1
-    sq_norm: np.ndarray  # ||fhat_j||^2
     proj_y_norm: np.ndarray  # ||P_y(fhat_j)||
 
 

@@ -8,11 +8,12 @@ over the column of every stored entry (``column_index``), which a sparse
 Dataset builds once and passes as ``cols``.  The matrix-vector products
 ``csc_matvec`` / ``csc_rmatvec`` also accept the dense column block a
 Dataset keeps for dense data, and then run as BLAS products on it
-instead; ``feature_stats``, made once per Dataset, has the one form for
-dense and sparse data alike.  The bound kernels take the screening
-region as its ``ScreeningContext``: the bulk bound ``screen_bulk`` forms
-both signs of every feature from shared even and odd parts;
-``neg_min_scalar`` is the per-feature reference it transcribes.
+instead; ``feature_stats`` and ``column_sq_norms``, each made once per
+Dataset, have the one form for dense and sparse data alike.  The bound
+kernels take the screening region as its ``ScreeningContext``: the bulk
+bound ``screen_bulk`` forms both signs of every feature from shared even
+and odd parts; ``neg_min_scalar`` is the per-feature reference it
+transcribes.
 """
 
 import math
@@ -90,19 +91,19 @@ def csc_rmatvec(col_ptr, row_idx, values, u, block=None, cols=None):
 def feature_stats(col_ptr, row_idx, values, y, cols=None):
     """Per-column statistics of the label-weighted features fhat_j = y * f_j.
 
-    Returns (dot_y, dot_one, sq_norm, proj_y_norm) where dot_y = fhat' y,
-    dot_one = fhat' 1, sq_norm = ||fhat||^2 and proj_y_norm is the norm of
-    fhat after removing its component along y.  That component is
-    (dot_y / n) y, so proj_y_norm is the norm of the centred column
-    f_j - mean(f_j).  Every sum runs through ``cols``, the
-    ``column_index(col_ptr)``, built here when not given.
+    Returns (dot_y, dot_one, proj_y_norm) where dot_y = fhat' y,
+    dot_one = fhat' 1 and proj_y_norm is the norm of fhat after removing
+    its component along y.  That component is (dot_y / n) y, so
+    proj_y_norm is the norm of the centred column f_j - mean(f_j).  Every
+    sum runs through ``cols``, the ``column_index(col_ptr)``, built here
+    when not given.  ||fhat||^2 is ``column_sq_norms``, summed apart.
     """
     if cols is None:
         cols = column_index(col_ptr)
     n = y.shape[0]
     m = col_ptr.shape[0] - 1
     dot_y = _sums_by(cols, values, m)  # fhat' y == sum of f values
-    # Summed from the centred column, not as sq_norm - dot_y^2 / n, whose
+    # Summed from the centred column, not as ||f||^2 - dot_y^2 / n, whose
     # difference cancels for a column that is nearly constant over all n
     # rows: its stored entries, plus the mean once for each implicit zero.
     # Squared in place, so that one array of nnz values is made at a time.
@@ -113,12 +114,12 @@ def feature_stats(col_ptr, row_idx, values, y, cols=None):
     del centred
     proj_sq += (n - np.diff(col_ptr)) * mean * mean
     dot_one = _sums_by(cols, values * y[row_idx], m)  # fhat' 1 == f' y
-    return dot_y, dot_one, column_sq_norms(col_ptr, values, cols), np.sqrt(proj_sq)
+    return dot_y, dot_one, np.sqrt(proj_sq)
 
 
 def column_sq_norms(col_ptr, values, cols=None):
-    """||f_j||^2 = ||fhat_j||^2 of every column, the ``sq_norm`` of
-    ``feature_stats``, summed through ``cols`` as it sums it."""
+    """||f_j||^2 = ||fhat_j||^2 of every column, summed through ``cols``,
+    the ``column_index(col_ptr)``, built here when not given."""
     if cols is None:
         cols = column_index(col_ptr)
     return _sums_by(cols, values * values, col_ptr.shape[0] - 1)

@@ -241,7 +241,7 @@ def run_path(dataset, config=None):
     # cert[j] bounds |theta*'fhat_j| at the lambda with 1/lambda = inv[j];
     # None when no step has left certificates.
     cert = inv = None
-    theta_prev = screening.theta_at_lambda_max(dataset, lam_max, bias0)
+    theta_prev = screening.theta_at_lambda_max(dataset)
     lam_prev = lam_max
     w_prev = np.zeros(m)
     b_prev = float(bias0)
@@ -256,7 +256,7 @@ def run_path(dataset, config=None):
         if cfg.screen and trusted:
             t0 = time.perf_counter()
             try:
-                ctx = screening.build_context(theta_prev, lam_prev, lam2, dataset, lam_max=lam_max)
+                ctx = screening.build_context(theta_prev, lam_prev, lam2, dataset)
             except ValueError:
                 # A converged step's theta can still fall outside
                 # build_context's tolerances, e.g. at a loose --tol.

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import geometry, kernels
 from .kernels import Branch
-from .solver import ThetaVector, lambda_max
+from .solver import ThetaVector
 
 
 #: Keep a feature when its bound reaches 1 - EPS_KEEP.  The slack must
@@ -112,7 +112,7 @@ class ScreenReport:
         )
 
 
-def build_context(theta1, lambda1, lambda2, dataset, lam_max=None):
+def build_context(theta1, lambda1, lambda2, dataset):
     """Precompute the screening region for a lambda1 -> lambda2 step.
 
     Parameters
@@ -123,9 +123,7 @@ def build_context(theta1, lambda1, lambda2, dataset, lam_max=None):
     lambda1, lambda2 : float
         Finite, and lambda_max >= lambda1 > lambda2 > 0.
     dataset : Dataset
-    lam_max : float, optional
-        lambda_max of ``dataset`` when the caller already has it; it is
-        recomputed, with a full pass over the data, when absent.
+        Its cached ``lambda_max`` bounds lambda1.
 
     Returns
     -------
@@ -141,9 +139,7 @@ def build_context(theta1, lambda1, lambda2, dataset, lam_max=None):
         raise ValueError("lambda1 and lambda2 must be finite")
     if lambda2 <= 0 or lambda1 <= lambda2:
         raise ValueError("lambda ordering violated: require lambda1 > lambda2 > 0")
-    if lam_max is None:
-        lam_max, _, _ = lambda_max(dataset)
-    if lambda1 > lam_max * (1.0 + 1e-9) + 1e-12:
+    if lambda1 > dataset.lambda_max[0] * (1.0 + 1e-9) + 1e-12:
         raise ValueError("lambda ordering violated: lambda1 exceeds lambda_max")
 
     y = dataset.labels
@@ -249,13 +245,13 @@ def screen_all(ctx, cols=None):
     one row per feature of ``cols``, equal bit for bit to those rows of
     the full report, and its ``kept`` indexes into ``cols``.  Total cost
     is one ``Dataset.rmatvec`` for theta1' fhat plus O(1) work per
-    feature, read from ``Dataset.stats``; the first call on a Dataset
-    also makes that O(nnz) statistics pass.
+    feature, read from ``Dataset.stats`` and ``Dataset.sq_norm``; the
+    first call on a Dataset also makes those O(nnz) passes.
     """
     start = time.perf_counter()
     dataset, stats = ctx.dataset, ctx.dataset.stats
     u = ctx.theta1 * ctx.labels
-    columns = (stats.dot_y, stats.dot_one, stats.sq_norm, stats.proj_y_norm)
+    columns = (stats.dot_y, stats.dot_one, dataset.sq_norm, stats.proj_y_norm)
     if cols is None or cols.size == dataset.n_features:
         # Increasing indices of every feature: the full product reads the
         # data in place.
@@ -279,10 +275,10 @@ def screen_all(ctx, cols=None):
     )
 
 
-def theta_at_lambda_max(dataset, lam_max=None, bias=None):
-    """Dual point of the trivial model (w = 0) at lambda1 = lambda_max."""
-    if lam_max is None or bias is None:
-        lam_max, bias, _ = lambda_max(dataset)
+def theta_at_lambda_max(dataset):
+    """Dual point of the trivial model (w = 0) at lambda1 = lambda_max,
+    from the Dataset's cached ``lambda_max`` and its bias."""
+    lam_max, bias, _ = dataset.lambda_max
     if lam_max <= 0:
         raise ValueError("lambda_max is zero; the trivial dual point is undefined")
     values = (1.0 - dataset.labels * bias) / lam_max

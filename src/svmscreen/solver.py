@@ -12,24 +12,24 @@ taken in the metric M = diag(||x_j||^2, n), the diagonal of A'A for
 A = [X, 1] (variable-metric forward-backward splitting; Combettes & Vu,
 2014), so each column moves by its own curvature: w_j steps by
 c^-1 / ||x_j||^2 and is thresholded at lam c^-1 / ||x_j||^2, b steps by
-c^-1 / n.  The column norms are the Dataset's ``sq_norm`` (y_i^2 = 1),
-which a Dataset without ``stats`` sums alone, and an empty column gets 1.
-Every solve starts at c^-1 = 1: the scaled M^-1/2 A'A M^-1/2 has a unit
-diagonal, so its L >= 1 and the line search halves the step at most
-ceil(log2(L)) times.  The warm-up only has to find the pattern of the
-optimum: F is piecewise
-quadratic, so with the margin set I = {i : xi_i > 0}, the support S and
-the signs s of w_S fixed, the optimum solves one (|S|+1)-square linear
-system.  As soon as an accepted step leaves the pattern unchanged, the
-exact finish solves that system for A = [X_IS, 1].  When every row is in
-I, dense data at most as wide as it is tall (m <= n) reads A'A and A'y
+c^-1 / n.  The column norms are the Dataset's ``sq_norm`` (y_i^2 = 1);
+an empty column gets 1.  Every solve starts at c^-1 = 1: the scaled
+M^-1/2 A'A M^-1/2 has a unit diagonal, so its L >= 1 and the line search
+halves the step at most ceil(log2(L)) times.  The warm-up only has to
+find the pattern of the optimum: F is piecewise quadratic, so with the
+margin set I = {i : xi_i > 0}, the support S and the signs s of w_S
+fixed, the optimum solves one (|S|+1)-square linear system.  As soon as
+an accepted step leaves the pattern unchanged, the exact finish solves
+that system for A = [X_IS, 1].  When every row is in I, dense data at
+most as wide as it is tall (m <= n) reads A'A and A'y
 from its cached Gram of [X, 1, y], whose (m + 2)^2 cells are then no more
 than the dense block plus 4n + 4; other margin sets, and other data,
-gather the block X_IS.  When the solution puts weights off their signs
-in s, the finish drops those coordinates from S and solves the principal
-submatrix of the same system again, until no weight flips (the drop step
-of the lasso modification of LARS); by Cauchy interlacing the one
-Cholesky pivot test covers each reduced system, and none costs a product.
+gather the block X_IS when it has at most FINISH_MAX_CELLS cells.  When
+the solution puts weights off their signs in s, the finish drops those
+coordinates from S and solves the principal submatrix of the same system
+again, until no weight flips (the drop step of the lasso modification of
+LARS); by Cauchy interlacing the one Cholesky pivot test covers each
+reduced system, and none costs a product.
 The candidate costs the one matvec an accepted point needs anyway: a
 margin row with xi = 0 rejects it, and otherwise it is kept only when the
 KKT check certifies it within the tolerance.  Otherwise proximal gradient
@@ -48,7 +48,7 @@ import numpy as np
 
 #: An iterate gets the exact KKT check once its estimated residual is below this.
 FINISH_FROM = 1e-3
-#: Linear systems factorised per solve before proximal gradient runs alone.
+#: Exact-finish attempts per solve before proximal gradient runs alone.
 FINISH_ATTEMPTS = 20
 #: The finish gathers at most this many cells of [X_IS, 1] (32 MB).
 FINISH_MAX_CELLS = 1 << 22
@@ -190,20 +190,21 @@ def _exact_finish(dataset, lam, w, rows):
     so stationarity reads A'A z = A'y_I - lam [sign(w_S); 0].  When I is
     every row and the Dataset has a cached Gram, A'A is its principal
     submatrix on the support and the ones, and A'y its labels column;
-    otherwise A is gathered.  The system is equilibrated, as if each
-    column of A had unit norm, and solved once the Cholesky factorisation
-    has shown it well posed.  While a weight of the solution is off its
-    sign in s (or 0), that coordinate leaves S and the principal
-    submatrix on the rest is solved again: the drop step of the lasso
+    otherwise A is gathered, unless it has more than FINISH_MAX_CELLS
+    cells.  The system is equilibrated, as if each column of A had unit
+    norm, and solved once the Cholesky factorisation has shown it well
+    posed.  While a weight of the solution is off its sign in s (or 0),
+    that coordinate leaves S and the principal submatrix on the rest is
+    solved again: the drop step of the lasso
     modification of LARS (Efron et al., 2004, section 3.1; Osborne,
     Presnell & Turlach, 2000).  Each round removes a coordinate, so at
     most |S| + 1 systems are solved, and by Cauchy interlacing the
     smallest eigenvalue of a principal submatrix is no smaller than the
     full system's, so the one pivot test covers every round.  Returns
-    (weights, bias), or None when A'A is singular.  Nothing here reads
-    the data past the system; the margin rows and the KKT conditions are
-    the caller's to check: the product that does so also gives an
-    accepted point its hinge.
+    (weights, bias), or None when A'A is singular or A too large to
+    gather.  Nothing here reads the data past the system; the margin
+    rows and the KKT conditions are the caller's to check: the product
+    that does so also gives an accepted point its hinge.
     """
     support = np.flatnonzero(w)
     signs = np.sign(w[support])
@@ -211,6 +212,8 @@ def _exact_finish(dataset, lam, w, rows):
         pick = np.append(support, dataset.n_features)
         gram = dataset.gram[np.ix_(pick, pick)]
         rhs = dataset.gram[pick, -1]
+    elif rows.size * (support.size + 1) > FINISH_MAX_CELLS:
+        return None
     else:
         a = np.ones((rows.size, support.size + 1))
         a[:, :-1] = dataset.block(rows, support)
@@ -245,34 +248,13 @@ def _exact_finish(dataset, lam, w, rows):
     return weights, float(z[-1])
 
 
-class _Counted:
-    """A Dataset whose matvec/rmatvec calls are counted in ``passes``."""
-
-    def __init__(self, dataset):
-        self._dataset = dataset
-        self.labels = dataset.labels
-        self.passes = 0
-
-    def __getattr__(self, name):
-        return getattr(self._dataset, name)
-
-    def matvec(self, v):
-        self.passes += 1
-        return self._dataset.matvec(v)
-
-    def rmatvec(self, u):
-        self.passes += 1
-        return self._dataset.rmatvec(u)
-
-
 def solve_primal(dataset, lam, options=None, warm=None):
     """Solve the primal problem at regularization weight lam.
 
     Parameters
     ----------
     dataset : Dataset
-        Its ``sq_norm`` gives the step's metric; a Dataset that has not
-        built it sums the squared entries per column here.
+        Its ``sq_norm`` gives the step's metric.
     lam : float
         Positive, finite L1 weight; lam = 0 leaves the problem potentially
         unbounded and is rejected.
@@ -299,7 +281,6 @@ def solve_primal(dataset, lam, options=None, warm=None):
         w = np.zeros(m)
         b = 0.0
 
-    data = _Counted(dataset)
     labels = dataset.labels
     n = dataset.n_samples
     # The weights' part of M; an empty column's weight has zero gradient.
@@ -310,7 +291,8 @@ def solve_primal(dataset, lam, options=None, warm=None):
     shrink = step / metric_w
     cut = lam * shrink
     neg_cut = -cut
-    scores = data.matvec(w)
+    scores = dataset.matvec(w)
+    passes = 1  # data products, each counted where it is made
     xi = _slack(labels, scores, b)
     f_x = _objective(_smooth(xi), w, lam)
     trace = [f_x] if opts.keep_trace else None
@@ -333,15 +315,17 @@ def solve_primal(dataset, lam, options=None, warm=None):
         gradient-mapping norm ||M d|| / step; each trial point costs one
         matvec.
         """
-        nonlocal step, shrink, cut, neg_cut, backtracks
-        grad_w, grad_b = _gradient(data, xi_from)
+        nonlocal step, shrink, cut, neg_cut, backtracks, passes
+        grad_w, grad_b = _gradient(dataset, xi_from)
+        passes += 1
         h_from = _smooth(xi_from)
         while True:
             # Soft-thresholding: u less its part clipped to [-cut, cut].
             u = w_from - shrink * grad_w
             w_new = u - np.minimum(np.maximum(u, neg_cut), cut)
             b_new = b_from - step * grad_b / n
-            s_new = data.matvec(w_new)
+            s_new = dataset.matvec(w_new)
+            passes += 1
             xi_new = _slack(labels, s_new, b_new)
             h_new = _smooth(xi_new)
             dw = w_new - w_from
@@ -389,7 +373,8 @@ def solve_primal(dataset, lam, options=None, warm=None):
         # The estimate decides when the exact (full-data) check runs; that
         # check alone decides converged.
         if 2.0 * mapping <= FINISH_FROM * lam:
-            residual = _kkt_residuals(data, w, xi, lam).max_residual
+            residual = _kkt_residuals(dataset, w, xi, lam).max_residual
+            passes += 1
             if residual <= opts.tol:
                 converged = True
                 break
@@ -399,23 +384,24 @@ def solve_primal(dataset, lam, options=None, warm=None):
         if attempts == FINISH_ATTEMPTS or pattern != previous:
             continue
         rows = np.flatnonzero(xi > 0.0)
-        k = np.count_nonzero(w) + 1
-        if k > rows.size or rows.size * k > FINISH_MAX_CELLS or pattern == tried:
+        if np.count_nonzero(w) + 1 > rows.size or pattern == tried:
             continue
         tried = pattern
         attempts += 1
-        found = _exact_finish(data, lam, w, rows)
+        found = _exact_finish(dataset, lam, w, rows)
         if found is None:
             continue
         # The candidate's scores: a margin row with xi = 0 puts it off its
         # own pattern, and an accepted one needs its hinge anyway.
         w_f, b_f = found
-        s_f = data.matvec(w_f)
+        s_f = dataset.matvec(w_f)
+        passes += 1
         xi_f = _slack(labels, s_f, b_f)
         if np.any(xi_f[rows] <= 0.0):
             continue
         f_f = _objective(_smooth(xi_f), w_f, lam)
-        residual_f = _kkt_residuals(data, w_f, xi_f, lam).max_residual
+        residual_f = _kkt_residuals(dataset, w_f, xi_f, lam).max_residual
+        passes += 1
         if residual_f <= opts.tol and f_f <= f_x + 1e-12 * max(1.0, abs(f_x)):
             w, b, xi, f_x, residual = w_f, b_f, xi_f, f_f, residual_f
             if trace is not None:
@@ -423,7 +409,8 @@ def solve_primal(dataset, lam, options=None, warm=None):
             converged = finished = True
             break
     else:
-        residual = _kkt_residuals(data, w, xi, lam).max_residual
+        residual = _kkt_residuals(dataset, w, xi, lam).max_residual
+        passes += 1
 
     return PrimalModel(
         weights=w,
@@ -434,7 +421,7 @@ def solve_primal(dataset, lam, options=None, warm=None):
         trace=tuple(trace) if trace is not None else (),
         kkt_residual=residual,
         finished=finished,
-        passes=data.passes,
+        passes=passes,
         backtracks=backtracks,
         restarts=restarts,
         finish_attempts=attempts,
@@ -471,12 +458,10 @@ def lambda_max(dataset):
 
     Returns (lambda_max, bias, direction): the threshold, the bias of the
     trivial model, and the per-feature vector whose max-magnitude entry
-    attains the threshold.
+    attains the threshold: the Dataset's cached ``lambda_max``, whose one
+    product its first use makes.
     """
-    n = dataset.n_samples
-    bias = (dataset.n_pos - dataset.n_neg) / n
-    direction = dataset.rmatvec(dataset.labels - bias)
-    return float(np.max(np.abs(direction))), float(bias), direction
+    return dataset.lambda_max
 
 
 def first_features(direction):

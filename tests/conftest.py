@@ -83,12 +83,12 @@ def solved_context(rng, dataset, lam1_frac, lam2_frac, tol=1e-12):
         theta_from_primal,
     )
 
-    lam_max, bias, _ = lambda_max(dataset)
+    lam_max = lambda_max(dataset)[0]
     if lam_max <= 0.0:
         return None
     lam1 = lam1_frac * lam_max
     if lam1_frac >= 1.0:
-        theta = theta_at_lambda_max(dataset, lam_max, bias)
+        theta = theta_at_lambda_max(dataset)
     else:
         model = solve_primal(dataset, lam1, options=SolverOptions(tol=tol))
         if not model.converged:

@@ -414,9 +414,11 @@ def test_subset_matches_per_column_reference():
 
 
 def test_subset_hands_down_the_statistics_bit_for_bit():
-    # A subset of a Dataset that has built its stats takes them indexed by
-    # the kept columns, equal bit for bit to a fresh pass on the subset;
-    # before the parent builds them the child has none of its own.
+    # A subset of a Dataset that has built its column norms takes them
+    # indexed by the kept columns, equal bit for bit to a fresh sum on the
+    # subset; before the parent builds them the child has none of its own.
+    # The child's stats come from its own pass, equal bit for bit to the
+    # parent's rows: each column's sums read the same entries in order.
     rng = np.random.default_rng(43)
     x = rng.normal(size=(9, 7)) * 10.0 ** rng.uniform(-2, 2, 7)
     x[rng.random(size=x.shape) >= 0.4] = 0.0
@@ -424,14 +426,16 @@ def test_subset_hands_down_the_statistics_bit_for_bit():
     y = random_dataset(rng, 9, 1).labels
     for ds in (Dataset.from_dense(x, y), Dataset.from_dense(rng.normal(size=(9, 7)), y)):
         for indices in ([0, 1, 2, 3, 4, 5, 6], [6, 0, 3], [2, 2, 5, 2], [5, 1, 4, 0], [3]):
-            assert "stats" not in ds.subset(indices).__dict__
-        ds.stats  # built on first use
+            assert "sq_norm" not in ds.subset(indices).__dict__
+        ds.stats, ds.sq_norm  # built on first use
         for indices in ([0, 1, 2, 3, 4, 5, 6], [6, 0, 3], [2, 2, 5, 2], [5, 1, 4, 0], [3]):
             sub = ds.subset(indices)
-            assert "stats" in sub.__dict__
-            fresh = kernels.feature_stats(sub.col_ptr, sub.row_idx, sub.values, sub.labels)
-            for name, want in zip(("dot_y", "dot_one", "sq_norm", "proj_y_norm"), fresh):
-                got = getattr(sub.stats, name)
+            assert "sq_norm" in sub.__dict__ and "stats" not in sub.__dict__
+            fresh = kernels.column_sq_norms(sub.col_ptr, sub.values)
+            assert sub.sq_norm.tobytes() == fresh.tobytes()
+            assert sub.sq_norm.tobytes() == ds.sq_norm[indices].tobytes()
+            for name in ("dot_y", "dot_one", "proj_y_norm"):
+                got, want = getattr(sub.stats, name), getattr(ds.stats, name)[indices]
                 assert got.tobytes() == want.tobytes(), name
 
 
@@ -482,10 +486,25 @@ def test_feature_indices_outside_the_range_are_rejected():
     np.testing.assert_array_equal(ds.subset([1]).to_dense(), [[2.0], [5.0]])
 
 
+def test_column_outside_the_range_is_rejected():
+    # As for subset: a negative index does not count from the end (col_ptr
+    # slicing would read another feature's entries), and one past the last
+    # feature is named as such rather than failing with an IndexError.
+    ds = Dataset.from_dense(np.arange(1.0, 7.0).reshape(2, 3), [1.0, -1.0])
+    for j in (-2, -1, 3):
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            ds.column(j)
+    for j in range(3):
+        rows, values = ds.column(j)
+        np.testing.assert_array_equal(rows, [0, 1])
+        np.testing.assert_array_equal(values, [j + 1.0, j + 4.0])
+
+
 def test_subset_child_is_a_valid_dataset():
     # A child is built without _validate, from the columns of a valid
     # Dataset; it passes it, and equals the Dataset built from the same
-    # arrays, down to the statistics and column norms it was handed.
+    # arrays, down to the column norms it was handed and the statistics it
+    # builds.  A parent's stats are not handed down.
     rng = np.random.default_rng(47)
     x = rng.normal(size=(9, 7))
     x[rng.random(size=x.shape) >= 0.4] = 0.0
@@ -506,7 +525,7 @@ def test_subset_child_is_a_valid_dataset():
                     assert got.dtype == want.dtype and got.flags.c_contiguous
                     assert got.tobytes() == want.tobytes(), name
                 handed = {name for name in ("stats", "sq_norm") if name in sub.__dict__}
-                assert handed == ({build} if build else set())
+                assert handed == ({"sq_norm"} if build == "sq_norm" else set())
                 assert sub.sq_norm.tobytes() == ref.sq_norm.tobytes()
                 for name, want in vars(ref.stats).items():
                     assert getattr(sub.stats, name).tobytes() == want.tobytes(), name
@@ -654,14 +673,14 @@ def test_feature_stats_match_dense_recompute():
         fhat = ds.labels[:, None] * ds.to_dense()
         np.testing.assert_allclose(stats.dot_y, fhat.T @ ds.labels, atol=1e-12)
         np.testing.assert_allclose(stats.dot_one, fhat.sum(axis=0), atol=1e-12)
-        np.testing.assert_allclose(stats.sq_norm, (fhat * fhat).sum(axis=0), atol=1e-12)
+        np.testing.assert_allclose(ds.sq_norm, (fhat * fhat).sum(axis=0), atol=1e-12)
         proj = fhat - np.outer(ds.labels, stats.dot_y / n)
         np.testing.assert_allclose(
             stats.proj_y_norm, np.linalg.norm(proj, axis=0), atol=1e-9
         )
         # pythagoras ties the four columns together
         np.testing.assert_allclose(
-            stats.proj_y_norm**2 + stats.dot_y**2 / n, stats.sq_norm, atol=1e-9
+            stats.proj_y_norm**2 + stats.dot_y**2 / n, ds.sq_norm, atol=1e-9
         )
 
 

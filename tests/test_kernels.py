@@ -108,11 +108,12 @@ def test_numpy_kernels_match_dense_on_mixed_scale_columns():
         # zeros too, which has a dense block
         every_cell = Dataset.from_columns([(np.arange(ds.n_samples), col) for col in x.T], y)
         assert every_cell.dense_block is not None
-        for stats in (
-            kernels.feature_stats(ds.col_ptr, ds.row_idx, ds.values, y),
-            dataclasses.astuple(every_cell.stats),
+        for stats, sq_norm in (
+            (kernels.feature_stats(ds.col_ptr, ds.row_idx, ds.values, y),
+             kernels.column_sq_norms(ds.col_ptr, ds.values)),
+            (dataclasses.astuple(every_cell.stats), every_cell.sq_norm),
         ):
-            dot_y, dot_one, sq_norm, proj_y_norm = stats
+            dot_y, dot_one, proj_y_norm = stats
             _assert_columns_close(dot_y, _exact_column_sums(x), ax.sum(axis=0))
             _assert_columns_close(dot_one, _exact_column_sums(fhat), ax.sum(axis=0))
             ref_sq = _exact_column_sums(x * x)
@@ -122,7 +123,7 @@ def test_numpy_kernels_match_dense_on_mixed_scale_columns():
                 for col in x.T
             ])
             _assert_columns_close(proj_y_norm, ref_proj, ref_proj)
-            for column in stats:
+            for column in (*stats, sq_norm):
                 assert np.all(column[empty] == 0.0)
 
 
@@ -141,13 +142,15 @@ def test_numpy_kernels_equal_with_and_without_column_index():
             (kernels.csc_rmatvec(*csc, u, cols=cols), kernels.csc_rmatvec(*csc, u)),
             *zip(kernels.feature_stats(*csc, ds.labels, cols=cols),
                  kernels.feature_stats(*csc, ds.labels)),
+            (kernels.column_sq_norms(ds.col_ptr, ds.values, cols=cols),
+             kernels.column_sq_norms(ds.col_ptr, ds.values)),
         ):
             assert out.dtype == np.float64
             np.testing.assert_array_equal(out, ref)
 
 
 def _bound_inputs(kind, lam1=1.2, lam2=0.7):
-    """(context, stats, s_theta) of one kind of screening context.
+    """(context, dataset, s_theta) of one kind of screening context.
 
     ``generic`` has a hand-made feasible theta1; ``no_normal`` has balanced
     labels and theta1 = 1/lambda1, so the halfspace drops out;
@@ -176,7 +179,7 @@ def _bound_inputs(kind, lam1=1.2, lam2=0.7):
     x[:, 3] = -y * (a - (a @ y / n) * y)
     ds = Dataset.from_dense(x, y)
     ctx = build_context(theta1, lam1, lam2, ds)
-    return ctx, ds.stats, ds.rmatvec(theta1 * y)
+    return ctx, ds, ds.rmatvec(theta1 * y)
 
 
 def test_bulk_numpy_matches_scalar_reference():
@@ -190,17 +193,18 @@ def test_bulk_numpy_matches_scalar_reference():
         ("no_normal", {deg, ball}),
         ("slice_degenerate", {deg, beta, corner}),
     ):
-        ctx, stats, s_theta = _bound_inputs(kind)
+        ctx, ds, s_theta = _bound_inputs(kind)
         assert (ctx.normal is None) == (kind == "no_normal")
         assert ctx.slice_degenerate == (kind == "slice_degenerate")
-        cases.append((ctx, stats, s_theta, reached))
+        cases.append((ctx, ds, s_theta, reached))
     # No valid labels make a context without a normal whose slice is
     # degenerate (that needs 1 parallel to y), but the kernel takes one.
-    ctx, stats, s_theta, _ = cases[-1]
-    cases.append((dataclasses.replace(ctx, normal=None), stats, s_theta, {deg, ball}))
+    ctx, ds, s_theta, _ = cases[-1]
+    cases.append((dataclasses.replace(ctx, normal=None), ds, s_theta, {deg, ball}))
 
-    for ctx, stats, s_theta, reached in cases:
-        columns = (stats.dot_y, stats.dot_one, stats.sq_norm, stats.proj_y_norm, s_theta)
+    for ctx, ds, s_theta, reached in cases:
+        stats = ds.stats
+        columns = (stats.dot_y, stats.dot_one, ds.sq_norm, stats.proj_y_norm, s_theta)
         m1, m2, br1, br2 = kernels.screen_bulk(ctx, *columns)
         for sign, values, branches in ((1.0, m1, br1), (-1.0, m2, br2)):
             # fhat' y, fhat' 1 and theta1' fhat flip with the sign of fhat

@@ -1,6 +1,7 @@
 """Path driver: grid handling, screening A/B equivalence, verify mode."""
 
 import dataclasses
+import functools
 import json
 import time
 
@@ -315,33 +316,59 @@ def _counting(monkeypatch, owner, name):
     return calls
 
 
+def _count_builds(monkeypatch, name):
+    """The Datasets that build their cached property ``name``."""
+    builds = []
+    build = getattr(Dataset, name).func
+
+    def counted(self):
+        builds.append(self)
+        return build(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(Dataset, name)
+    monkeypatch.setattr(Dataset, name, prop)
+    return builds
+
+
 def test_one_lambda_max_pass_per_path(monkeypatch):
-    # One lambda_max pass per path, and one statistics pass per Dataset
-    # however many paths and screens read it.
+    # One lambda_max product per Dataset, however many paths and contexts
+    # read it: the first use makes it, a second path and build_context make
+    # none.  Each path asks solver.lambda_max once.  One statistics pass
+    # per Dataset however many paths and screens read it.
     rng = np.random.default_rng(31)
+    fresh = random_dataset(rng, 12, 60, density=0.3)
+    products = _counting(monkeypatch, Dataset, "rmatvec")
+    assert lambda_max(fresh) is lambda_max(fresh)
+    assert len(products) == 1
+    monkeypatch.undo()
+
     ds = random_dataset(rng, 12, 60, density=0.3)
+    builds = _count_builds(monkeypatch, "lambda_max")
     calls = _counting(monkeypatch, solver, "lambda_max")
-    context_calls = _counting(monkeypatch, screening, "lambda_max")
     stats_calls = _counting(monkeypatch, kernels, "feature_stats")
-    # The solver reads its column metric from stats: every reduced Dataset
-    # arrives holding the parent's, handed down by subset.
-    solve_primal, arrived_with_stats = solver.solve_primal, []
+    # The solver reads its column metric from sq_norm: every reduced
+    # Dataset arrives holding the parent's, handed down by subset.
+    solve_primal, arrived_with_norms = solver.solve_primal, []
 
     def solve(reduced, *args, **kwargs):
-        arrived_with_stats.append("stats" in reduced.__dict__)
+        arrived_with_norms.append("sq_norm" in reduced.__dict__)
         return solve_primal(reduced, *args, **kwargs)
 
     monkeypatch.setattr(solver, "solve_primal", solve)
     report = run_path(ds, PathConfig(grid_size=5, ratio=0.8))
-    assert len(calls) + len(context_calls) == 1
+    assert builds == [ds] and len(calls) == 1
     assert all(s.trusted for s in report.steps)
     assert any(s.kept < ds.n_features for s in report.steps)
     assert len(stats_calls) == 1
-    assert len(arrived_with_stats) == 5 and all(arrived_with_stats)
+    assert len(arrived_with_norms) == 5 and all(arrived_with_norms)
     run_path(ds, PathConfig(grid_size=3, ratio=0.5))
-    assert len(calls) + len(context_calls) == 2
+    assert builds == [ds] and len(calls) == 2
     step = report.steps[-1]
-    screening.screen_all(screening.build_context(step.theta, step.lam, 0.5 * step.lam, ds))
+    products = _counting(monkeypatch, Dataset, "rmatvec")
+    ctx = screening.build_context(step.theta, step.lam, 0.5 * step.lam, ds)
+    assert products == [] and builds == [ds] and len(calls) == 2
+    screening.screen_all(ctx)
     assert len(stats_calls) == 1
 
 

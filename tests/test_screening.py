@@ -95,8 +95,10 @@ def test_build_context_validation():
         build_context(theta1, 0.5, -0.1, ds)
     with pytest.raises(ValueError, match="exceeds lambda_max"):
         build_context(theta1, 10.0, 1.0, ds)
+    # The bound is the Dataset's cached lambda_max = 2/3, to within 1e-9.
     with pytest.raises(ValueError, match="exceeds lambda_max"):
-        build_context(theta1, 10.0, 1.0, ds, lam_max=2.0 / 3.0)
+        build_context(theta1, 2.0 / 3.0 * (1.0 + 1e-8), 0.3, ds)
+    assert build_context(theta1, 2.0 / 3.0 * (1.0 + 1e-10), 0.3, ds).lambda1 > 2.0 / 3.0
     with pytest.raises(ValueError, match="length"):
         build_context(np.ones(2), 2.0 / 3.0, 0.3, ds)
     with pytest.raises(ValueError, match="negative"):

@@ -58,7 +58,7 @@ def test_lambda_max_three_sample_frozen_with_tie():
     assert bias == pytest.approx(1.0 / 3.0, abs=1e-15)
     np.testing.assert_allclose(direction, [-2.0 / 3.0, -2.0 / 3.0], atol=1e-15)
     np.testing.assert_array_equal(first_features(direction), [0, 1])
-    theta = theta_at_lambda_max(ds, lam_max, bias)
+    theta = theta_at_lambda_max(ds)
     np.testing.assert_allclose(theta.values, [1.0, 1.0, 2.0], atol=1e-12)
     assert theta.lam == lam_max
 
@@ -330,12 +330,34 @@ def test_finish_skipped_without_a_unique_pattern_optimum(monkeypatch):
     assert model.converged and not model.finished
     assert kkt_report(ds, model, 0.5).max_residual <= 1e-9
 
-    # A block of [X_IS, 1] above the cell cap is not gathered either.
+    # On sparse data the finish returns None, without gathering, for a
+    # block of [X_IS, 1] above the cell cap; each refusal is an attempt.
+    results.clear()
     monkeypatch.setattr(solver, "FINISH_MAX_CELLS", 1)
-    ds = parse_sparse_text(TWO_SAMPLE)
-    model = solve_primal(ds, 1.0)
-    assert results == []
+    blocks = _count_calls(monkeypatch, Dataset, "block")
+    ds, lam = _sparse_problem()
+    assert ds.dense_block is None
+    model = solve_primal(ds, lam)
+    assert results and all(found is None for found in results)
+    assert blocks == []
+    assert model.finish_attempts == len(results)
     assert model.converged and not model.finished
+
+
+def _reject_candidates(monkeypatch):
+    """Make every candidate the finish proposes fail its KKT check; returns
+    what each attempt of the finish returned."""
+    candidates = _finish_results(monkeypatch)
+    residuals = solver._kkt_residuals
+
+    def reject_candidates(dataset, w, xi, lam_at):
+        report = residuals(dataset, w, xi, lam_at)
+        if any(found is not None and w is found[0] for found in candidates):
+            report = dataclasses.replace(report, r1=1.0)
+        return report
+
+    monkeypatch.setattr(solver, "_kkt_residuals", reject_candidates)
+    return candidates
 
 
 def test_rejected_finish_leaves_the_proximal_gradient_answer(monkeypatch):
@@ -348,17 +370,7 @@ def test_rejected_finish_leaves_the_proximal_gradient_answer(monkeypatch):
     plain = solve_primal(ds, lam, options=opts)
     monkeypatch.undo()
 
-    # Every candidate the finish proposes fails its KKT check.
-    candidates = _finish_results(monkeypatch)
-    residuals = solver._kkt_residuals
-
-    def reject_candidates(dataset, w, xi, lam_at):
-        report = residuals(dataset, w, xi, lam_at)
-        if any(found is not None and w is found[0] for found in candidates):
-            report = dataclasses.replace(report, r1=1.0)
-        return report
-
-    monkeypatch.setattr(solver, "_kkt_residuals", reject_candidates)
+    candidates = _reject_candidates(monkeypatch)
     rejected = solve_primal(ds, lam, options=opts)
     assert any(found is not None for found in candidates)
     assert not plain.finished and not rejected.finished
@@ -367,6 +379,54 @@ def test_rejected_finish_leaves_the_proximal_gradient_answer(monkeypatch):
     assert rejected.bias == plain.bias
     assert rejected.iterations == plain.iterations
     assert rejected.trace == plain.trace
+
+
+def test_finish_attempts_stop_at_their_cap(monkeypatch):
+    # With every candidate rejected, the finish tries each new pattern that
+    # holds over a step; FINISH_ATTEMPTS caps those systems per solve, and
+    # proximal gradient then converges alone.
+    rng = np.random.default_rng(109)
+    ds = random_dataset(rng, 15, 10, 0.8)
+    lam = 0.3 * lambda_max(ds)[0]
+    candidates = _reject_candidates(monkeypatch)
+    uncapped = solve_primal(ds, lam)
+    assert uncapped.finish_attempts == len(candidates) >= 2
+    candidates.clear()
+    monkeypatch.setattr(solver, "FINISH_ATTEMPTS", 1)
+    capped = solve_primal(ds, lam)
+    assert capped.finish_attempts == len(candidates) == 1
+    assert capped.converged and not capped.finished
+    assert capped.kkt_residual <= 1e-9
+    assert kkt_report(ds, capped, lam).max_residual <= 1e-9
+
+
+def _coin_problem():
+    """300 x 20 dense data with coin-flip labels (rng 11, as the CI's
+    coin.txt), at 0.4 lambda_max: every row stays in the margin set."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((300, 20))
+    rng.standard_normal(300)  # the planted labels' noise, drawn for dense.txt
+    ds = Dataset.from_dense(x, np.where(rng.standard_normal(300) > 0, 1.0, -1.0))
+    return ds, 0.4 * lambda_max(ds)[0]
+
+
+def test_cell_cap_leaves_the_gram_finish_alone(monkeypatch):
+    # The cap bounds the cells the finish gathers.  With every row in I,
+    # dense data with a Gram gathers none, so even a cap of one cell leaves
+    # the solve as it is: it finishes, with no block gathered.
+    ds, lam = _coin_problem()
+    assert ds.gram is not None
+    default = solve_primal(ds, lam)
+    monkeypatch.setattr(solver, "FINISH_MAX_CELLS", 1)
+    blocks = _count_calls(monkeypatch, Dataset, "block")
+    capped = solve_primal(ds, lam)
+    assert blocks == []
+    assert capped.converged and capped.finished
+    assert (capped.iterations, capped.passes, capped.finish_attempts) == (
+        default.iterations, default.passes, default.finish_attempts
+    )
+    np.testing.assert_array_equal(capped.weights, default.weights)
+    assert capped.bias == default.bias
 
 
 def _sparse_problem():
@@ -582,14 +642,17 @@ def test_finish_drops_a_weight_that_leaves_its_sign(monkeypatch):
 def test_solve_on_a_fresh_dataset_builds_no_stats():
     # The step's metric needs the column norms alone: a solve on a Dataset
     # without stats sums those and makes no statistics pass, and its model
-    # is bit for bit the one made once the stats are built.
+    # is bit for bit the one made once the stats are built.  Building the
+    # stats leaves the column norms as they are.
     for ds, lam in (_sparse_problem(), _unscaled_problem()):
         fresh = Dataset(ds.n_samples, ds.n_features, ds.col_ptr, ds.row_idx, ds.values, ds.labels)
         model = solve_primal(fresh, lam)
         assert "stats" not in fresh.__dict__ and "sq_norm" in fresh.__dict__
-        assert fresh.sq_norm.tobytes() == ds.stats.sq_norm.tobytes()
+        norms = ds.sq_norm
+        ds.stats
+        assert ds.sq_norm is norms
+        assert fresh.sq_norm.tobytes() == norms.tobytes()
         again = solve_primal(ds, lam)
-        assert ds.sq_norm is ds.stats.sq_norm
         assert model.weights.tobytes() == again.weights.tobytes()
         assert (model.bias, model.passes, model.iterations) == (again.bias, again.passes, again.iterations)
 
