@@ -68,7 +68,8 @@ def _load_theta1(path, n_samples):
         arr = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError):  # an object or a string, alone or in the array
         raise ValueError(message) from None
-    if arr.ndim != 1 or arr.shape[0] != n_samples:
+    # numpy reads JSON true and false as 1 and 0.
+    if arr.ndim != 1 or arr.shape[0] != n_samples or any(isinstance(v, bool) for v in values):
         raise ValueError(message)
     return arr
 

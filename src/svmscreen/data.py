@@ -224,8 +224,8 @@ class Dataset:
     def rmatvec(self, u, cols=None):
         """X.T @ u for a sample vector u of length n_samples.
 
-        With ``cols``, a 1-d array of feature indices in [0, n_features)
-        (ValueError otherwise), only X[:, cols].T @ u, equal bit for bit
+        With ``cols``, a 1-d integer array of feature indices in
+        [0, n_features) (ValueError otherwise), only X[:, cols].T @ u, equal bit for bit
         to those rows of the full product.  Dense data takes the full BLAS
         product, whose sum for a column depends on the columns beside it
         in the call, and so does sparse data when ``cols`` holds at least
@@ -245,7 +245,10 @@ class Dataset:
         return kernels.csc_rmatvec(*self._columns(cols), u)
 
     def _check_features(self, cols):
-        """Raise ValueError unless cols is a 1-d array of indices in [0, n_features)."""
+        """Raise ValueError unless cols is a 1-d integer array of indices in
+        [0, n_features); a boolean mask or float indices do not pass."""
+        if not np.issubdtype(cols.dtype, np.integer):
+            raise ValueError("feature indices must be integers")
         if cols.ndim != 1:
             raise ValueError("feature indices must form a 1-d array")
         if cols.size and (cols.min() < 0 or cols.max() >= self.n_features):
@@ -273,8 +276,8 @@ class Dataset:
         return out
 
     def column(self, j):
-        """Row indices and values of feature j in [0, n_features) as array
-        views (ValueError otherwise)."""
+        """Row indices and values of feature j, an integer in
+        [0, n_features), as array views (ValueError otherwise)."""
         self._check_features(np.array([j]))
         lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
         return self.row_idx[lo:hi], self.values[lo:hi]
@@ -282,20 +285,22 @@ class Dataset:
     def subset(self, feature_indices):
         """New Dataset restricted to the given features, order preserved.
 
-        The indices must be a nonempty 1-d sequence in [0, n_features),
-        checked by one min and max (ValueError otherwise; a negative index
-        does not count from the end).  The columns of a valid Dataset make
-        a valid one, so the child is built without ``_validate``.  Once
-        this Dataset has built its ``sq_norm``, the child gets it indexed
-        by the kept columns, bit for bit the sum it would make: each
-        column's sum reads the same entries in the same order.  That is
-        the one per-feature array a path reads on a subset, which it
-        solves but never screens; anything else the child builds itself.
+        The indices must be a nonempty 1-d sequence of integers in
+        [0, n_features), checked by one min and max (ValueError otherwise;
+        a negative index does not count from the end).  The columns of a
+        valid Dataset make a valid one, so the child is built without
+        ``_validate``.  Once this Dataset has built its ``sq_norm``, the
+        child gets it indexed by the kept columns, bit for bit the sum it
+        would make: each column's sum reads the same entries in the same
+        order.  That is the one per-feature array a path reads on a
+        subset, which it solves but never screens; anything else the child
+        builds itself.
         """
-        cols = np.asarray(feature_indices, dtype=np.int64)
+        cols = np.asarray(feature_indices)
         if cols.size == 0:
             raise ValueError("need at least one feature")
         self._check_features(cols)
+        cols = cols.astype(np.int64, copy=False)
         col_ptr, row_idx, values = self._columns(cols)
         child = object.__new__(Dataset)
         child.__dict__.update(

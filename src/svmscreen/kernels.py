@@ -145,7 +145,7 @@ def neg_min_scalar(ctx, syf, s1f, sff, pyf, sth):
     # on the equality subspace.
     if pyf <= 1e-12 * math.sqrt(sff):
         return 0.0, Branch.DEGENERATE_F
-    n = ctx.n
+    n = ctx.dataset.n_samples
     af = 0.0
     pyaf = 0.0
     if ctx.has_normal:
@@ -193,7 +193,7 @@ def screen_bulk(ctx, dot_y, dot_one, sq_norm, proj_y_norm, s_theta):
     every value and branch equal to neg_min_scalar's.  A branch is
     evaluated only when some feature takes it for some sign.
     """
-    n = ctx.n
+    n = ctx.dataset.n_samples
     pyf = proj_y_norm
     m = pyf.shape[0]
     m1 = np.zeros(m)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import ball_at_t
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -110,12 +112,13 @@ def oracle_max(ctx, g, ball=None, basis=None, n_cap=10, dense_samples=1_000_000)
     Parameters
     ----------
     ctx : ScreeningContext
-        Supplies the ball, the optional halfspace and the labels.
+        Supplies theta1, the lambdas, the optional halfspace and the labels.
     g : array
         Objective direction (use -fhat to get -min theta' fhat).
     ball : Ball, optional
-        Override the region's ball, e.g. with another member of the ball
-        family; the halfspace and equality constraint stay as in ctx.
+        The region's ball, by default the paper's ball_at_t(theta1,
+        lambda1, lambda2, 0) formed apart from build_context; the
+        halfspace and equality constraint stay as in ctx.
     basis : array, optional
         Orthonormal basis of {theta'y = 0} to use instead of the default,
         for invariance checks.
@@ -130,20 +133,22 @@ def oracle_max(ctx, g, ball=None, basis=None, n_cap=10, dense_samples=1_000_000)
     1e-7, or the candidate enumeration alone was exact (n > 3).
     """
     g = np.asarray(g, dtype=np.float64)
-    n = ctx.n
+    y = ctx.dataset.labels
+    n = y.shape[0]
     if n > n_cap:
         raise ValueError(f"oracle limited to n <= {n_cap}")
-    region_ball = ball if ball is not None else ctx.ball0
-    center = np.asarray(region_ball.center, dtype=np.float64)
-    radius = float(region_ball.radius)
+    if ball is None:
+        ball = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, 0.0)
+    center = np.asarray(ball.center, dtype=np.float64)
+    radius = float(ball.radius)
 
-    q = basis if basis is not None else null_space_basis(ctx.labels)
+    q = basis if basis is not None else null_space_basis(y)
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (n, n - 1):
         raise ValueError("basis must be n x (n-1)")
     if not np.allclose(q.T @ q, np.eye(n - 1), atol=1e-10):
         raise ValueError("basis must be orthonormal")
-    if float(np.max(np.abs(ctx.labels @ q))) > 1e-10:
+    if float(np.max(np.abs(y @ q))) > 1e-10:
         raise ValueError("basis must be orthogonal to the labels")
 
     c_red = q.T @ center

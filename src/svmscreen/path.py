@@ -1,9 +1,10 @@
 """Regularization path driver.
 
 Walks a decreasing lambda grid starting from lambda_max, where the model
-is exactly zero and the dual point has a closed form.  Each step screens
-features at the next lambda using the previous converged solution, solves
-the reduced problem with a warm start, reassembles the full weight vector
+is exactly zero and the dual point has a closed form; that model is the
+previous step of the first grid value.  Each step screens features at
+the next lambda using the previous converged solution, solves the
+reduced problem with a warm start, reassembles the full weight vector
 and takes the solve's dual point for the step after.  Optional verify mode
 checks at every step that this dual point certifies the discards (see
 the end of this docstring); it must find no violation whenever the
@@ -28,9 +29,11 @@ A bound certified at some earlier step therefore stays a bound further
 down, grown by that drift.  Each step re-evaluates the paper's region
 bound only for the features whose carried bound reaches the keep
 threshold, and keeps the smaller of the two; the rest are discarded on
-the carried bound alone.  The kept set is thus never larger than that of
-the per-step rule, and every certificate rests on one region bound, so
-safety needs no slack beyond EPS_KEEP.
+the carried bound alone.  A feature with no certificate carries +inf,
+which is always re-evaluated, so the first step evaluates every feature,
+as does the step after one that left no certificates.  The kept set is
+thus never larger than that of the per-step rule, and every certificate
+rests on one region bound, so safety needs no slack beyond EPS_KEEP.
 
 Each step takes one of two routes, with one solve either way.  It screens
 when the previous step converged, build_context accepts that step's dual
@@ -239,54 +242,54 @@ def run_path(dataset, config=None):
         2.0 * np.sqrt(dataset.n_pos * dataset.n_neg / dataset.n_samples)
     )
     # cert[j] bounds |theta*'fhat_j| at the lambda with 1/lambda = inv[j];
-    # None when no step has left certificates.
-    cert = inv = None
-    theta_prev = screening.theta_at_lambda_max(dataset)
-    lam_prev = lam_max
-    w_prev = np.zeros(m)
-    b_prev = float(bias0)
-    prev_converged = True
+    # +inf, which certifies nothing, until a step evaluates feature j.
+    cert, inv = np.full(m, np.inf), np.zeros(m)
+    # The closed-form model at lambda_max: w = 0, its bias and its dual
+    # point theta0, whose hinge is lam_max * theta0.
+    theta0 = screening.theta_at_lambda_max(dataset)
+    xi0 = lam_max * theta0.values
+    prev = solver.PrimalModel(
+        weights=np.zeros(m), bias=float(bias0), objective=0.5 * float(xi0 @ xi0),
+        iterations=0, converged=True, theta=theta0,
+    )
 
     steps = []
     for lam2 in grid:
         lam2 = float(lam2)
-        reduced, warm = dataset, (w_prev, b_prev)
+        reduced, warm = dataset, (prev.weights, prev.bias)
         screen_ms, evaluated, margin = 0.0, 0, None
-        trusted = prev_converged
+        trusted = prev.converged
         if cfg.screen and trusted:
             t0 = time.perf_counter()
             try:
-                ctx = screening.build_context(theta_prev, lam_prev, lam2, dataset)
+                ctx = screening.build_context(prev.theta, prev.theta.lam, lam2, dataset)
             except ValueError:
                 # A converged step's theta can still fall outside
                 # build_context's tolerances, e.g. at a loose --tol.
                 trusted = False
             else:
                 # stale: the features whose bound must be computed afresh.
-                if cert is not None:
-                    bounds = cert + drift * (1.0 / lam2 - inv)
-                    stale = np.flatnonzero(bounds >= threshold)
-                else:
-                    bounds, cert, inv = np.full(m, np.inf), np.empty(m), np.empty(m)
-                    stale = np.arange(m)
-                fresh = screening.screen_all(ctx, stale).bounds
-                np.minimum(bounds[stale], fresh, out=fresh)
-                bounds[stale] = fresh
-                cert[stale] = fresh
+                bounds = cert + drift * (1.0 / lam2 - inv)
+                stale = np.flatnonzero(bounds >= threshold)
+                report = screening.screen_all(ctx, stale)
+                bounds[stale] = np.minimum(bounds[stale], report.bounds)
+                cert[stale] = bounds[stale]
                 inv[stale] = 1.0 / lam2
                 evaluated = int(stale.size)
-                # Features left out of stale are below the threshold already.
-                kept_idx = stale[fresh >= threshold]
+                # A stale feature's carried bound reaches the threshold, so
+                # the smaller bound does exactly when the fresh one does.
+                kept_idx = stale[report.kept]
                 # Below lambda_max a correct region keeps at least one feature.
                 trusted = kept_idx.size > 0
                 if trusted and kept_idx.size < m:
                     margin = float(np.max(bounds, where=bounds < threshold, initial=-np.inf))
                     reduced = dataset.subset(kept_idx)
-                    warm = (w_prev[kept_idx], b_prev)
+                    warm = (prev.weights[kept_idx], prev.bias)
             screen_ms = (time.perf_counter() - t0) * 1000.0
         if not (cfg.screen and trusted):
             # Keep every feature; nothing is certified.
-            kept_idx, cert = np.arange(m, dtype=np.int64), None
+            kept_idx = np.arange(m, dtype=np.int64)
+            cert.fill(np.inf)
 
         t0 = time.perf_counter()
         model = solver.solve_primal(reduced, lam2, options=cfg.solver, warm=warm)
@@ -323,11 +326,7 @@ def run_path(dataset, config=None):
                 discarded_corr=discarded_corr,
             )
         )
-        theta_prev = model.theta
-        lam_prev = lam2
-        w_prev = model.weights
-        b_prev = model.bias
-        prev_converged = model.converged
+        prev = steps[-1]
 
     return PathReport(
         lambda_max=float(lam_max),

@@ -37,6 +37,9 @@ EPS_KEEP = 1e-7
 class ScreeningContext:
     """Everything derived from (lambda1, theta1, lambda2) that features share.
 
+    The labels and sample count are read from ``dataset``; the region's
+    ball enters only through its scalars (b_dot_y, pyb_norm).
+
     ``normal`` is None when the halfspace is uninformative (theta1 equals
     the ball-family anchor 1/lambda1 up to round-off, or its normal is
     collinear with the labels); screening then uses the ball and the
@@ -46,8 +49,6 @@ class ScreeningContext:
     lambda1: float
     lambda2: float
     theta1: np.ndarray
-    labels: np.ndarray
-    n: int
     dataset: object
     normal: np.ndarray | None
     # scalars shared by all features, which the bound kernels read
@@ -56,7 +57,7 @@ class ScreeningContext:
     a_dot_one: float
     a_dot_theta1: float
     pya_norm: float  # ||P_y(a)||
-    pyb_norm: float  # ||P_y(b)||, b = ball0.center - theta1
+    pyb_norm: float  # ||P_y(b)||, b = (1/lambda2 - theta1) / 2
     b_dot_y: float
     py_a_dot_py_b: float
     pay_sq: float  # ||P_a(y)||^2
@@ -64,7 +65,6 @@ class ScreeningContext:
     nested1_norm: float  # ||P_{P_a(y)}(P_a(1))||
     half_dl: float  # (1/lambda2 - 1/lambda1) / 2
     slice_degenerate: bool
-    ball0: geometry.Ball
 
     @property
     def has_normal(self):
@@ -156,8 +156,7 @@ def build_context(theta1, lambda1, lambda2, dataset):
     inv_l1 = 1.0 / lambda1
     inv_l2 = 1.0 / lambda2
 
-    b_vec = 0.5 * (inv_l2 - theta1)
-    c_vec = theta1 + b_vec  # the ball's center; c - theta1 is b up to round-off
+    b_vec = 0.5 * (inv_l2 - theta1)  # the ball's center less theta1
 
     # Projection norms are taken from residual vectors, never from the
     # difference-of-squares identity: near-parallel inputs cancel there
@@ -176,7 +175,6 @@ def build_context(theta1, lambda1, lambda2, dataset):
     norm_b = float(np.linalg.norm(b_vec))
     pyb_norm = float(np.linalg.norm(b_vec - (b_dot_y / n) * y))
     slice_degenerate = pyb_norm <= 1e-12 * norm_b
-    ball0 = geometry.Ball(c_vec, norm_b)
 
     if normal is not None:
         a_dot_y = float(normal @ y)
@@ -201,8 +199,6 @@ def build_context(theta1, lambda1, lambda2, dataset):
         lambda1=float(lambda1),
         lambda2=float(lambda2),
         theta1=theta1,
-        labels=y,
-        n=n,
         dataset=dataset,
         normal=normal,
         norm_u=norm_u,
@@ -218,7 +214,6 @@ def build_context(theta1, lambda1, lambda2, dataset):
         nested1_norm=nested1_norm,
         half_dl=0.5 * (inv_l2 - inv_l1),
         slice_degenerate=bool(slice_degenerate),
-        ball0=ball0,
     )
 
 
@@ -230,10 +225,11 @@ def neg_min(ctx, fhat):
     bulk from cached statistics.
     """
     fhat = np.asarray(fhat, dtype=np.float64)
-    syf = float(fhat @ ctx.labels)
+    y = ctx.dataset.labels
+    syf = float(fhat @ y)
     s1f = float(fhat.sum())
     sff = float(fhat @ fhat)
-    pyf = float(np.linalg.norm(fhat - (syf / ctx.n) * ctx.labels))
+    pyf = float(np.linalg.norm(fhat - (syf / y.shape[0]) * y))
     sth = float(fhat @ ctx.theta1)
     return kernels.neg_min_scalar(ctx, syf, s1f, sff, pyf, sth)
 
@@ -244,21 +240,16 @@ def screen_all(ctx, cols=None):
     ``cols`` holds increasing feature indices.  The report's arrays have
     one row per feature of ``cols``, equal bit for bit to those rows of
     the full report, and its ``kept`` indexes into ``cols``.  Total cost
-    is one ``Dataset.rmatvec`` for theta1' fhat plus O(1) work per
-    feature, read from ``Dataset.stats`` and ``Dataset.sq_norm``; the
+    is one ``Dataset.rmatvec(u, cols)`` for theta1' fhat plus O(1) work
+    per feature, read from ``Dataset.stats`` and ``Dataset.sq_norm``; the
     first call on a Dataset also makes those O(nnz) passes.
     """
     start = time.perf_counter()
     dataset, stats = ctx.dataset, ctx.dataset.stats
-    u = ctx.theta1 * ctx.labels
-    columns = (stats.dot_y, stats.dot_one, dataset.sq_norm, stats.proj_y_norm)
-    if cols is None or cols.size == dataset.n_features:
-        # Increasing indices of every feature: the full product reads the
-        # data in place.
-        s_theta = dataset.rmatvec(u)
-    else:
-        s_theta = dataset.rmatvec(u, cols=cols)
-        columns = tuple(c[cols] for c in columns)
+    if cols is None:
+        cols = np.arange(dataset.n_features)
+    s_theta = dataset.rmatvec(ctx.theta1 * dataset.labels, cols=cols)
+    columns = (c[cols] for c in (stats.dot_y, stats.dot_one, dataset.sq_norm, stats.proj_y_norm))
     m1, m2, branch1, branch2 = kernels.screen_bulk(ctx, *columns, s_theta)
     bounds = np.maximum(m1, m2)
     kept = np.flatnonzero(bounds >= 1.0 - EPS_KEEP).astype(np.int64)

@@ -493,10 +493,16 @@ def model_to_json(model, lam):
 
 
 def model_from_json(text, n_features):
-    """Inverse of model_to_json; needs the feature count to size the array."""
+    """Inverse of model_to_json; needs the feature count to size the array.
+
+    A weight index that is not an integer in 1..n_features raises
+    ValueError.
+    """
     payload = json.loads(text)
     w = np.zeros(n_features)
     for index, value in payload["weights"]:
+        if type(index) is not int or not 1 <= index <= n_features:
+            raise ValueError(f"weight index {index!r} is not an integer in 1..{n_features}")
         w[index - 1] = value
     fields = {name: payload[name] for name in JSON_FIELDS}
     return PrimalModel(weights=w, bias=float(payload["bias"]), **fields), float(payload["lambda"])

@@ -97,6 +97,12 @@ def solved_context(rng, dataset, lam1_frac, lam2_frac, tol=1e-12):
     return build_context(theta, lam1, lam2_frac * lam1, dataset)
 
 
+def reported_bounds(report, bounds):
+    """``report`` with ``bounds`` in place of its own and the kept set they give."""
+    kept = np.flatnonzero(bounds >= 1.0 - screening.EPS_KEEP)
+    return dataclasses.replace(report, bounds=bounds, kept=kept)
+
+
 def unsafe_screening(monkeypatch):
     """Make every screen_all call report its largest bound as 0.
 
@@ -109,7 +115,7 @@ def unsafe_screening(monkeypatch):
         report = screen_all(*args, **kwargs)
         bounds = report.bounds.copy()
         bounds[np.argmax(bounds)] = 0.0
-        return dataclasses.replace(report, bounds=bounds)
+        return reported_bounds(report, bounds)
 
     monkeypatch.setattr(screening, "screen_all", unsafe)
 

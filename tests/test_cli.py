@@ -150,7 +150,15 @@ def test_screen_theta1_file(capsys, three_sample_file, tmp_path):
     assert payload["kept"] == [1, 2]
 
     bad = tmp_path / "bad.json"
-    for content in ([1.0, 2.0], {"theta": [1.0, 1.0, 2.0]}, [{"a": 1.0}, 1.0, 2.0], "1 1 2"):
+    contents = (
+        [1.0, 2.0],
+        {"theta": [1.0, 1.0, 2.0]},
+        [{"a": 1.0}, 1.0, 2.0],
+        "1 1 2",
+        [True, True, True],
+        [1.0, False, 2.0],
+    )
+    for content in contents:
         bad.write_text(json.dumps(content), encoding="utf-8")
         code, _, err = run_cli(
             capsys,

@@ -500,6 +500,25 @@ def test_column_outside_the_range_is_rejected():
         np.testing.assert_array_equal(values, [j + 1.0, j + 4.0])
 
 
+def test_feature_indices_must_be_integers():
+    # A boolean mask is not read as indices (subset once took [True, False,
+    # True] as features [1, 0, 1]), and float indices are not truncated.
+    ds = Dataset.from_dense(np.arange(1.0, 13.0).reshape(4, 3), [1.0, -1.0, 1.0, -1.0])
+    u = np.ones(4)
+    for indices in (np.array([True, False, True]), np.array([0.0, 2.0]), np.array([1.7])):
+        with pytest.raises(ValueError, match="must be integers"):
+            ds.subset(indices)
+        with pytest.raises(ValueError, match="must be integers"):
+            ds.rmatvec(u, cols=indices)
+    for j in (True, 1.0, np.float64(2.0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            ds.column(j)
+    np.testing.assert_array_equal(ds.subset([0, 2]).to_dense(), ds.to_dense()[:, [0, 2]])
+    narrow = ds.subset(np.array([2], dtype=np.int32))
+    np.testing.assert_array_equal(narrow.to_dense(), ds.to_dense()[:, [2]])
+    np.testing.assert_array_equal(ds.rmatvec(u, cols=np.array([1, 2])), ds.rmatvec(u)[1:])
+
+
 def test_subset_child_is_a_valid_dataset():
     # A child is built without _validate, from the columns of a valid
     # Dataset; it passes it, and equals the Dataset built from the same

@@ -5,7 +5,7 @@ and agreement with its own dense secondary check."""
 import numpy as np
 import pytest
 
-from svmscreen import Ball, null_space_basis, oracle_max, oracle_neg_min
+from svmscreen import Ball, ball_at_t, null_space_basis, oracle_max, oracle_neg_min
 
 from conftest import synthetic_context
 
@@ -39,8 +39,9 @@ def test_argmax_is_feasible_and_value_consistent():
         g = rng.normal(size=n)
         res = oracle_max(ctx, g)
         z = res.argmax
-        assert abs(float(z @ ctx.labels)) <= 1e-8
-        assert float(np.linalg.norm(z - ctx.ball0.center)) <= ctx.ball0.radius + 1e-8
+        ball = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, 0.0)
+        assert abs(float(z @ ctx.dataset.labels)) <= 1e-8
+        assert float(np.linalg.norm(z - ball.center)) <= ball.radius + 1e-8
         if ctx.normal is not None:
             assert float(ctx.normal @ (z - ctx.theta1)) <= 1e-8
         assert res.value == pytest.approx(float(g @ z), abs=1e-10)
@@ -53,7 +54,7 @@ def test_value_invariant_under_basis_choice():
         ctx = synthetic_context(rng, n)
         g = rng.normal(size=n)
         default = oracle_max(ctx, g)
-        other = oracle_max(ctx, g, basis=rotated_basis(ctx.labels, 100 + trial))
+        other = oracle_max(ctx, g, basis=rotated_basis(ctx.dataset.labels, 100 + trial))
         assert other.value == pytest.approx(default.value, abs=1e-9)
 
 
@@ -73,7 +74,7 @@ def test_dense_check_certifies_small_problems():
 def test_label_collinear_objective_is_zero():
     rng = np.random.default_rng(13)
     ctx = synthetic_context(rng, 4)
-    res = oracle_max(ctx, 2.5 * ctx.labels)
+    res = oracle_max(ctx, 2.5 * ctx.dataset.labels)
     assert res.value == pytest.approx(0.0, abs=1e-9)
 
 
@@ -100,7 +101,7 @@ def test_rejects_large_problems():
 def test_rejects_ball_missing_the_subspace():
     rng = np.random.default_rng(23)
     ctx = synthetic_context(rng, 4)
-    far = Ball(ctx.theta1 + 5.0 * ctx.labels, 0.5)  # shifted off theta'y = 0
+    far = Ball(ctx.theta1 + 5.0 * ctx.dataset.labels, 0.5)  # shifted off theta'y = 0
     with pytest.raises(ValueError, match="does not meet the equality subspace"):
         oracle_max(ctx, np.ones(4), ball=far)
 
@@ -111,7 +112,8 @@ def test_rejects_halfspace_excluding_ball():
         ctx = synthetic_context(rng, 4)
         if ctx.normal is None:
             continue
-        pya = ctx.normal - (float(ctx.normal @ ctx.labels) / ctx.n) * ctx.labels
+        y = ctx.dataset.labels
+        pya = ctx.normal - (float(ctx.normal @ y) / y.shape[0]) * y
         direction = pya / np.linalg.norm(pya)
         radius = 0.25
         # Center three radii deep on the excluded side of the boundary.
@@ -129,7 +131,7 @@ def test_basis_validation():
     g = np.ones(4)
     with pytest.raises(ValueError, match="must be n x"):
         oracle_max(ctx, g, basis=np.eye(4))
-    skewed = null_space_basis(ctx.labels) * 1.5
+    skewed = null_space_basis(ctx.dataset.labels) * 1.5
     with pytest.raises(ValueError, match="orthonormal"):
         oracle_max(ctx, g, basis=skewed)
     not_null = np.eye(4)[:, :3]

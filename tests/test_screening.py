@@ -16,6 +16,7 @@ from svmscreen import (
     Branch,
     Dataset,
     SolverOptions,
+    ball_at_t,
     build_context,
     lambda_max,
     min_radius_ball,
@@ -51,10 +52,11 @@ def frozen_context():
 def test_frozen_context_values():
     ctx, _ = frozen_context()
     np.testing.assert_allclose(ctx.theta1, [1.0, 1.0, 2.0], atol=1e-12)
-    np.testing.assert_allclose(ctx.ball0.center, [2.0, 2.0, 2.5], atol=1e-12)
+    ball = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, 0.0)
+    np.testing.assert_allclose(ball.center, [2.0, 2.0, 2.5], atol=1e-12)
     # b = c - theta1
-    np.testing.assert_allclose(ctx.ball0.center - ctx.theta1, [1.0, 1.0, 0.5], atol=1e-12)
-    assert ctx.ball0.radius == pytest.approx(1.5, abs=1e-12)
+    np.testing.assert_allclose(ball.center - ctx.theta1, [1.0, 1.0, 0.5], atol=1e-12)
+    assert ball.radius == pytest.approx(1.5, abs=1e-12)
     assert ctx.half_dl == pytest.approx(0.75, abs=1e-12)
     assert ctx.b_dot_y == pytest.approx(1.5, abs=1e-12)
     assert ctx.pyb_norm == pytest.approx(np.sqrt(1.5), abs=1e-12)
@@ -144,9 +146,9 @@ def test_context_scalar_cache_matches_vectors():
     rng = np.random.default_rng(23)
     for trial in range(20):
         ctx = synthetic_context(rng, int(rng.integers(3, 12)))
-        y = ctx.labels
-        n = ctx.n
-        b = ctx.ball0.center - ctx.theta1
+        y = ctx.dataset.labels
+        n = ctx.dataset.n_samples
+        b = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, 0.0).center - ctx.theta1
         assert ctx.b_dot_y == pytest.approx(float(b @ y), abs=1e-12)
         pyb = b - (float(b @ y) / n) * y
         assert ctx.pyb_norm == pytest.approx(float(np.linalg.norm(pyb)), abs=1e-12)
@@ -281,7 +283,8 @@ def test_membership_and_safety_on_solved_instances():
             continue
         theta2 = theta_from_primal(ds, model2.weights, model2.bias, ctx.lambda2).values
 
-        assert float(np.linalg.norm(theta2 - ctx.ball0.center)) <= ctx.ball0.radius + 1e-7
+        ball = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, 0.0)
+        assert float(np.linalg.norm(theta2 - ball.center)) <= ball.radius + 1e-7
         assert abs(float(theta2 @ ds.labels)) <= 1e-6
         if ctx.normal is not None:
             assert float(ctx.normal @ (theta2 - ctx.theta1)) <= 1e-7
@@ -400,11 +403,10 @@ def test_corner_bound_equals_rim_max_for_any_family_ball():
         if ctx.normal is None:
             continue
         ds = ctx.dataset
-        basis = null_space_basis(ctx.labels)
+        basis = null_space_basis(ds.labels)
         limit = float(ctx.normal @ ctx.theta1)
-        z0_base, rho_base, tan_base = _boundary_chord(
-            ctx.ball0, basis, ctx.normal, limit
-        )
+        base = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, 0.0)
+        z0_base, rho_base, tan_base = _boundary_chord(base, basis, ctx.normal, limit)
         _, min_ball = min_radius_ball(ctx.theta1, ctx.lambda1, ctx.lambda2, ctx.normal)
         z0_min, rho_min, _ = _boundary_chord(min_ball, basis, ctx.normal, limit)
         np.testing.assert_allclose(z0_min, z0_base, atol=1e-9)

@@ -11,6 +11,7 @@ Frozen cases, derived by hand:
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -248,6 +249,18 @@ def test_model_json_round_trip():
     assert back.kkt_residual <= 1e-9
     assert back.finished is True
     assert model.passes > 0 and model.finish_attempts >= 1
+
+
+def test_model_json_rejects_a_weight_index_that_is_not_a_feature():
+    # Index 0 once set the last weight, -1 the second to last and true the
+    # first; n_features + 1 and 1.5 failed with a bare IndexError.
+    fields = {name: 0 for name in solver.JSON_FIELDS}
+    for index in (0, -1, 3, True, 1.5, "1"):
+        text = json.dumps({"lambda": 1.0, "bias": 0.0, "weights": [[index, 0.5]], **fields})
+        with pytest.raises(ValueError, match=r"is not an integer in 1\.\.2"):
+            model_from_json(text, 2)
+    text = json.dumps({"lambda": 1.0, "bias": 0.0, "weights": [[2, 0.5]], **fields})
+    np.testing.assert_array_equal(model_from_json(text, 2)[0].weights, [0.0, 0.5])
 
 
 def test_kkt_report_recompute():
