@@ -26,14 +26,19 @@ so it meets fhat_j only through P_y fhat_j, and by Cauchy-Schwarz
     |theta*(l2)'fhat_j| <= |theta*(l1)'fhat_j| + ||P_y fhat_j|| R (1/l2 - 1/l1).
 
 A bound certified at some earlier step therefore stays a bound further
-down, grown by that drift.  Each step re-evaluates the paper's region
-bound only for the features whose carried bound reaches the keep
-threshold, and keeps the smaller of the two; the rest are discarded on
-the carried bound alone.  A feature with no certificate carries +inf,
-which is always re-evaluated, so the first step evaluates every feature,
-as does the step after one that left no certificates.  The kept set is
-thus never larger than that of the per-step rule, and every certificate
-rests on one region bound, so safety needs no slack beyond EPS_KEEP.
+down, grown by that drift.  So each feature carries one number, base_j,
+and its bound at lambda is base_j + drift_j / lambda: a bound b certified
+at lambda sets base_j = b - drift_j / lambda.  The carry starts at
+lambda_max, where theta0 is the exact dual optimum and theta0'fhat_j =
+direction_j / lambda_max, read from the Dataset's cached lambda_max at no
+product.  Each step re-evaluates the paper's region bound only for the
+features whose carried bound reaches the keep threshold, one compare of
+the bound array, and keeps the smaller of the two; the rest are discarded
+on the carried bound alone.  A step that leaves no certificates sets
+every base to +inf, so the step after it evaluates every feature.  The
+kept set is thus never larger than that of the per-step rule, and every
+certificate rests on theta0 or on one region bound, so safety needs no
+slack beyond EPS_KEEP.
 
 Each step takes one of two routes, with one solve either way.  It screens
 when the previous step converged, build_context accepts that step's dual
@@ -41,6 +46,16 @@ point and the region keeps a feature: the halfspace is theta1's own
 optimality condition, and below lambda_max the optimum has a feature with
 |theta2'fhat_j| = 1, which a correct region keeps.  Otherwise the step
 keeps every feature and leaves no certificates behind.
+
+The solve starts on the secant of the path: on the kept columns, w1 +
+r (w1 - w0) and b1 + r (b1 - b0) with r = (l2 - l1) / (l1 - l0), from the
+models (w0, b0) at l0 and (w1, b1) at l1 of the two steps before, the
+model at lambda_max standing in for w0 at the second step (the first
+starts at that model itself).  On a fixed pattern (margin rows, support
+and signs) the optimum is affine in lambda (Rosset & Zhu, Ann. Statist.
+2007), so while the path stays on one linear piece the start is the
+optimum and the solve only certifies it.  A weight whose sign the line
+would change starts at 0.
 
 The same projection view certifies a step after the fact.  The reduced
 problem on the kept columns K has the dual point theta2 = P_{F_K}(1/l2 1),
@@ -98,19 +113,19 @@ class PathStep(solver.PrimalModel):
     step keeps every feature.
     ``screen_ms``, the wall time of screening for this step: building the
     screening region, bounding every feature and copying out the kept
-    columns; 0 when the step did not screen because screening is off or
+    columns, unless the last copy holds the same ones; 0 when the step did not screen because screening is off or
     the previous step did not converge.  ``solve_ms``, the solve alone.
     ``evaluated``, the number of features whose region bound was computed
     this step; the others were discarded on a bound carried from an
-    earlier step (0 when screening did not run).  ``margin``, the largest
-    certified bound, fresh or carried, among discarded features, below the
-    keep threshold 1 - EPS_KEEP; None when nothing was discarded or
-    screening did not run.  In verify mode, ``discarded_corr`` is the
-    largest |theta2'fhat_j| over the discarded features at the step's own
-    dual point theta2, and ``violations`` counts those above 1 by more
-    than the solver tolerance; both are None when verify is off or the
-    step did not converge, and discarded_corr also when nothing was
-    discarded.
+    earlier step or from lambda_max (0 when screening did not run).
+    ``margin``, the largest certified bound, fresh or carried, among
+    discarded features, below the keep threshold 1 - EPS_KEEP; None when
+    nothing was discarded or screening did not run.  In verify mode,
+    ``discarded_corr`` is the largest |theta2'fhat_j| over the discarded
+    features at the step's own dual point theta2, and ``violations``
+    counts those above 1 by more than the solver tolerance; both are None
+    when verify is off or the step did not converge, and discarded_corr
+    also when nothing was discarded.
     """
 
     lam: float
@@ -222,7 +237,7 @@ def run_path(dataset, config=None):
         and there is no path to trace.
     """
     cfg = config if config is not None else PathConfig()
-    lam_max, bias0, _ = solver.lambda_max(dataset)
+    lam_max, bias0, direction = solver.lambda_max(dataset)
     if lam_max <= 0.0:
         raise DegenerateProblemError(
             "lambda_max is zero for this dataset, so the zero-weight model is "
@@ -241,9 +256,10 @@ def run_path(dataset, config=None):
     drift = dataset.stats.proj_y_norm * (
         2.0 * np.sqrt(dataset.n_pos * dataset.n_neg / dataset.n_samples)
     )
-    # cert[j] bounds |theta*'fhat_j| at the lambda with 1/lambda = inv[j];
-    # +inf, which certifies nothing, until a step evaluates feature j.
-    cert, inv = np.full(m, np.inf), np.zeros(m)
+    # The carried bound on |theta*'fhat_j| at lambda is base[j] + drift[j] /
+    # lambda, seeded at lambda_max from theta0'fhat_j = direction_j /
+    # lam_max; +inf certifies nothing.
+    base = (np.abs(direction) - drift) / lam_max
     # The closed-form model at lambda_max: w = 0, its bias and its dual
     # point theta0, whose hinge is lam_max * theta0.
     theta0 = screening.theta_at_lambda_max(dataset)
@@ -252,11 +268,15 @@ def run_path(dataset, config=None):
         weights=np.zeros(m), bias=float(bias0), objective=0.5 * float(xi0 @ xi0),
         iterations=0, converged=True, theta=theta0,
     )
+    # The model before prev, for the secant; prev itself at the first step.
+    before = prev
+    # The features of the last subset made, and that subset.
+    subset_of, kept_columns = np.zeros(0, dtype=np.int64), dataset
 
     steps = []
     for lam2 in grid:
         lam2 = float(lam2)
-        reduced, warm = dataset, (prev.weights, prev.bias)
+        reduced = dataset
         screen_ms, evaluated, margin = 0.0, 0, None
         trusted = prev.converged
         if cfg.screen and trusted:
@@ -268,13 +288,13 @@ def run_path(dataset, config=None):
                 # build_context's tolerances, e.g. at a loose --tol.
                 trusted = False
             else:
+                bounds = drift * (1.0 / lam2)
+                bounds += base
                 # stale: the features whose bound must be computed afresh.
-                bounds = cert + drift * (1.0 / lam2 - inv)
                 stale = np.flatnonzero(bounds >= threshold)
                 report = screening.screen_all(ctx, stale)
-                bounds[stale] = np.minimum(bounds[stale], report.bounds)
-                cert[stale] = bounds[stale]
-                inv[stale] = 1.0 / lam2
+                fresh = np.minimum(bounds[stale], report.bounds)
+                base[stale] = fresh - drift[stale] * (1.0 / lam2)
                 evaluated = int(stale.size)
                 # A stale feature's carried bound reaches the threshold, so
                 # the smaller bound does exactly when the fresh one does.
@@ -282,14 +302,32 @@ def run_path(dataset, config=None):
                 # Below lambda_max a correct region keeps at least one feature.
                 trusted = kept_idx.size > 0
                 if trusted and kept_idx.size < m:
-                    margin = float(np.max(bounds, where=bounds < threshold, initial=-np.inf))
-                    reduced = dataset.subset(kept_idx)
-                    warm = (prev.weights[kept_idx], prev.bias)
+                    # The margin is the largest bound left once the kept
+                    # features' are taken out.
+                    bounds[stale] = fresh
+                    bounds[kept_idx] = -np.inf
+                    margin = float(bounds.max())
+                    # A kept set the last subset already holds reuses it,
+                    # with all it has cached.
+                    if not np.array_equal(kept_idx, subset_of):
+                        subset_of, kept_columns = kept_idx, dataset.subset(kept_idx)
+                    reduced = kept_columns
             screen_ms = (time.perf_counter() - t0) * 1000.0
         if not (cfg.screen and trusted):
             # Keep every feature; nothing is certified.
             kept_idx = np.arange(m, dtype=np.int64)
-            cert.fill(np.inf)
+            base.fill(np.inf)
+
+        # The warm start lies on the line through the last two models, on
+        # the kept columns: while the pattern holds the path is affine in
+        # lambda, so there the start is the optimum.  A weight that would
+        # change sign starts at 0.
+        w1 = prev.weights[kept_idx]
+        lam1, lam0 = prev.theta.lam, before.theta.lam
+        r = 0.0 if before is prev else (lam2 - lam1) / (lam1 - lam0)
+        w = w1 + r * (w1 - before.weights[kept_idx])
+        w[np.sign(w) != np.sign(w1)] = 0.0
+        warm = (w, prev.bias + r * (prev.bias - before.bias))
 
         t0 = time.perf_counter()
         model = solver.solve_primal(reduced, lam2, options=cfg.solver, warm=warm)
@@ -326,7 +364,7 @@ def run_path(dataset, config=None):
                 discarded_corr=discarded_corr,
             )
         )
-        prev = steps[-1]
+        before, prev = prev, steps[-1]
 
     return PathReport(
         lambda_max=float(lam_max),

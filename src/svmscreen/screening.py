@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, kernels
+from . import kernels
 from .kernels import Branch
 from .solver import ThetaVector
 
@@ -150,43 +150,59 @@ def build_context(theta1, lambda1, lambda2, dataset):
         raise ValueError("theta1 must be finite")
     if float(theta1.min()) < -1e-10:
         raise ValueError("theta1 infeasible: negative coordinates")
-    if abs(float(theta1 @ y)) > 1e-6:
+    theta_y = float(theta1 @ y)
+    if abs(theta_y) > 1e-6:
         raise ValueError("theta1 infeasible: theta1' y is not 0")
 
     inv_l1 = 1.0 / lambda1
     inv_l2 = 1.0 / lambda2
 
-    b_vec = 0.5 * (inv_l2 - theta1)  # the ball's center less theta1
-
-    # Projection norms are taken from residual vectors, never from the
+    # Every vector of the region lies in span{y, 1, theta1}, so each scalar
+    # below is arithmetic on coordinates in its orthonormal basis: e1 =
+    # y / sqrt(n), e2 along r1 = 1 - (1'y / n) y and e3 along r2, theta1
+    # less its parts along e1 and e2 (an axis whose residual is 0 gets
+    # coordinate 0).  ||r1||^2 = 4 n_pos n_neg / n exactly.  ||r2|| and
+    # every projection norm come from residual vectors, never from the
     # difference-of-squares identity: near-parallel inputs cancel there
     # and round-off can fabricate a nonzero normal, which would feed the
     # anti-parallel branch a garbage direction.
-    a_unnormalized = inv_l1 - theta1
-    norm_u = float(np.linalg.norm(a_unnormalized))
-    normal = None
-    if norm_u > 1e-12 * inv_l1 * np.sqrt(n):
-        candidate = a_unnormalized / norm_u
-        residual = candidate - (float(candidate @ y) / n) * y
-        if float(np.linalg.norm(residual)) > 1e-12:
-            normal = candidate
+    root_n = math.sqrt(n)
+    y_bar = (dataset.n_pos - dataset.n_neg) / n
+    r1_norm = 2.0 * math.sqrt(dataset.n_pos * dataset.n_neg / n)
+    theta_r1 = float(theta1.sum()) - y_bar * theta_y
+    along_r1 = theta_r1 / (r1_norm * r1_norm) if r1_norm > 0.0 else 0.0
+    r2 = theta1 - along_r1 - (theta_y / n - along_r1 * y_bar) * y
+    one = (y_bar * root_n, r1_norm, 0.0)
+    theta = (theta_y / root_n, along_r1 * r1_norm, math.sqrt(float(r2 @ r2)))
 
-    b_dot_y = float(b_vec @ y)
-    norm_b = float(np.linalg.norm(b_vec))
-    pyb_norm = float(np.linalg.norm(b_vec - (b_dot_y / n) * y))
-    slice_degenerate = pyb_norm <= 1e-12 * norm_b
+    # The halfspace normal is a = u / ||u|| for u = 1/lambda1 - theta1, and
+    # the ball's centre less theta1 is b = (1/lambda2 - theta1) / 2.
+    u = [inv_l1 * one_k - theta_k for one_k, theta_k in zip(one, theta)]
+    norm_u = math.hypot(*u)
+    normal = None
+    if norm_u > 1e-12 * inv_l1 * root_n:
+        a = [u_k / norm_u for u_k in u]
+        pya_norm = math.hypot(a[1], a[2])
+        if pya_norm > 1e-12:
+            normal = (inv_l1 - theta1) / norm_u
+
+    b = [0.5 * (inv_l2 * one_k - theta_k) for one_k, theta_k in zip(one, theta)]
+    b_dot_y = b[0] * root_n
+    pyb_norm = math.hypot(b[1], b[2])
+    slice_degenerate = pyb_norm <= 1e-12 * math.hypot(*b)
 
     if normal is not None:
-        a_dot_y = float(normal @ y)
-        a_dot_one = float(normal.sum())
-        a_dot_theta1 = float(normal @ theta1)
-        pya_norm = float(np.linalg.norm(normal - (a_dot_y / n) * y))
-        py_a_dot_py_b = float(normal @ b_vec) - a_dot_y * b_dot_y / n
+        a_dot_y = a[0] * root_n
+        a_dot_one = _dot(a, one)
+        a_dot_theta1 = _dot(a, theta)
+        py_a_dot_py_b = a[1] * b[1] + a[2] * b[2]
         pay_sq = n * pya_norm * pya_norm
-        pa_one = geometry.project_null(normal, np.ones(n))
-        pa_y = geometry.project_null(normal, y)
-        pa1y = float(pa_one @ pa_y)
-        nested1_norm = float(np.linalg.norm(geometry.project_null(pa_y, pa_one)))
+        # P_a(1) and P_a(y), and the first less its part along the second.
+        pa_one = [one_k - a_dot_one * a_k for one_k, a_k in zip(one, a)]
+        pa_y = [y_k - a_dot_y * a_k for y_k, a_k in zip((root_n, 0.0, 0.0), a)]
+        pa1y = _dot(pa_one, pa_y)
+        along = pa1y / _dot(pa_y, pa_y)
+        nested1_norm = math.hypot(*(p_k - along * q_k for p_k, q_k in zip(pa_one, pa_y)))
     else:
         a_dot_y = a_dot_one = a_dot_theta1 = 0.0
         pya_norm = 0.0
@@ -217,6 +233,11 @@ def build_context(theta1, lambda1, lambda2, dataset):
     )
 
 
+def _dot(p, q):
+    """Dot product of two coordinate 3-vectors."""
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+
 def neg_min(ctx, fhat):
     """-min over the screening region of theta' fhat, with the branch taken.
 
@@ -241,16 +262,15 @@ def screen_all(ctx, cols=None):
     one row per feature of ``cols``, equal bit for bit to those rows of
     the full report, and its ``kept`` indexes into ``cols``.  Total cost
     is one ``Dataset.rmatvec(u, cols)`` for theta1' fhat plus O(1) work
-    per feature, read from ``Dataset.stats`` and ``Dataset.sq_norm``; the
-    first call on a Dataset also makes those O(nnz) passes.
+    per feature, read from ``Dataset.stats`` in one gather; the first call
+    on a Dataset also makes its O(nnz) passes.
     """
     start = time.perf_counter()
-    dataset, stats = ctx.dataset, ctx.dataset.stats
+    dataset = ctx.dataset
     if cols is None:
         cols = np.arange(dataset.n_features)
     s_theta = dataset.rmatvec(ctx.theta1 * dataset.labels, cols=cols)
-    columns = (c[cols] for c in (stats.dot_y, stats.dot_one, dataset.sq_norm, stats.proj_y_norm))
-    m1, m2, branch1, branch2 = kernels.screen_bulk(ctx, *columns, s_theta)
+    m1, m2, branch1, branch2 = kernels.screen_bulk(ctx, *dataset.stats.columns[:, cols], s_theta)
     bounds = np.maximum(m1, m2)
     kept = np.flatnonzero(bounds >= 1.0 - EPS_KEEP).astype(np.int64)
     return ScreenReport(

@@ -35,7 +35,8 @@ margin row with xi = 0 rejects it, and otherwise it is kept only when the
 KKT check certifies it within the tolerance.  Otherwise proximal gradient
 continues, at most FINISH_ATTEMPTS factorised systems per solve.  The
 full KKT check on an iterate costs a pass over the data, so it runs only
-once the free gradient-mapping estimate is below FINISH_FROM.  Either way
+once the free gradient-mapping estimate is below FINISH_FROM, and only
+after the finish has had its turn on that iteration.  Either way
 "converged" means the largest KKT residual, computed exactly, is within
 the tolerance: the same thing the screening safety guarantees assume.
 """
@@ -265,7 +266,11 @@ def solve_primal(dataset, lam, options=None, warm=None):
     Returns
     -------
     PrimalModel; converged is True when every KKT residual is within
-    options.tol, finished when the exact finish found that point.
+    options.tol, finished when the exact finish found that point.  On an
+    iteration whose pattern held, the finish runs before the iterate's
+    own KKT check, so a start already on the optimum's pattern returns
+    the finish's point, finished, rather than an iterate that merely
+    passes the check.
     """
     if not 0 < lam < math.inf:
         raise ValueError("lam must be positive and finite")
@@ -343,6 +348,30 @@ def solve_primal(dataset, lam, options=None, warm=None):
             neg_cut = -cut
             backtracks += 1
 
+    def finish(w_from, f_from, rows):
+        """The exact finish's candidate for the pattern of w_from on the
+        margin rows, as (weights, bias, hinge, objective, residual) when
+        the KKT check certifies it and it is no worse than f_from, else
+        None."""
+        nonlocal passes
+        found = _exact_finish(dataset, lam, w_from, rows)
+        if found is None:
+            return None
+        # The candidate's scores: a margin row with xi = 0 puts it off its
+        # own pattern, and an accepted one needs its hinge anyway.
+        w_f, b_f = found
+        s_f = dataset.matvec(w_f)
+        passes += 1
+        xi_f = _slack(labels, s_f, b_f)
+        if np.any(xi_f[rows] <= 0.0):
+            return None
+        f_f = _objective(_smooth(xi_f), w_f, lam)
+        residual_f = _kkt_residuals(dataset, w_f, xi_f, lam).max_residual
+        passes += 1
+        if residual_f <= opts.tol and f_f <= f_from + 1e-12 * max(1.0, abs(f_from)):
+            return w_f, b_f, xi_f, f_f, residual_f
+        return None
+
     for iterations in range(1, opts.max_iter + 1):
         w_new, b_new, s_new, xi_new, f_new, mapping = prox_step(wz, bz, xi_z)
         if f_new > f_x:
@@ -365,6 +394,23 @@ def solve_primal(dataset, lam, options=None, warm=None):
         xi_z = _slack(labels, scores + beta * (scores - s_prev), bz)
         t_momentum = t_next
 
+        # A pattern that held over one step gets the exact finish, once: the
+        # same pattern gives the same system.  The finish comes before the
+        # iterate's own check, so a solve that starts on its optimum's
+        # pattern, as the path's warm start often does, ends finished.
+        previous, pattern = pattern, (xi > 0.0).tobytes() + np.sign(w).tobytes()
+        if attempts < FINISH_ATTEMPTS and pattern == previous and pattern != tried:
+            rows = np.flatnonzero(xi > 0.0)
+            if np.count_nonzero(w) + 1 <= rows.size:
+                tried = pattern
+                attempts += 1
+                found = finish(w, f_x, rows)
+                if found is not None:
+                    w, b, xi, f_x, residual = found
+                    if trace is not None:
+                        trace.append(f_x)
+                    converged = finished = True
+                    break
         # grad h(x+) - grad h(z) + M (z - x+) / step lies in the
         # subdifferential of F at x+, so 2 * mapping / lam, with mapping =
         # ||M (x+ - z)|| / step, estimates the max KKT residual; it bounds
@@ -378,36 +424,6 @@ def solve_primal(dataset, lam, options=None, warm=None):
             if residual <= opts.tol:
                 converged = True
                 break
-        # A pattern that held over one step is tried once; the same pattern
-        # gives the same system.
-        previous, pattern = pattern, (xi > 0.0).tobytes() + np.sign(w).tobytes()
-        if attempts == FINISH_ATTEMPTS or pattern != previous:
-            continue
-        rows = np.flatnonzero(xi > 0.0)
-        if np.count_nonzero(w) + 1 > rows.size or pattern == tried:
-            continue
-        tried = pattern
-        attempts += 1
-        found = _exact_finish(dataset, lam, w, rows)
-        if found is None:
-            continue
-        # The candidate's scores: a margin row with xi = 0 puts it off its
-        # own pattern, and an accepted one needs its hinge anyway.
-        w_f, b_f = found
-        s_f = dataset.matvec(w_f)
-        passes += 1
-        xi_f = _slack(labels, s_f, b_f)
-        if np.any(xi_f[rows] <= 0.0):
-            continue
-        f_f = _objective(_smooth(xi_f), w_f, lam)
-        residual_f = _kkt_residuals(dataset, w_f, xi_f, lam).max_residual
-        passes += 1
-        if residual_f <= opts.tol and f_f <= f_x + 1e-12 * max(1.0, abs(f_x)):
-            w, b, xi, f_x, residual = w_f, b_f, xi_f, f_f, residual_f
-            if trace is not None:
-                trace.append(f_x)
-            converged = finished = True
-            break
     else:
         residual = _kkt_residuals(dataset, w, xi, lam).max_residual
         passes += 1

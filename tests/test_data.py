@@ -469,6 +469,44 @@ def test_column_restricted_rmatvec_matches_full_product(monkeypatch):
             assert len(gathers) == int(gathered), indices
 
 
+def test_matvec_with_few_nonzero_weights_matches_full_product(monkeypatch):
+    rng = np.random.default_rng(43)
+    x = rng.normal(size=(60, 800))
+    x[rng.random(size=x.shape) >= 0.4] = 0.0
+    empty = [0, 400, 799]  # empty first, middle and last columns
+    x[:, empty] = 0.0
+    y = random_dataset(rng, 60, 1).labels
+    large, small = Dataset.from_dense(x, y), Dataset.from_dense(x[:, :100], y)
+    assert large.dense_block is None and large.values.size >= data.SPARSE_MATVEC_FROM
+    assert small.dense_block is None and small.values.size < data.SPARSE_MATVEC_FROM
+    gathers = []
+    entries = kernels.column_entries
+
+    def counted(col_ptr, cols):
+        gathers.append(cols)
+        return entries(col_ptr, cols)
+
+    monkeypatch.setattr(kernels, "column_entries", counted)
+    for ds in (large, small):
+        m = ds.n_features
+        weights = [np.zeros(m)]  # all zero
+        for k in (1, 5, m // 8 - 1, m // 8):
+            v = np.zeros(m)
+            v[rng.choice(m, size=k, replace=False)] = rng.normal(size=k)
+            weights.append(v)
+        v = np.zeros(m)
+        v[[j for j in empty if j < m]] = 1.0  # nonzero on empty columns alone
+        v[1] = -0.0
+        weights.append(v)
+        for v in weights:
+            gathers.clear()
+            # Skipped products are exact zeros; the rest sum in entry order.
+            full = kernels.csc_matvec(ds.col_ptr, ds.row_idx, ds.values, v, ds.n_samples)
+            assert ds.matvec(v).tobytes() == full.tobytes()
+            gathered = ds is large and 8 * np.count_nonzero(v) < m
+            assert len(gathers) == int(gathered)
+
+
 def test_feature_indices_outside_the_range_are_rejected():
     # A negative index does not count from the end, and one past the last
     # feature is named as such rather than failing inside the gather.
@@ -543,8 +581,9 @@ def test_subset_child_is_a_valid_dataset():
                     got, want = getattr(sub, name), getattr(ref, name)
                     assert got.dtype == want.dtype and got.flags.c_contiguous
                     assert got.tobytes() == want.tobytes(), name
+                # The stats hold the column norms, so building them builds sq_norm.
                 handed = {name for name in ("stats", "sq_norm") if name in sub.__dict__}
-                assert handed == ({"sq_norm"} if build == "sq_norm" else set())
+                assert handed == (set() if build is None else {"sq_norm"})
                 assert sub.sq_norm.tobytes() == ref.sq_norm.tobytes()
                 for name, want in vars(ref.stats).items():
                     assert getattr(sub.stats, name).tobytes() == want.tobytes(), name

@@ -44,15 +44,20 @@ def _drift(ds):
     return np.linalg.norm(off_y(fhat), axis=0) * np.linalg.norm(off_y(ones))
 
 
-def _certified_bounds(ds, contexts):
+def _certified_bounds(ds, contexts, seeded=True):
     """Each step's certified bounds and evaluated count, replayed from
     screen_all on the recorded contexts and the drift lemma; for paths
-    whose every step is trusted."""
+    whose every step is trusted.  Seeded, the replay starts from the exact
+    dual point theta0 at lambda_max; unseeded, from no certificate."""
     drift = _drift(ds)
     threshold = 1.0 - screening.EPS_KEEP
     # cert[j] bounds |theta*'fhat_j| where 1/lambda = inv[j].
-    cert = np.full(ds.n_features, np.inf)
-    inv = np.zeros(ds.n_features)
+    theta0 = screening.theta_at_lambda_max(ds)
+    if seeded:
+        cert = np.abs((ds.labels[:, None] * ds.to_dense()).T @ theta0.values)
+    else:
+        cert = np.full(ds.n_features, np.inf)
+    inv = np.full(ds.n_features, 1.0 / theta0.lam)
     replayed = []
     for ctx in contexts:
         fresh = screening.screen_all(ctx).bounds
@@ -177,6 +182,68 @@ def test_verify_mode_reports_zero_violations(monkeypatch):
             assert step.discarded_corr is None
     assert any(s.margin is not None for s in report.steps)
     assert any(s.evaluated < ds.n_features for s in report.steps)
+
+
+def _planted():
+    """40 x 60 sparse data whose labels follow three dense features."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((40, 60)) * (rng.random((40, 60)) < 0.2)
+    x[:, :3] = rng.standard_normal((40, 3))
+    score = x[:, :3] @ [1.0, -1.0, 0.5] + 0.3 * rng.standard_normal(40)
+    return Dataset.from_dense(x, np.where(score > 0, 1.0, -1.0))
+
+
+def test_certificates_start_from_the_dual_point_at_lambda_max(monkeypatch):
+    # theta0 is the exact dual optimum at lambda_max, and theta0'fhat_j =
+    # direction_j / lambda_max, so every feature starts certified at no
+    # product.  On planted data the seeded path keeps what the rule that
+    # starts from no certificate keeps, and evaluates fewer bounds.
+    ds = _planted()
+    lam_cap, _, direction = lambda_max(ds)
+    theta0 = screening.theta_at_lambda_max(ds)
+    corr = ds.rmatvec(theta0.values * ds.labels)
+    np.testing.assert_allclose(np.abs(direction) / lam_cap, np.abs(corr), rtol=0.0, atol=1e-12)
+
+    contexts = _recording_contexts(monkeypatch)
+    report = run_path(ds, PathConfig(grid_size=8, ratio=0.85, verify=True))
+    assert all(s.trusted and s.violations == 0 for s in report.steps)
+    unseeded = _certified_bounds(ds, contexts, seeded=False)
+    for step, (bounds, _) in zip(report.steps, unseeded):
+        np.testing.assert_array_equal(
+            step.kept_indices, np.flatnonzero(bounds >= 1.0 - screening.EPS_KEEP)
+        )
+    assert unseeded[0][1] == ds.n_features
+    assert report.steps[0].evaluated < ds.n_features
+    assert sum(s.evaluated for s in report.steps) < sum(e for _, e in unseeded)
+
+
+def test_secant_start_is_the_optimum_on_one_linear_piece(monkeypatch):
+    # On one pattern (margin rows, support and signs) the optimum is affine
+    # in lambda, so the line through the first two steps' models meets the
+    # third step's optimum, and its solve only has to certify it.
+    rng = np.random.default_rng(0)
+    ds = random_dataset(rng, 40, 12, density=0.7)
+    lam_cap, _, _ = lambda_max(ds)
+    starts, solve_primal = [], solver.solve_primal
+
+    def solve(reduced, lam, options=None, warm=None):
+        starts.append(warm)
+        return solve_primal(reduced, lam, options=options, warm=warm)
+
+    monkeypatch.setattr(solver, "solve_primal", solve)
+    report = run_path(ds, PathConfig(lambdas=tuple(lam_cap * np.array([0.3, 0.297, 0.294]))))
+    patterns = {
+        (theta_from_primal(ds, s.weights, s.bias, s.lam).values > 0.0).tobytes()
+        + np.sign(s.weights).tobytes()
+        for s in report.steps
+    }
+    assert len(patterns) == 1
+    step = report.steps[2]
+    w, b = starts[2]
+    scale = max(1.0, float(np.max(np.abs(step.weights))))
+    np.testing.assert_allclose(w, step.weights[step.kept_indices], rtol=0.0, atol=1e-12 * scale)
+    assert b == pytest.approx(step.bias, rel=0.0, abs=1e-12 * scale)
+    assert step.finished and step.iterations == 1
 
 
 def test_verify_solves_once_per_step(monkeypatch):
@@ -429,6 +496,20 @@ def test_screen_ms_covers_context_and_subset(monkeypatch):
         assert step.solve_ms < 1000.0 * min(context_s, bounds_s, subset_s)
 
 
+def test_an_unchanged_kept_set_reuses_its_subset(monkeypatch):
+    # A step that keeps the features of the last subset made solves on that
+    # subset again; only a changed kept set is copied out.
+    ds = _planted()
+    m = ds.n_features
+    subsets = _counting(monkeypatch, Dataset, "subset")
+    report = run_path(ds, PathConfig(grid_size=20, ratio=0.95))
+    last, changes = None, 0
+    for step in report.steps:
+        if 0 < step.kept < m and (last is None or not np.array_equal(step.kept_indices, last)):
+            last, changes = step.kept_indices, changes + 1
+    assert len(subsets) == changes < sum(0 < s.kept < m for s in report.steps)
+
+
 def _instance(seed, n, m, p_positive, scaled):
     """Sparse-ish normal data; ``scaled`` multiplies one column by 1e3."""
     rng = np.random.default_rng(seed)
@@ -504,13 +585,16 @@ def test_fine_grid_certificates_are_safe(seed, p_positive, scaled, ratio, steps)
         assert np.argmax(true) in step.kept_indices
 
 
-@pytest.mark.parametrize("seed", [4, 5, 7, 8])
+@pytest.mark.parametrize("seed", range(12))
 def test_badly_scaled_skewed_path_finishes_every_step(seed):
     # Column scales spread over four decades, Zipf-like column frequencies
     # and 3% positives.  Under one scalar step for all columns the small
     # ones barely move: the worst step of these seeds took from 29,000
     # iterations to the 100,000 cap, and several steps never finished
     # exactly.  The per-column metric finishes each step in a few dozen.
+    # On seeds 1, 6, 8, 9 and 10 some steps start on their optimum's
+    # pattern, where the iterate's own KKT check would pass before the
+    # finish had run; the finish comes first, so they end finished too.
     ds = skewed_dataset(np.random.default_rng(seed))
     config = PathConfig(grid_size=20, ratio=0.85, solver=SolverOptions(max_iter=300))
     report = run_path(ds, config)
