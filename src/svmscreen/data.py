@@ -165,13 +165,16 @@ class Dataset:
         dot_y, dot_one, proj_y_norm = kernels.feature_stats(
             self.col_ptr, self.row_idx, self.values, self.labels, cols=self.column_index
         )
-        return FeatureStats(np.stack((dot_y, dot_one, self.sq_norm, proj_y_norm)))
+        columns = self.sq_norm.base  # the (4, m) array made around the norms
+        columns[0], columns[1], columns[3] = dot_y, dot_one, proj_y_norm
+        return FeatureStats(columns)
 
     @cached_property
     def sq_norm(self):
         """||f_j||^2 = ||fhat_j||^2 of every feature: the solver's step
-        metric and the bound's ||fhat||^2."""
-        return kernels.column_sq_norms(self.col_ptr, self.values, cols=self.column_index)
+        metric and the bound's ||fhat||^2, stored as a row of ``stats``."""
+        norms = kernels.column_sq_norms(self.col_ptr, self.values, cols=self.column_index)
+        return _stats_row(norms)
 
     @cached_property
     def dense_block(self):
@@ -326,7 +329,7 @@ class Dataset:
             row_idx=row_idx, values=values, labels=self.labels,
         )
         if "sq_norm" in self.__dict__:
-            child.__dict__["sq_norm"] = self.sq_norm[cols]
+            child.__dict__["sq_norm"] = _stats_row(self.sq_norm[cols])
         return child
 
     def to_dense(self):
@@ -336,18 +339,26 @@ class Dataset:
         return out
 
 
+def _stats_row(sq_norm):
+    """``sq_norm`` copied into row 2 of a new (4, m) array, which
+    ``Dataset.stats`` fills around it, so that the norms are stored once."""
+    columns = np.empty((4, sq_norm.shape[0]))
+    columns[2] = sq_norm
+    return columns[2]
+
+
 @dataclass(frozen=True)
 class FeatureStats:
     """Per-feature statistics of fhat_j = labels * f_j that the screening
     bound reads, as the rows of one (4, m) array, so that the bound gathers
     the features it screens in one indexing.
 
-    The rows are ``dot_y``, ``dot_one``, ||fhat_j||^2 (a copy of
-    ``Dataset.sq_norm``) and ``proj_y_norm``, the norm of fhat_j projected
-    off the label vector.  That norm equals sqrt(||fhat_j||^2 - dot_y^2 / n)
-    because y'y = n, but is summed from the centred column, since that
-    difference cancels for a nearly constant one (see
-    ``kernels.feature_stats``).
+    The rows are ``dot_y``, ``dot_one``, ||fhat_j||^2 (the memory of
+    ``Dataset.sq_norm``, not a copy) and ``proj_y_norm``, the norm of
+    fhat_j projected off the label vector.  That norm equals
+    sqrt(||fhat_j||^2 - dot_y^2 / n) because y'y = n, but is summed from
+    the centred column, since that difference cancels for a nearly
+    constant one (see ``kernels.feature_stats``).
     """
 
     columns: np.ndarray

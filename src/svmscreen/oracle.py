@@ -1,13 +1,18 @@
 """Brute-force maximizer of a linear objective over the screening region.
 
-Validates every closed form in the screening module on small problems.
-The equality constraint theta'y = 0 is a subspace through the origin, so
-feasible points are exactly Q z for an orthonormal basis Q of that
-subspace; what remains is a ball intersected with one halfspace, where the
-maximizer of a linear objective is known in closed form (ball surface
-point, or the rim of the spherical cap).  Enumerating those candidates is
-exact; for n <= 3 a dense boundary sweep with local refinement provides a
-second, method-independent check.
+Validates every closed form in the screening module, at any n.  The
+region is a ball with centre c, a halfspace with normal a and the
+hyperplane theta'y = 0.  For an objective g, the part of a feasible
+theta orthogonal to y, P_y(c), P_y(a) and P_y(g) only moves theta away
+from the centre and adds nothing to a'theta or g'theta.  So the maximum
+over the region is the maximum over its slice Q z, for an orthonormal
+basis Q of span{P_y(c), P_y(a), P_y(g)}: at most three coordinates,
+whatever n is.  What remains is a ball intersected with one halfspace,
+where the maximizer of a linear objective is known in closed form (ball
+surface point, or the rim of the spherical cap).  By the same argument
+the maximizer lies in the plane through the reduced centre spanned by
+the reduced normal and objective, so a dense sweep of that circle with
+local refinement gives a second, method-independent check at every n.
 """
 
 from dataclasses import dataclass
@@ -24,89 +29,87 @@ class OracleResult:
     certified: bool
 
 
-def null_space_basis(y):
-    """Orthonormal n x (n-1) basis of {theta : theta'y = 0}."""
+def _span_basis(m):
+    """Orthonormal basis of the column span of m, from one thin SVD of m
+    with its nonzero columns scaled to unit length, so that the cut does
+    not depend on their scales: directions whose singular value is at
+    most 1e-12 of the largest are dropped."""
+    norms = np.linalg.norm(m, axis=0)
+    u, s, _ = np.linalg.svd(m / np.where(norms > 0.0, norms, 1.0), full_matrices=False)
+    return u[:, s > 1e-12 * s[0]]
+
+
+def null_space_basis(y, vectors):
+    """Orthonormal n x k basis of the span of the n x p ``vectors`` (one
+    vector if 1-d) projected off the labels y, which is projected out
+    twice so that the round-off of the first pass goes too.
+    ``null_space_basis(y, np.eye(n))`` spans all of {theta : theta'y = 0},
+    n x (n-1)."""
     y = np.asarray(y, dtype=np.float64)
-    u, _, _ = np.linalg.svd(y.reshape(-1, 1), full_matrices=True)
-    return u[:, 1:]
+    m = np.asarray(vectors, dtype=np.float64).reshape(y.shape[0], -1)
+    for _ in range(2):
+        m = m - np.outer(y, (y @ m) / float(y @ y))
+    return _span_basis(m)
 
 
-def _feasible_reduced_point(c_red, r_red, a_red, limit):
-    if a_red is None or float(a_red @ c_red) <= limit:
-        return c_red.copy()
-    na2 = float(a_red @ a_red)
-    return c_red + ((limit - float(a_red @ c_red)) / na2) * a_red
+def _checked_basis(basis, y, vectors):
+    """``basis`` as an array, once it is n x k, orthonormal, orthogonal to
+    the labels and spans the columns of ``vectors`` off the labels."""
+    q = np.asarray(basis, dtype=np.float64)
+    n = y.shape[0]
+    if q.ndim != 2 or q.shape[0] != n:
+        raise ValueError("basis must be n x k")
+    if not np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-10):
+        raise ValueError("basis must be orthonormal")
+    if float(np.max(np.abs(y @ q), initial=0.0)) > 1e-10:
+        raise ValueError("basis must be orthogonal to the labels")
+    off_y = vectors - np.outer(y, (y @ vectors) / n)
+    missed = np.linalg.norm(off_y - q @ (q.T @ off_y), axis=0)
+    if np.any(missed > 1e-9 * np.linalg.norm(vectors, axis=0)):
+        raise ValueError("basis must span the centre, normal and objective off the labels")
+    return q
 
 
-def _dense_check(c_red, r_red, a_red, limit, g_red, samples=1_000_000):
-    """Best objective over a dense sweep of the feasible boundary, dim <= 2."""
-    dim = c_red.shape[0]
-    feasible = (
-        (lambda pts: np.ones(pts.shape[0], dtype=bool))
-        if a_red is None
-        else (lambda pts: pts @ a_red <= limit + 1e-12 * max(1.0, abs(limit)))
-    )
-    if dim == 1:
-        candidates = [c_red - r_red, c_red + r_red]
-        if a_red is not None and abs(float(a_red[0])) > 0:
-            candidates.append(np.array([limit / float(a_red[0])]))
-        best = -np.inf
-        for z in candidates:
-            inside = abs(float(z[0] - c_red[0])) <= r_red + 1e-12 * max(1.0, r_red)
-            if inside and feasible(z.reshape(1, -1))[0]:
-                best = max(best, float(g_red @ z))
-        return best
-    # dim == 2: the maximum of a linear objective sits on the circle or on
-    # the chord cut by the halfspace; chord endpoints are circle points, so
-    # sweeping the circle suffices, followed by golden-section refinement.
-    angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    points = c_red + r_red * np.column_stack((np.cos(angles), np.sin(angles)))
-    mask = feasible(points)
-    if not np.any(mask):
-        z = _feasible_reduced_point(c_red, r_red, a_red, limit)
-        return float(g_red @ z)
-    values = points @ g_red
-    values[~mask] = -np.inf
-    best_idx = int(np.argmax(values))
+def _plane(c_red, a_red, g_red):
+    """c_red, a_red and g_red in an orthonormal basis of span{a_red,
+    g_red}, the plane through the centre that holds the maximizer.  A
+    line is padded with a zero coordinate: the disk then projects onto its
+    segment.  A missing normal is 0, which leaves every point feasible."""
+    b = _span_basis(np.column_stack((g_red,) if a_red is None else (g_red, a_red)))
+    a_red = np.zeros_like(g_red) if a_red is None else a_red
+    return [np.pad(b.T @ v, (0, 2 - b.shape[1])) for v in (c_red, a_red, g_red)]
 
-    def circle_value(phi):
-        z = c_red + r_red * np.array([np.cos(phi), np.sin(phi)])
-        if a_red is not None and float(a_red @ z) > limit + 1e-12 * max(1.0, abs(limit)):
-            return -np.inf
-        return float(g_red @ z)
 
-    span = 2.0 * np.pi / samples
-    lo = angles[best_idx] - 2 * span
-    hi = angles[best_idx] + 2 * span
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - golden * (hi - lo)
-    x2 = lo + golden * (hi - lo)
-    f1, f2 = circle_value(x1), circle_value(x2)
-    for _ in range(200):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + golden * (hi - lo)
-            f2 = circle_value(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - golden * (hi - lo)
-            f1 = circle_value(x1)
-    best = max(circle_value(angles[best_idx]), f1, f2)
-    # Chord endpoints, computed exactly.
-    if a_red is not None:
-        na = float(np.linalg.norm(a_red))
-        if na > 0:
-            h = (limit - float(a_red @ c_red)) / na
-            if abs(h) <= r_red:
-                z0 = c_red + h * (a_red / na)
-                rho = np.sqrt(max(r_red * r_red - h * h, 0.0))
-                tangent = np.array([-a_red[1], a_red[0]]) / na
-                for z in (z0 + rho * tangent, z0 - rho * tangent):
-                    best = max(best, float(g_red @ z))
+def _dense_check(c, r, a, limit, g, samples):
+    """Best objective over the disk ||z - c|| <= r cut by a'z <= limit, in
+    2-d.  A linear objective is largest on the feasible circle or at an end
+    of the chord: the circle is swept at ``samples`` angles and again at
+    1000 angles across the 4 spacings around its best one, and the two
+    ends of the chord are computed exactly."""
+    if g[1] == a[1] == 0.0:
+        samples = 4  # a problem on one axis is largest at angle 0, pi or a chord end
+    slack = limit + 1e-12 * max(1.0, abs(limit))
+    best, start, width = -np.inf, 0.0, 2.0 * np.pi
+    for count in (samples, 1000):
+        angles = start + (width / count) * np.arange(count)
+        cos, sin = np.cos(angles), np.sin(angles)
+        values = float(g @ c) + r * (g[0] * cos + g[1] * sin)
+        values[float(a @ c) + r * (a[0] * cos + a[1] * sin) > slack] = -np.inf
+        top = int(np.argmax(values))
+        best = max(best, float(values[top]))
+        start, width = angles[top] - 2.0 * width / count, 4.0 * width / count
+    na = float(np.linalg.norm(a))
+    h = (limit - float(a @ c)) / na if na > 0 else np.inf
+    if abs(h) <= r:
+        z0 = c + h * (a / na)
+        rho = np.sqrt(max(r * r - h * h, 0.0))
+        tangent = np.array([-a[1], a[0]]) / na
+        for z in (z0 + rho * tangent, z0 - rho * tangent):
+            best = max(best, float(g @ z))
     return best
 
 
-def oracle_max(ctx, g, ball=None, basis=None, n_cap=10, dense_samples=1_000_000):
+def oracle_max(ctx, g, ball=None, basis=None, dense_samples=1_000_000):
     """Maximize g' theta over the screening region by exact enumeration.
 
     Parameters
@@ -120,36 +123,28 @@ def oracle_max(ctx, g, ball=None, basis=None, n_cap=10, dense_samples=1_000_000)
         lambda1, lambda2, 0) formed apart from build_context; the
         halfspace and equality constraint stay as in ctx.
     basis : array, optional
-        Orthonormal basis of {theta'y = 0} to use instead of the default,
-        for invariance checks.
-    n_cap : int
-        Refuse larger problems; this is a correctness instrument.
+        An n x k orthonormal basis, orthogonal to the labels, whose span
+        holds the ball's centre, the halfspace normal and g projected off
+        the labels, to use instead of the default ``null_space_basis`` of
+        those three, for invariance checks (ValueError otherwise).
     dense_samples : int
-        Boundary sweep resolution of the secondary check at n <= 3.
+        Resolution of the secondary check's sweep of the circle.
 
     Returns
     -------
-    OracleResult; certified means the dense sweep (n <= 3) agreed within
-    1e-7, or the candidate enumeration alone was exact (n > 3).
+    OracleResult; certified means the dense sweep agreed within 1e-7,
+    relative to the value once it exceeds 1, or that the ball has zero
+    radius, where the answer needs no search.
     """
     g = np.asarray(g, dtype=np.float64)
     y = ctx.dataset.labels
-    n = y.shape[0]
-    if n > n_cap:
-        raise ValueError(f"oracle limited to n <= {n_cap}")
     if ball is None:
         ball = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, 0.0)
     center = np.asarray(ball.center, dtype=np.float64)
     radius = float(ball.radius)
 
-    q = basis if basis is not None else null_space_basis(y)
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (n, n - 1):
-        raise ValueError("basis must be n x (n-1)")
-    if not np.allclose(q.T @ q, np.eye(n - 1), atol=1e-10):
-        raise ValueError("basis must be orthonormal")
-    if float(np.max(np.abs(y @ q))) > 1e-10:
-        raise ValueError("basis must be orthogonal to the labels")
+    vectors = np.column_stack((center, g) if ctx.normal is None else (center, ctx.normal, g))
+    q = null_space_basis(y, vectors) if basis is None else _checked_basis(basis, y, vectors)
 
     c_red = q.T @ center
     off_subspace = center - q @ c_red
@@ -158,55 +153,42 @@ def oracle_max(ctx, g, ball=None, basis=None, n_cap=10, dense_samples=1_000_000)
         raise ValueError("ball does not meet the equality subspace")
     r_red = float(np.sqrt(max(gap, 0.0)))
 
-    theta1 = ctx.theta1
     if r_red < 1e-14:
         point = q @ c_red
         return OracleResult(value=float(g @ point), argmax=point, certified=True)
 
-    if ctx.has_normal:
-        a_red = q.T @ ctx.normal
-        limit = float(ctx.normal @ theta1)
-        if float(np.linalg.norm(a_red)) <= 1e-15:
-            # Halfspace does not constrain the subspace at all.
-            a_red = None
-            limit = 0.0
-    else:
-        a_red = None
-        limit = 0.0
+    a_red, limit = None, 0.0
+    # A normal orthogonal to the subspace does not constrain it at all.
+    if ctx.has_normal and float(np.linalg.norm(q.T @ ctx.normal)) > 1e-15:
+        a_red, limit = q.T @ ctx.normal, float(ctx.normal @ ctx.theta1)
 
     g_red = q.T @ g
     ng = float(np.linalg.norm(g_red))
-    if ng == 0.0:
-        z = _feasible_reduced_point(c_red, r_red, a_red, limit)
-        value = 0.0
+    z_ball = c_red + (r_red / ng) * g_red if ng > 0.0 else c_red
+    if a_red is None or float(a_red @ z_ball) <= limit + 1e-12 * max(1.0, abs(limit)):
+        z = z_ball
     else:
-        z_ball = c_red + (r_red / ng) * g_red
-        if a_red is None or float(a_red @ z_ball) <= limit + 1e-12 * max(1.0, abs(limit)):
-            z = z_ball
-        else:
-            na = float(np.linalg.norm(a_red))
-            h = (limit - float(a_red @ c_red)) / na
-            if h < -r_red - 1e-9:
-                raise ValueError("region is empty: halfspace excludes the whole ball")
-            h = min(max(h, -r_red), r_red)
-            a_unit = a_red / na
-            z0 = c_red + h * a_unit
-            rho = np.sqrt(max(r_red * r_red - h * h, 0.0))
-            # Double orthogonalization: when g is nearly parallel to the
-            # normal the first residual is round-off noise, and a noise
-            # direction scaled to rho would step off the boundary plane.
-            g_perp = g_red - float(g_red @ a_unit) * a_unit
-            g_perp = g_perp - float(g_perp @ a_unit) * a_unit
-            np_norm = float(np.linalg.norm(g_perp))
-            z = z0 if np_norm <= 1e-12 * ng else z0 + (rho / np_norm) * g_perp
-        value = float(g_red @ z)
+        na = float(np.linalg.norm(a_red))
+        h = (limit - float(a_red @ c_red)) / na
+        if h < -r_red - 1e-9:
+            raise ValueError("region is empty: halfspace excludes the whole ball")
+        h = min(max(h, -r_red), r_red)
+        a_unit = a_red / na
+        z0 = c_red + h * a_unit
+        rho = np.sqrt(max(r_red * r_red - h * h, 0.0))
+        # Double orthogonalization: when g is nearly parallel to the
+        # normal the first residual is round-off noise, and a noise
+        # direction scaled to rho would step off the boundary plane.
+        g_perp = g_red - float(g_red @ a_unit) * a_unit
+        g_perp = g_perp - float(g_perp @ a_unit) * a_unit
+        np_norm = float(np.linalg.norm(g_perp))
+        z = z0 if np_norm <= 1e-12 * ng else z0 + (rho / np_norm) * g_perp
+    value = float(g_red @ z)
 
-    certified = True
-    if n <= 3 and ng > 0.0:
-        dense = _dense_check(c_red, r_red, a_red, limit, g_red, samples=dense_samples)
-        certified = bool(abs(dense - value) <= 1e-7)
-
-    return OracleResult(value=value, argmax=q @ z, certified=certified)
+    c_p, a_p, g_p = _plane(c_red, a_red, g_red)
+    dense = _dense_check(c_p, r_red, a_p, limit, g_p, dense_samples)
+    agreed = abs(dense - value) <= 1e-7 * max(1.0, abs(value))
+    return OracleResult(value=value, argmax=q @ z, certified=bool(agreed))
 
 
 def oracle_neg_min(ctx, fhat, **kwargs):

@@ -1,11 +1,12 @@
 """Command line surface: golden outputs, exit codes, flag plumbing."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from svmscreen import data, serialize_sparse_text
+from svmscreen import data, screening, serialize_sparse_text
 from svmscreen.cli import main, penalty
 
 from conftest import random_dataset, unsafe_screening
@@ -292,17 +293,45 @@ def test_verify_three_sample(capsys, three_sample_file):
         assert "max discrepancy" in line
 
 
-def test_verify_rejects_large_input(capsys, tmp_path):
+def test_verify_checks_a_twelve_sample_file(capsys, tmp_path):
     rng = np.random.default_rng(13)
     lines = []
-    for i in range(11):
+    for i in range(12):
         label = "+1" if i % 2 == 0 else "-1"
         lines.append(f"{label} 1:{rng.normal():.4f}")
     path = tmp_path / "big.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, "verify", str(path))
-    assert code == 2
-    assert "limited to 10 samples" in err
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, err) == (0, "")
+    assert out.strip().split("\n")[-1].endswith(" over 6 checks")
+    assert "self-certification" not in out
+
+
+def _patched_bounds(monkeypatch, change):
+    """Make screen_all report ``change`` applied to a copy of its m1."""
+    screen_all = screening.screen_all
+
+    def patched(*args, **kwargs):
+        report = screen_all(*args, **kwargs)
+        m1 = report.m1.copy()
+        change(m1)
+        return dataclasses.replace(report, m1=m1)
+
+    monkeypatch.setattr(screening, "screen_all", patched)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda m1: m1.fill(np.nan), lambda m1: m1.__setitem__(0, m1[0] + 1e-3)],
+    ids=["nan_bounds", "one_bound_off_by_1e-3"],
+)
+def test_verify_exits_3_on_a_wrong_bound(capsys, monkeypatch, three_sample_file, change):
+    _patched_bounds(monkeypatch, change)
+    code, out, _ = run_cli(capsys, "verify", three_sample_file)
+    assert code == 3
+    overall = out.strip().split("\n")[-1]
+    assert overall.startswith("overall max discrepancy ")
+    assert not float(overall.split()[3]) <= 1e-6
 
 
 def test_index_beyond_physical_memory_exits_1(capsys, monkeypatch, tmp_path):

@@ -413,6 +413,25 @@ def test_subset_matches_per_column_reference():
                 np.testing.assert_array_equal(got, want)
 
 
+def test_column_norms_are_stored_once():
+    # Once the stats exist, sq_norm is their third row, whichever of the
+    # two is built first, and holds a fresh sum's values bit for bit; a
+    # subset still takes the kept columns' norms as an array of its own.
+    rng = np.random.default_rng(47)
+    x = rng.normal(size=(8, 6)) * (rng.random(size=(8, 6)) < 0.5)
+    y = random_dataset(rng, 8, 1).labels
+    for first in ("sq_norm", "stats"):
+        ds = Dataset.from_dense(x, y)
+        fresh = kernels.column_sq_norms(ds.col_ptr, ds.values)
+        getattr(ds, first)
+        stats = ds.stats
+        assert np.shares_memory(ds.sq_norm, stats.columns[2])
+        assert ds.sq_norm.tobytes() == fresh.tobytes()
+        sub = ds.subset([4, 1, 1])
+        assert sub.sq_norm.tobytes() == fresh[[4, 1, 1]].tobytes()
+        assert not np.shares_memory(sub.sq_norm, ds.sq_norm)
+
+
 def test_subset_hands_down_the_statistics_bit_for_bit():
     # A subset of a Dataset that has built its column norms takes them
     # indexed by the kept columns, equal bit for bit to a fresh sum on the
