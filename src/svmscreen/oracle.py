@@ -11,8 +11,9 @@ whatever n is.  What remains is a ball intersected with one halfspace,
 where the maximizer of a linear objective is known in closed form (ball
 surface point, or the rim of the spherical cap).  By the same argument
 the maximizer lies in the plane through the reduced centre spanned by
-the reduced normal and objective, so a dense sweep of that circle with
-local refinement gives a second, method-independent check at every n.
+the reduced normal and objective, so a masked sweep of that circle, at a
+fixed number of angles refined around its best sample or chord end, gives
+a second, method-independent check at every n for a fixed cost.
 """
 
 from dataclasses import dataclass
@@ -80,24 +81,43 @@ def _plane(c_red, a_red, g_red):
     return [np.pad(b.T @ v, (0, 2 - b.shape[1])) for v in (c_red, a_red, g_red)]
 
 
-def _dense_check(c, r, a, limit, g, samples):
+# Angles of the dense check's sweep and of each of its two refinements,
+# which leave a spacing of 2 pi / 4096 * (4 / 1000)^2 = 2.5e-8 rad.
+_COARSE = 4096
+_FINE = 1000
+
+
+def _dense_check(c, r, a, limit, g):
     """Best objective over the disk ||z - c|| <= r cut by a'z <= limit, in
-    2-d.  A linear objective is largest on the feasible circle or at an end
-    of the chord: the circle is swept at ``samples`` angles and again at
-    1000 angles across the 4 spacings around its best one, and the two
-    ends of the chord are computed exactly."""
-    if g[1] == a[1] == 0.0:
-        samples = 4  # a problem on one axis is largest at angle 0, pi or a chord end
+    2-d, by masked sampling of the circle.
+
+    A linear objective is largest either on the feasible arc of the circle
+    or at an end of the chord, and the feasible arc is one interval of
+    angles whose ends are the chord's ends.  The circle is swept at _COARSE
+    angles and the two chord ends are computed exactly; the best of these
+    candidates is then refined twice, each time at _FINE angles across the
+    4 spacings around it.  Refining from a chord end is what makes a fixed
+    count safe: an arc narrower than one spacing, a thin cap, holds no
+    coarse sample, but it holds the objective's peak only if the peak lies
+    within one spacing of both its ends, so the window around the better
+    end covers it.  Otherwise the best sample lies within one spacing of
+    the peak or the peak is off the arc, where a chord end is the answer.
+    Either way the last round's best lies within one final spacing of the
+    peak, a deficit of at most r ||g|| (2.5e-8)^2 / 2.  A problem on one
+    axis is largest at angle 0 or pi or at a chord end, which four angles
+    and the chord cover without refinement."""
     slack = limit + 1e-12 * max(1.0, abs(limit))
-    best, start, width = -np.inf, 0.0, 2.0 * np.pi
-    for count in (samples, 1000):
+
+    def sweep(start, width, count):
         angles = start + (width / count) * np.arange(count)
         cos, sin = np.cos(angles), np.sin(angles)
         values = float(g @ c) + r * (g[0] * cos + g[1] * sin)
         values[float(a @ c) + r * (a[0] * cos + a[1] * sin) > slack] = -np.inf
         top = int(np.argmax(values))
-        best = max(best, float(values[top]))
-        start, width = angles[top] - 2.0 * width / count, 4.0 * width / count
+        return float(values[top]), float(angles[top])
+
+    count, rounds = (4, 0) if g[1] == a[1] == 0.0 else (_COARSE, 2)
+    best, at = sweep(0.0, 2.0 * np.pi, count)
     na = float(np.linalg.norm(a))
     h = (limit - float(a @ c)) / na if na > 0 else np.inf
     if abs(h) <= r:
@@ -105,11 +125,19 @@ def _dense_check(c, r, a, limit, g, samples):
         rho = np.sqrt(max(r * r - h * h, 0.0))
         tangent = np.array([-a[1], a[0]]) / na
         for z in (z0 + rho * tangent, z0 - rho * tangent):
-            best = max(best, float(g @ z))
+            value = float(g @ z)
+            if value > best:
+                best, at = value, float(np.arctan2(z[1] - c[1], z[0] - c[0]))
+    spacing = 2.0 * np.pi / count
+    for _ in range(rounds):
+        value, angle = sweep(at - 2.0 * spacing, 4.0 * spacing, _FINE)
+        spacing *= 4.0 / _FINE
+        if value > best:
+            best, at = value, angle
     return best
 
 
-def oracle_max(ctx, g, ball=None, basis=None, dense_samples=1_000_000):
+def oracle_max(ctx, g, ball=None, basis=None):
     """Maximize g' theta over the screening region by exact enumeration.
 
     Parameters
@@ -127,8 +155,6 @@ def oracle_max(ctx, g, ball=None, basis=None, dense_samples=1_000_000):
         holds the ball's centre, the halfspace normal and g projected off
         the labels, to use instead of the default ``null_space_basis`` of
         those three, for invariance checks (ValueError otherwise).
-    dense_samples : int
-        Resolution of the secondary check's sweep of the circle.
 
     Returns
     -------
@@ -186,7 +212,7 @@ def oracle_max(ctx, g, ball=None, basis=None, dense_samples=1_000_000):
     value = float(g_red @ z)
 
     c_p, a_p, g_p = _plane(c_red, a_red, g_red)
-    dense = _dense_check(c_p, r_red, a_p, limit, g_p, dense_samples)
+    dense = _dense_check(c_p, r_red, a_p, limit, g_p)
     agreed = abs(dense - value) <= 1e-7 * max(1.0, abs(value))
     return OracleResult(value=value, argmax=q @ z, certified=bool(agreed))
 

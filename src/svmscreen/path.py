@@ -68,6 +68,7 @@ checks this with one product at theta2, to the solver's tolerance.
 """
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -197,7 +198,10 @@ class PathReport:
 
 
 def lambda_grid(lam_max, k, ratio):
-    """Geometric grid lam_max * ratio**i for i = 1..k (lam_max excluded)."""
+    """Geometric grid lam_max * ratio**i for i = 1..k (lam_max excluded);
+    k must be an integer (ValueError otherwise)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"grid size must be an integer, not {k!r}")
     if k < 1:
         raise ValueError("grid size must be at least 1")
     if not 0.0 < ratio < 1.0:

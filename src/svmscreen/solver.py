@@ -125,11 +125,13 @@ class KktReport:
 
     @property
     def r4(self):
-        return max(0.0, -self.min_theta)
+        return 0.0 if self.min_theta >= 0.0 else -self.min_theta  # a nan stays nan
 
     @property
     def max_residual(self):
-        return max(self.r1, self.r2, self.r3, self.r4)
+        residuals = (self.r1, self.r2, self.r3, self.r4)
+        # max alone drops a nan that does not come first.
+        return math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
 
 
 def _slack(labels, scores, b):
@@ -138,7 +140,10 @@ def _slack(labels, scores, b):
 
 
 def _hinge(dataset, w, b):
-    """xi_i = max(1 - y_i (w'x_i + b), 0) for all samples."""
+    """xi_i = max(1 - y_i (w'x_i + b), 0) for all samples, from weights w
+    of shape (n_features,) (ValueError otherwise)."""
+    if w.shape != (dataset.n_features,):
+        raise ValueError(f"weights must have shape ({dataset.n_features},), not {w.shape}")
     return _slack(dataset.labels, dataset.matvec(w), b)
 
 
@@ -172,7 +177,7 @@ def objective_value(dataset, w, b, lam):
 def _kkt_residuals(dataset, w, xi, lam):
     theta = xi / lam
     corr = dataset.rmatvec(theta * dataset.labels)
-    r1 = max(0.0, float(np.max(np.abs(corr))) - 1.0) if corr.size else 0.0
+    r1 = max(float(np.max(np.abs(corr))) - 1.0, 0.0) if corr.size else 0.0
     active = w != 0.0
     if np.any(active):
         r2 = float(np.max(np.abs(corr[active] - np.sign(w[active]))))
@@ -282,6 +287,8 @@ def solve_primal(dataset, lam, options=None, warm=None):
         b = float(warm[1])
         if w.shape != (m,):
             raise ValueError("warm start has wrong number of weights")
+        if not (math.isfinite(b) and np.isfinite(w).all()):
+            raise ValueError("warm start must be finite")
     else:
         w = np.zeros(m)
         b = 0.0

@@ -137,7 +137,7 @@ def test_criterion_2_bound_validity(safety_suite):
     )
 
 
-def _oracle_agreement(ctx, ds, tally, dense_samples=200_000):
+def _oracle_agreement(ctx, ds, tally):
     """Worst |closed form - oracle| over both signs of every feature."""
     worst = 0.0
     uncertified = 0
@@ -149,7 +149,7 @@ def _oracle_agreement(ctx, ds, tally, dense_samples=200_000):
             (report.m1[j], report.branch1[j], 1.0),
             (report.m2[j], report.branch2[j], -1.0),
         ):
-            res = oracle_max(ctx, -sign * fhat, dense_samples=dense_samples)
+            res = oracle_max(ctx, -sign * fhat)
             if not res.certified:
                 uncertified += 1
                 continue

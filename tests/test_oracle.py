@@ -13,6 +13,8 @@ from svmscreen import (
     oracle_neg_min,
     screen_all,
 )
+from svmscreen import oracle
+from svmscreen.oracle import _dense_check
 
 from conftest import random_dataset, skewed_dataset, solved_context, synthetic_context
 
@@ -59,7 +61,8 @@ def test_argmax_is_feasible_and_value_consistent():
         n = int(rng.integers(2, 7))
         ctx = synthetic_context(rng, n)
         g = rng.normal(size=n)
-        res = oracle_max(ctx, g, dense_samples=200_000)
+        res = oracle_max(ctx, g)
+        assert res.certified
         z = res.argmax
         ball = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, 0.0)
         assert abs(float(z @ ctx.dataset.labels)) <= 1e-8
@@ -78,9 +81,9 @@ def test_value_invariant_under_basis_choice():
         n = int(rng.integers(2, 13))
         ctx = synthetic_context(rng, n)
         g = rng.normal(size=n)
-        default = oracle_max(ctx, g, dense_samples=200_000)
+        default = oracle_max(ctx, g)
         basis = rotated_basis(ctx.dataset.labels, 100 + trial)
-        other = oracle_max(ctx, g, basis=basis, dense_samples=200_000)
+        other = oracle_max(ctx, g, basis=basis)
         assert default.certified and other.certified
         assert other.value == pytest.approx(default.value, abs=1e-9)
 
@@ -92,16 +95,54 @@ def test_dense_check_certifies_small_problems():
         n = int(rng.integers(2, 13))
         ctx = synthetic_context(rng, n)
         g = rng.normal(size=n)
-        res = oracle_max(ctx, g, dense_samples=200_000)
+        res = oracle_max(ctx, g)
         assert res.certified
         certified += 1
     assert certified == 30
 
 
+def test_dense_check_finds_the_peak_of_thin_caps():
+    # As lambda2 -> lambda1 the region shrinks onto theta1: a cap of
+    # relative depth eps, whose feasible arc (half-width about sqrt(2 eps))
+    # is often narrower than one coarse spacing and holds no coarse
+    # sample.  With the objective's peak inside the arc the maximum is
+    # g'c + r ||g||, and the check must reach it by refining from a chord
+    # end.
+    rng = np.random.default_rng(2029)
+    for trial in range(200):
+        c = rng.normal(size=2)
+        r = 10.0 ** rng.uniform(-1, 1)
+        psi = rng.uniform(0.0, 2.0 * np.pi)
+        a = 10.0 ** rng.uniform(-1, 1) * np.array([np.cos(psi), np.sin(psi)])
+        eps = 10.0 ** rng.uniform(-7, -5)
+        limit = float(a @ c) - r * (1.0 - eps) * float(np.linalg.norm(a))
+        phi = psi + np.pi + rng.uniform(-1, 1) * np.arccos(1.0 - eps)
+        g = 10.0 ** rng.uniform(-1, 3) * np.array([np.cos(phi), np.sin(phi)])
+        peak = float(g @ c) + r * float(np.linalg.norm(g))
+        found = _dense_check(c, r, a, limit, g)
+        assert abs(found - peak) <= 1e-12 * max(1.0, abs(peak)), trial
+
+
+def test_a_dense_check_off_by_1e6_is_uncertified(monkeypatch):
+    rng = np.random.default_rng(41)
+    ctx = synthetic_context(rng, 6)
+    g = rng.normal(size=6)
+    exact = oracle_max(ctx, g)
+    assert exact.certified
+
+    def off(*args):
+        value = _dense_check(*args)
+        return value + 1e-6 * max(1.0, abs(value))
+
+    monkeypatch.setattr(oracle, "_dense_check", off)
+    res = oracle_max(ctx, g)
+    assert res.value == exact.value and not res.certified
+
+
 def test_label_collinear_objective_is_zero():
     rng = np.random.default_rng(13)
     ctx = synthetic_context(rng, 4)
-    res = oracle_max(ctx, 2.5 * ctx.dataset.labels, dense_samples=200_000)
+    res = oracle_max(ctx, 2.5 * ctx.dataset.labels)
     assert res.certified
     assert res.value == pytest.approx(0.0, abs=1e-9)
 
@@ -172,8 +213,8 @@ def test_neg_min_is_negated_max():
     rng = np.random.default_rng(37)
     ctx = synthetic_context(rng, 5)
     fhat = rng.normal(size=5)
-    kwargs = {"dense_samples": 200_000}
-    assert oracle_neg_min(ctx, fhat, **kwargs) == oracle_max(ctx, -fhat, **kwargs).value
+    res = oracle_max(ctx, -fhat)
+    assert res.certified and oracle_neg_min(ctx, fhat) == res.value
 
 
 @pytest.mark.parametrize(
@@ -203,7 +244,7 @@ def test_bounds_match_oracle_at_hundreds_of_samples(make):
             fhat = np.zeros(features.n_samples)
             fhat[rows] = features.labels[rows] * values
             for closed, g in ((report.m1[j], -fhat), (report.m2[j], fhat)):
-                res = oracle_max(ctx, g, dense_samples=20_000)
+                res = oracle_max(ctx, g)
                 assert res.certified
                 assert abs(closed - res.value) <= 1e-9 * abs(res.value)
                 calls += 1

@@ -93,6 +93,14 @@ def test_lambda_grid_validation():
         lambda_grid(1.0, 3, 1.0)
     with pytest.raises(ValueError, match="ratio must lie strictly between 0 and 1"):
         lambda_grid(1.0, 3, 0.0)
+    # A size counts steps: 2.5 would round up to 3 values.
+    for k in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="grid size must be an integer"):
+            lambda_grid(1.0, k, 0.5)
+    assert lambda_grid(1.0, np.int64(3), 0.5).size == 3
+    ds = random_dataset(np.random.default_rng(5), 6, 5)
+    with pytest.raises(ValueError, match="grid size must be an integer"):
+        run_path(ds, PathConfig(grid_size=2.5))
 
 
 def test_custom_grid_validation():

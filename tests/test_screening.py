@@ -21,7 +21,7 @@ from svmscreen import (
     lambda_max,
     min_radius_ball,
     neg_min,
-    oracle_neg_min,
+    oracle_max,
     screen_all,
     solve_primal,
     theta_at_lambda_max,
@@ -335,10 +335,11 @@ def test_bounds_match_oracle_on_small_problems():
         report = screen_all(ctx)
         for j in range(ds.n_features):
             fhat = ds.labels * dense[:, j]
-            ref1 = oracle_neg_min(ctx, fhat)
-            ref2 = oracle_neg_min(ctx, -fhat)
-            assert report.m1[j] == pytest.approx(ref1, abs=1e-6)
-            assert report.m2[j] == pytest.approx(ref2, abs=1e-6)
+            ref1 = oracle_max(ctx, -fhat)
+            ref2 = oracle_max(ctx, fhat)
+            assert ref1.certified and ref2.certified
+            assert report.m1[j] == pytest.approx(ref1.value, abs=1e-6)
+            assert report.m2[j] == pytest.approx(ref2.value, abs=1e-6)
             agreements += 2
     assert agreements >= 200
 
@@ -368,8 +369,9 @@ def test_beta_branch_fires_on_active_features_and_matches_oracle():
                     continue
                 beta_hits += 1
                 fhat = sign * ds.labels * dense[:, j]
-                ref = oracle_neg_min(ctx, fhat, dense_samples=200_000)
-                assert closed == pytest.approx(ref, abs=1e-6)
+                ref = oracle_max(ctx, -fhat)
+                assert ref.certified
+                assert closed == pytest.approx(ref.value, abs=1e-6)
     assert beta_hits >= 3
 
 

@@ -132,6 +132,46 @@ def test_nonfinite_penalty_is_rejected(lam):
             call()
 
 
+@pytest.mark.parametrize("weight, bias", [(np.nan, 0.0), (np.inf, 0.0), (0.0, np.nan), (0.0, -np.inf)])
+def test_nonfinite_warm_start_is_rejected(weight, bias):
+    # A nan start would run every iteration and return a nan objective
+    # with a KKT residual of 0.
+    rng = np.random.default_rng(101)
+    ds = random_dataset(rng, 20, 5)
+    with pytest.raises(ValueError, match="warm start must be finite"):
+        solve_primal(
+            ds, 0.5 * lambda_max(ds)[0], SolverOptions(max_iter=2000), warm=(np.full(5, weight), bias)
+        )
+
+
+def test_kkt_residuals_keep_a_nan():
+    ds = parse_sparse_text(TWO_SAMPLE)
+    model = dataclasses.replace(solve_primal(ds, 1.0), weights=np.array([np.nan, 0.0]))
+    report = kkt_report(ds, model, 1.0)
+    assert all(np.isnan(v) for v in (report.r1, report.r2, report.r3, report.r4))
+    assert np.isnan(report.max_residual)
+
+
+@pytest.mark.parametrize("density", [0.2, 1.0], ids=["sparse", "dense"])
+@pytest.mark.parametrize("size", [25, 35])
+def test_recompute_helpers_need_one_weight_per_feature(density, size):
+    # The sparse products would otherwise read extra weights past the data
+    # and the L1 term add them in.
+    rng = np.random.default_rng(103)
+    ds = random_dataset(rng, 20, 30, density)
+    assert (ds.dense_block is None) == (density < 1.0)
+    w = rng.normal(size=size)
+    model = dataclasses.replace(solve_primal(ds, 0.5 * lambda_max(ds)[0]), weights=w)
+    for call in (
+        lambda: theta_from_primal(ds, w, 0.1, 1.0),
+        lambda: grad_h(ds, w, 0.1),
+        lambda: objective_value(ds, w, 0.1, 1.0),
+        lambda: kkt_report(ds, model, 1.0),
+    ):
+        with pytest.raises(ValueError, match=r"weights must have shape \(30,\)"):
+            call()
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
 def test_solver_options_need_a_positive_finite_tol(tol):
     with pytest.raises(ValueError, match="tol must be positive and finite"):
