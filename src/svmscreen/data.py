@@ -245,21 +245,22 @@ class Dataset:
     def rmatvec(self, u, cols=None):
         """X.T @ u for a sample vector u of length n_samples.
 
-        With ``cols``, a 1-d integer array of feature indices in
-        [0, n_features) (ValueError otherwise), only X[:, cols].T @ u, equal bit for bit
-        to those rows of the full product.  Dense data takes the full BLAS
-        product, whose sum for a column depends on the columns beside it
-        in the call, and so does sparse data when ``cols`` holds at least
-        half the features: a gather of that many columns costs more than
-        the product it saves.  Sparse data reads the stored entries of
-        fewer columns alone, summed per column in the same order as the
-        full product sums them.
+        With ``cols``, a 1-d sequence of integer feature indices in
+        [0, n_features), in any order (ValueError otherwise), only
+        X[:, cols].T @ u, equal bit for bit to those rows of the full
+        product.  Dense data takes the full BLAS product, whose sum for a
+        column depends on the columns beside it in the call, and so does
+        sparse data when ``cols`` holds at least half the features: a
+        gather of that many columns costs more than the product it saves.
+        Sparse data reads the stored entries of fewer columns alone, summed
+        per column in the same order as the full product sums them.
         """
         if cols is None:
             return kernels.csc_rmatvec(
                 self.col_ptr, self.row_idx, self.values, u,
                 block=self.dense_block, cols=self.column_index,
             )
+        cols = np.asarray(cols)
         self._check_features(cols)
         if self.dense_block is not None or 2 * cols.size >= self.n_features:
             return self.rmatvec(u)[cols]

@@ -35,17 +35,24 @@ product.  Each step re-evaluates the paper's region bound only for the
 features whose carried bound reaches the keep threshold, one compare of
 the bound array, and keeps the smaller of the two; the rest are discarded
 on the carried bound alone.  A step that leaves no certificates sets
-every base to +inf, so the step after it evaluates every feature.  The
-kept set is thus never larger than that of the per-step rule, and every
-certificate rests on theta0 or on one region bound, so safety needs no
-slack beyond EPS_KEEP.
+every base to +inf, so the step after it evaluates every feature.  Until
+screening stops (below), the kept set is thus never larger than that of
+the per-step rule, and every certificate rests on theta0 or on one region
+bound, so safety needs no slack beyond EPS_KEEP.
 
 Each step takes one of two routes, with one solve either way.  It screens
-when the previous step converged, build_context accepts that step's dual
-point and the region keeps a feature: the halfspace is theta1's own
-optimality condition, and below lambda_max the optimum has a feature with
-|theta2'fhat_j| = 1, which a correct region keeps.  Otherwise the step
-keeps every feature and leaves no certificates behind.
+when screening has not stopped, the previous step converged,
+build_context accepts that step's dual point and the region keeps a
+feature: the halfspace is theta1's own optimality condition, and below
+lambda_max the optimum has a feature with |theta2'fhat_j| = 1, which a
+correct region keeps.  Otherwise the step keeps every feature and leaves
+no certificates behind.  Screening stops for the rest of the path once a
+trusted region keeps every feature: each later step solves on the full
+data as screen=False does, with no region, no carry and no bound pass.
+Keeping a feature is always safe, so the stop can cost only discards a
+later region might have made; on the paths where this was measured, no
+later region made one.  An untrusted step does not stop screening: the
+step after it screens every feature afresh.
 
 The solve starts on the secant of the path: on the kept columns, w1 +
 r (w1 - w0) and b1 + r (b1 - b0) with r = (l2 - l1) / (l1 - l0), from the
@@ -109,16 +116,19 @@ class PathStep(solver.PrimalModel):
     PrimalModel, a step goes to kkt_report or model_to_json as it is.  The
     step adds:
 
-    ``trusted``, whether the previous step converged and, when screening
-    is on, its dual point gave a region that keeps a feature; an untrusted
-    step keeps every feature.
+    ``trusted``, whether the previous step converged and, when the step
+    screens, its dual point gave a region that keeps a feature; an
+    untrusted step keeps every feature.  A step after screening stopped
+    screens no more, so it is trusted when the previous step converged.
     ``screen_ms``, the wall time of screening for this step: building the
     screening region, bounding every feature and copying out the kept
-    columns, unless the last copy holds the same ones; 0 when the step did not screen because screening is off or
-    the previous step did not converge.  ``solve_ms``, the solve alone.
+    columns, unless the last copy holds the same ones; 0 when the step did
+    not screen because screening is off or has stopped, or the previous
+    step did not converge.  ``solve_ms``, the solve alone.
     ``evaluated``, the number of features whose region bound was computed
     this step; the others were discarded on a bound carried from an
-    earlier step or from lambda_max (0 when screening did not run).
+    earlier step or from lambda_max (0 when screening did not run, as
+    after it stopped).
     ``margin``, the largest certified bound, fresh or carried, among
     discarded features, below the keep threshold 1 - EPS_KEEP; None when
     nothing was discarded or screening did not run.  In verify mode,
@@ -277,13 +287,15 @@ def run_path(dataset, config=None):
     # The features of the last subset made, and that subset.
     subset_of, kept_columns = np.zeros(0, dtype=np.int64), dataset
 
+    # Off for good once a trusted region keeps every feature.
+    screen = cfg.screen
     steps = []
     for lam2 in grid:
         lam2 = float(lam2)
         reduced = dataset
         screen_ms, evaluated, margin = 0.0, 0, None
         trusted = prev.converged
-        if cfg.screen and trusted:
+        if screen and trusted:
             t0 = time.perf_counter()
             try:
                 ctx = screening.build_context(prev.theta, prev.theta.lam, lam2, dataset)
@@ -305,7 +317,11 @@ def run_path(dataset, config=None):
                 kept_idx = stale[report.kept]
                 # Below lambda_max a correct region keeps at least one feature.
                 trusted = kept_idx.size > 0
-                if trusted and kept_idx.size < m:
+                # Keeping a feature is always safe, so a region that keeps
+                # every feature ends screening for the rest of the path; one
+                # that keeps none leaves it on.
+                screen = kept_idx.size < m
+                if trusted and screen:
                     # The margin is the largest bound left once the kept
                     # features' are taken out.
                     bounds[stale] = fresh
@@ -317,7 +333,7 @@ def run_path(dataset, config=None):
                         subset_of, kept_columns = kept_idx, dataset.subset(kept_idx)
                     reduced = kept_columns
             screen_ms = (time.perf_counter() - t0) * 1000.0
-        if not (cfg.screen and trusted):
+        if not (screen and trusted):
             # Keep every feature; nothing is certified.
             kept_idx = np.arange(m, dtype=np.int64)
             base.fill(np.inf)

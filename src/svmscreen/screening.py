@@ -258,7 +258,7 @@ def neg_min(ctx, fhat):
 def screen_all(ctx, cols=None):
     """Screen the features ``cols`` of ``ctx.dataset``, every feature by default.
 
-    ``cols`` holds increasing feature indices.  The report's arrays have
+    ``cols`` holds feature indices in any order.  The report's arrays have
     one row per feature of ``cols``, equal bit for bit to those rows of
     the full report, and its ``kept`` indexes into ``cols``.  Total cost
     is one ``Dataset.rmatvec(u, cols)`` for theta1' fhat plus O(1) work

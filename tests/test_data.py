@@ -488,6 +488,22 @@ def test_column_restricted_rmatvec_matches_full_product(monkeypatch):
             assert len(gathers) == int(gathered), indices
 
 
+def test_column_restricted_rmatvec_takes_any_index_sequence():
+    # Like subset, rmatvec takes a list, a tuple or an unsorted array of
+    # indices, and each gives those rows of the full product bit for bit.
+    rng = np.random.default_rng(53)
+    x = rng.normal(size=(20, 30))
+    y = random_dataset(rng, 20, 1).labels
+    u = rng.normal(size=20)
+    sparse = Dataset.from_dense(x * (rng.random(size=x.shape) < 0.2), y)
+    dense = Dataset.from_dense(x, y)
+    assert sparse.dense_block is None and dense.dense_block is not None
+    for ds in (sparse, dense):
+        full = ds.rmatvec(u)
+        for cols in ([1, 2], (29, 0, 7), np.array([17, 3, 3, 11]), list(range(29, 0, -2))):
+            assert ds.rmatvec(u, cols=cols).tobytes() == full[np.array(cols)].tobytes()
+
+
 def test_matvec_with_few_nonzero_weights_matches_full_product(monkeypatch):
     rng = np.random.default_rng(43)
     x = rng.normal(size=(60, 800))

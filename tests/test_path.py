@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import json
 import time
 
@@ -192,13 +193,23 @@ def test_verify_mode_reports_zero_violations(monkeypatch):
     assert any(s.evaluated < ds.n_features for s in report.steps)
 
 
+def _labelled(rng, n, m, density, planted):
+    """n x m normal data, ``density`` of it stored; the labels follow three
+    dense planted features, or are coin flips."""
+    x = rng.standard_normal((n, m))
+    if density < 1.0:
+        x *= rng.random((n, m)) < density
+    if planted:
+        x[:, :3] = rng.standard_normal((n, 3))
+        score = x[:, :3] @ [1.0, -1.0, 0.5] + 0.3 * rng.standard_normal(n)
+    else:
+        score = rng.standard_normal(n)
+    return Dataset.from_dense(x, np.where(score > 0, 1.0, -1.0))
+
+
 def _planted():
     """40 x 60 sparse data whose labels follow three dense features."""
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((40, 60)) * (rng.random((40, 60)) < 0.2)
-    x[:, :3] = rng.standard_normal((40, 3))
-    score = x[:, :3] @ [1.0, -1.0, 0.5] + 0.3 * rng.standard_normal(40)
-    return Dataset.from_dense(x, np.where(score > 0, 1.0, -1.0))
+    return _labelled(np.random.default_rng(7), 40, 60, 0.2, True)
 
 
 def test_certificates_start_from_the_dual_point_at_lambda_max(monkeypatch):
@@ -306,6 +317,76 @@ def test_a_region_that_keeps_nothing_is_distrusted(monkeypatch):
         assert step.margin is None and step.violations == 0
         np.testing.assert_array_equal(step.weights, ref.weights)
         assert step.bias == ref.bias
+    # A region that keeps nothing does not end screening: each step after
+    # the first evaluates every feature afresh.
+    assert all(s.evaluated == m for s in report.steps[1:])
+
+
+def _tall_coin():
+    """300 x 20 dense data with coin-flip labels, drawn as CI draws its file."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((300, 20))
+    rng.standard_normal(300)  # the planted file's label noise
+    return Dataset.from_dense(x, np.where(rng.standard_normal(300) > 0, 1.0, -1.0))
+
+
+def test_a_region_that_keeps_every_feature_ends_screening(monkeypatch):
+    # The first region keeps all 20 features.  Keeping a feature is always
+    # safe, so every later step skips the region and solves what an
+    # unscreened path solves, bit for bit.
+    ds = _tall_coin()
+    m = ds.n_features
+    config = PathConfig(grid_size=6, ratio=0.4, verify=True)
+    contexts = _recording_contexts(monkeypatch)
+    report = run_path(ds, config)
+    assert len(contexts) == 1
+    first = report.steps[0]
+    assert first.trusted and first.kept == m and first.evaluated > 0 and first.screen_ms > 0.0
+    for step in report.steps[1:]:
+        assert step.kept == m and step.evaluated == 0 and step.screen_ms == 0.0
+        assert step.margin is None and step.trusted and step.violations == 0
+    full = run_path(ds, dataclasses.replace(config, screen=False))
+    for step, ref in zip(report.steps, full.steps, strict=True):
+        assert step.weights.tobytes() == ref.weights.tobytes()
+        assert (step.bias, step.iterations, step.passes) == (ref.bias, ref.iterations, ref.passes)
+
+
+@pytest.mark.parametrize("fault", ["unconverged solve", "infeasible theta"])
+def test_an_untrusted_step_does_not_end_screening(monkeypatch, fault):
+    # An untrusted step keeps every feature without a region, which is no
+    # reason to stop: the step after it screens every feature afresh, and
+    # screening ends only once a trusted region keeps them all.
+    if fault == "unconverged solve":
+        # The first solve reports failure, so step 2 is untrusted.
+        ds, untrusted = _planted(), 1
+        solve_primal, solves = solver.solve_primal, []
+
+        def flagged(*args, **kwargs):
+            solves.append(solve_primal(*args, **kwargs))
+            return dataclasses.replace(solves[-1], converged=len(solves) != 1)
+
+        monkeypatch.setattr(solver, "solve_primal", flagged)
+    else:
+        # Step 1 cannot build the region that would keep every feature.
+        ds, untrusted = _tall_coin(), 0
+        build_context, contexts = screening.build_context, []
+
+        def failing(*args, **kwargs):
+            contexts.append(args)
+            if len(contexts) == 1:
+                raise ValueError("theta1 infeasible")
+            return build_context(*args, **kwargs)
+
+        monkeypatch.setattr(screening, "build_context", failing)
+    m = ds.n_features
+    steps = run_path(ds, PathConfig(grid_size=6, ratio=0.4)).steps
+    assert [s.trusted for s in steps] == [i != untrusted for i in range(6)]
+    assert steps[untrusted].kept == m and steps[untrusted].evaluated == 0
+    assert steps[untrusted + 1].evaluated == m
+    stop = next(i for i, s in enumerate(steps) if i > untrusted and s.kept == m)
+    assert all(s.evaluated > 0 and s.screen_ms > 0.0 for s in steps[untrusted + 1 : stop + 1])
+    assert all(s.evaluated == 0 and s.screen_ms == 0.0 for s in steps[stop + 1 :])
+    assert stop + 1 < len(steps)
 
 
 def test_custom_grid_is_used_verbatim():
@@ -629,6 +710,37 @@ def test_screening_is_safe_over_column_scale_spread(seed, spread, positive):
         # Every discarded feature has weight 0 on the unscreened path too.
         discarded = np.setdiff1d(np.arange(ds.n_features), step.kept_indices)
         np.testing.assert_array_equal(reference.weights[discarded], 0.0)
+
+
+def test_no_region_after_the_stop_would_discard(monkeypatch):
+    # Ending screening once a region keeps every feature costs no discard
+    # here: at every later step the region built from the previous step's
+    # dual point keeps every feature too, and so does the carried bound a
+    # path that kept screening would have used.  A tighter region would
+    # show here first.
+    stopped = replayed = 0
+    for (n, m, density), planted, (ratio, size) in itertools.product(
+        [(300, 20, 1.0), (100, 60, 1.0), (100, 200, 0.1)],
+        [True, False],
+        [(0.4, 6), (0.8, 10), (0.97, 20)],
+    ):
+        ds = _labelled(np.random.default_rng(5), n, m, density, planted)
+        with monkeypatch.context() as patch:
+            contexts = _recording_contexts(patch)
+            steps = run_path(ds, PathConfig(grid_size=size, ratio=ratio)).steps
+        assert all(s.trusted for s in steps)
+        stop = len(contexts) - 1
+        if steps[stop].kept < m:
+            continue
+        stopped += 1
+        for prev, step in zip(steps[stop:], steps[stop + 1 :]):
+            contexts.append(screening.build_context(prev.theta, prev.theta.lam, step.lam, ds))
+            assert screening.screen_all(contexts[-1]).kept.size == m
+            replayed += 1
+        for bounds, _ in _certified_bounds(ds, contexts)[stop + 1 :]:
+            assert np.all(bounds >= 1.0 - screening.EPS_KEEP)
+    # The stop fires on 8 of these 18 paths, and 39 later steps replay.
+    assert stopped >= 6 and replayed >= 30
 
 
 @pytest.mark.parametrize("fault", ["unconverged solve", "infeasible theta"])

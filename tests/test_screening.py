@@ -243,6 +243,23 @@ def test_screen_all_over_cols_equals_rows_of_full_report():
             np.testing.assert_array_equal(cols[part.kept], np.intersect1d(cols, full.kept))
 
 
+def test_screen_all_takes_any_sequence_of_features():
+    # A list, a tuple or an unsorted array of features gives, bit for bit,
+    # those rows of the full report.
+    rng = np.random.default_rng(59)
+    for ds in (random_dataset(rng, 12, 40, density=0.2), random_dataset(rng, 12, 40)):
+        ctx = solved_context(rng, ds, 0.6, 0.7)
+        full = screen_all(ctx)
+        for cols in ([0, 2, 5], (39, 7, 8), np.array([30, 1, 17, 1])):
+            rows = np.array(cols)
+            part = screen_all(ctx, cols)
+            for name in ("bounds", "m1", "m2", "branch1", "branch2"):
+                assert getattr(part, name).tobytes() == getattr(full, name)[rows].tobytes()
+            np.testing.assert_array_equal(
+                part.kept, np.flatnonzero(full.bounds[rows] >= 1.0 - EPS_KEEP)
+            )
+
+
 def test_report_bookkeeping_and_json():
     rng = np.random.default_rng(41)
     ctx = synthetic_context(rng, 6, m=9)
