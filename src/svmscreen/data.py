@@ -261,6 +261,8 @@ class Dataset:
                 block=self.dense_block, cols=self.column_index,
             )
         cols = np.asarray(cols)
+        if cols.size == 0:  # np.asarray of an empty list or tuple is float64
+            cols = cols.astype(np.int64)
         self._check_features(cols)
         if self.dense_block is not None or 2 * cols.size >= self.n_features:
             return self.rmatvec(u)[cols]

@@ -18,39 +18,34 @@ M^-1/2 A'A M^-1/2 has a unit diagonal, so its L >= 1 and the line search
 halves the step at most ceil(log2(L)) times.  The warm-up only has to
 find the pattern of the optimum: F is piecewise quadratic, so with the
 margin set I = {i : xi_i > 0}, the support S and the signs s of w_S
-fixed, the optimum solves one (|S|+1)-square linear system.  As soon as
-an accepted step leaves the pattern unchanged, the exact finish solves
-that system for A = [X_IS, 1].  When every row is in I, dense data at
-most as wide as it is tall (m <= n) reads A'A and A'y
-from its cached Gram of [X, 1, y], whose (m + 2)^2 cells are then no more
-than the dense block plus 4n + 4; other margin sets, and other data,
-gather the block X_IS when it has at most FINISH_MAX_CELLS cells.  When
-the solution puts weights off their signs in s, the finish drops those
-coordinates from S and solves the principal submatrix of the same system
-again, until no weight flips (the drop step of the lasso modification of
-LARS); by Cauchy interlacing the one Cholesky pivot test covers each
-reduced system, and none costs a product.
-The candidate costs the one matvec an accepted point needs anyway: a
-margin row with xi = 0 rejects it, and otherwise it is kept only when the
-KKT check certifies it within the tolerance.  Otherwise proximal gradient
-continues, at most FINISH_ATTEMPTS factorised systems per solve.  The
-full KKT check on an iterate costs a pass over the data, so it runs only
-once the free gradient-mapping estimate is below FINISH_FROM, and only
-after the finish has had its turn on that iteration.  Either way
-"converged" means the largest KKT residual, computed exactly, is within
-the tolerance: the same thing the screening safety guarantees assume.
+fixed, the optimum solves one (|S|+1)-square linear system.  Each pattern
+that holds over an accepted step, unless it is the one tried last, gets
+the exact finish: it solves that system for A = [X_IS, 1] and drops the
+weights that leave their signs in s (``_exact_finish``).  So the finish
+runs at most every second iteration, ceil(iterations / 2) times at most.
+When every row is in I, dense data at most as wide as it is tall
+(m <= n) reads A'A and A'y from its cached Gram of [X, 1, y], whose
+(m + 2)^2 cells are then no more than the dense block plus 4n + 4; other
+margin sets, and other data, gather the block X_IS when it has at most
+FINISH_MAX_CELLS cells.  The candidate costs the one matvec an accepted
+point needs anyway: a margin row with xi = 0 rejects it, and otherwise it
+is kept only when the KKT check certifies it within the tolerance;
+otherwise proximal gradient continues.  The full KKT check on an iterate
+costs a pass over the data, so it runs only once the free gradient-mapping
+estimate is below FINISH_FROM, and only after the finish has had its turn
+on that iteration.  Either way "converged" means the largest KKT residual,
+computed exactly, is within the tolerance: the same thing the screening
+safety guarantees assume.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 #: An iterate gets the exact KKT check once its estimated residual is below this.
 FINISH_FROM = 1e-3
-#: Exact-finish attempts per solve before proximal gradient runs alone.
-FINISH_ATTEMPTS = 20
 #: The finish gathers at most this many cells of [X_IS, 1] (32 MB).
 FINISH_MAX_CELLS = 1 << 22
 
@@ -64,6 +59,8 @@ class SolverOptions:
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, not {self.max_iter!r}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be non-negative")
 
@@ -406,7 +403,7 @@ def solve_primal(dataset, lam, options=None, warm=None):
         # iterate's own check, so a solve that starts on its optimum's
         # pattern, as the path's warm start often does, ends finished.
         previous, pattern = pattern, (xi > 0.0).tobytes() + np.sign(w).tobytes()
-        if attempts < FINISH_ATTEMPTS and pattern == previous and pattern != tried:
+        if pattern == previous and pattern != tried:
             rows = np.flatnonzero(xi > 0.0)
             if np.count_nonzero(w) + 1 <= rows.size:
                 tried = pattern

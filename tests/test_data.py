@@ -504,6 +504,29 @@ def test_column_restricted_rmatvec_takes_any_index_sequence():
             assert ds.rmatvec(u, cols=cols).tobytes() == full[np.array(cols)].tobytes()
 
 
+def test_column_restricted_rmatvec_of_no_features_is_empty():
+    # np.asarray of an empty list or tuple is float64; it still selects no
+    # feature.  A nonempty float or boolean index is still refused, and a
+    # subset still needs a feature.
+    rng = np.random.default_rng(61)
+    x = rng.normal(size=(8, 12))
+    y = random_dataset(rng, 8, 1).labels
+    u = rng.normal(size=8)
+    sparse = Dataset.from_dense(x * (rng.random(size=x.shape) < 0.3), y)
+    dense = Dataset.from_dense(x, y)
+    assert sparse.dense_block is None and dense.dense_block is not None
+    for ds in (sparse, dense):
+        for cols in ([], (), np.array([], dtype=np.int64)):
+            out = ds.rmatvec(u, cols=cols)
+            assert out.shape == (0,) and out.dtype == np.float64
+        for cols in ([1.0], (0.0, 2.0), [True] * 12, np.array([0.0])):
+            with pytest.raises(ValueError, match="feature indices must be integers"):
+                ds.rmatvec(u, cols=cols)
+        for cols in ([], ()):
+            with pytest.raises(ValueError, match="need at least one feature"):
+                ds.subset(cols)
+
+
 def test_matvec_with_few_nonzero_weights_matches_full_product(monkeypatch):
     rng = np.random.default_rng(43)
     x = rng.normal(size=(60, 800))

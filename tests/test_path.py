@@ -691,6 +691,23 @@ def test_badly_scaled_skewed_path_finishes_every_step(seed):
     assert all(s.converged and s.finished for s in report.steps)
 
 
+@pytest.mark.parametrize("seed, n, m, density", [(5, 300, 200, 0.05), (2, 100, 100, 0.1)])
+def test_the_finish_tries_every_settled_pattern(seed, n, m, density):
+    # Sparse data with coin-flip labels, deep in the path.  A step here
+    # holds more than 20 distinct patterns before the right one: with the
+    # finish stopped after 20 attempts, step 5 of the first path and step 4
+    # of the second ended unfinished after thousands of proximal gradient
+    # iterations.  Tried on every settled pattern, the finish ends each step.
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, m)) * (rng.random(size=(n, m)) < density)
+    y = np.where(rng.normal(size=n) > 0, 1.0, -1.0)
+    report = run_path(Dataset.from_dense(x, y), PathConfig(grid_size=6, ratio=0.4))
+    assert len(report.steps) == 6
+    for s in report.steps:
+        assert s.converged and s.finished
+        assert 2 * s.finish_attempts <= s.iterations + 1
+
+
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -260,6 +260,17 @@ def test_screen_all_takes_any_sequence_of_features():
             )
 
 
+def test_screen_all_of_no_features_is_empty():
+    rng = np.random.default_rng(67)
+    for ds in (random_dataset(rng, 12, 40, density=0.2), random_dataset(rng, 12, 40)):
+        ctx = solved_context(rng, ds, 0.6, 0.7)
+        for cols in ([], (), np.array([], dtype=np.int64)):
+            part = screen_all(ctx, cols)
+            for name in ("bounds", "m1", "m2", "branch1", "branch2", "kept"):
+                assert getattr(part, name).shape == (0,)
+            assert part.kept.dtype == np.int64
+
+
 def test_report_bookkeeping_and_json():
     rng = np.random.default_rng(41)
     ctx = synthetic_context(rng, 6, m=9)

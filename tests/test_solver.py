@@ -191,6 +191,19 @@ def test_solver_options_need_a_non_negative_max_iter():
     assert model.kkt_residual == kkt_report(ds, model, 1.0).max_residual
 
 
+@pytest.mark.parametrize("max_iter", [2.5, 3.0, True, False, "10", None])
+def test_solver_options_need_an_integer_max_iter(max_iter):
+    # A float would fail later in range(), and a bool would count as 0 or 1.
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        SolverOptions(max_iter=max_iter)
+
+
+def test_solver_options_take_a_numpy_integer_max_iter():
+    ds = parse_sparse_text(TWO_SAMPLE)
+    model = solve_primal(ds, 1.0, options=SolverOptions(max_iter=np.int64(50)))
+    assert model.converged and model.iterations <= 50
+
+
 def test_trace_is_nonincreasing():
     rng = np.random.default_rng(79)
     for _ in range(10):
@@ -434,23 +447,21 @@ def test_rejected_finish_leaves_the_proximal_gradient_answer(monkeypatch):
     assert rejected.trace == plain.trace
 
 
-def test_finish_attempts_stop_at_their_cap(monkeypatch):
+def test_finish_attempts_come_at_most_every_second_iteration(monkeypatch):
     # With every candidate rejected, the finish tries each new pattern that
-    # holds over a step; FINISH_ATTEMPTS caps those systems per solve, and
-    # proximal gradient then converges alone.
+    # holds over a step.  A tried pattern is not tried again while it
+    # holds, and a new one must hold over a step first, so attempts come at
+    # most every second iteration; proximal gradient then converges alone.
     rng = np.random.default_rng(109)
     ds = random_dataset(rng, 15, 10, 0.8)
     lam = 0.3 * lambda_max(ds)[0]
     candidates = _reject_candidates(monkeypatch)
-    uncapped = solve_primal(ds, lam)
-    assert uncapped.finish_attempts == len(candidates) >= 2
-    candidates.clear()
-    monkeypatch.setattr(solver, "FINISH_ATTEMPTS", 1)
-    capped = solve_primal(ds, lam)
-    assert capped.finish_attempts == len(candidates) == 1
-    assert capped.converged and not capped.finished
-    assert capped.kkt_residual <= 1e-9
-    assert kkt_report(ds, capped, lam).max_residual <= 1e-9
+    model = solve_primal(ds, lam)
+    assert model.finish_attempts == len(candidates) >= 2
+    assert 2 * model.finish_attempts <= model.iterations + 1
+    assert model.converged and not model.finished
+    assert model.kkt_residual <= 1e-9
+    assert kkt_report(ds, model, lam).max_residual <= 1e-9
 
 
 def _coin_problem():
