@@ -15,15 +15,14 @@ from .data import (
     read_sparse_file,
     serialize_sparse_text,
 )
-from .geometry import Ball, ball_at_t, min_radius_ball, project_null
-from .oracle import OracleResult, null_space_basis, oracle_max, oracle_neg_min
+from .geometry import Ball, ball_at_t
+from .oracle import OracleResult, null_space_basis, oracle_max
 from .path import DegenerateProblemError, PathConfig, PathReport, lambda_grid, run_path
 from .screening import (
     Branch,
     ScreeningContext,
     ScreenReport,
     build_context,
-    neg_min,
     screen_all,
     theta_at_lambda_max,
 )
@@ -68,16 +67,12 @@ __all__ = [
     "kkt_report",
     "lambda_grid",
     "lambda_max",
-    "min_radius_ball",
     "model_from_json",
     "model_to_json",
-    "neg_min",
     "null_space_basis",
     "objective_value",
     "oracle_max",
-    "oracle_neg_min",
     "parse_sparse_text",
-    "project_null",
     "read_sparse_file",
     "run_path",
     "screen_all",

@@ -531,7 +531,9 @@ def serialize_sparse_text(dataset):
     """Render a Dataset back to canonical sparse text.
 
     Values are written with shortest round-trip formatting, so
-    parse(serialize(d)) reproduces d exactly.
+    parse(serialize(d)) reproduces d's labels and entries exactly.  The
+    text holds no feature count: trailing all-zero columns are dropped,
+    and a 2 x 3 Dataset whose third column is empty parses back 2 x 2.
     """
     rows = [["+1" if label > 0 else "-1"] for label in dataset.labels.tolist()]
     features = kernels.column_index(dataset.col_ptr) + 1

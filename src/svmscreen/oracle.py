@@ -215,8 +215,3 @@ def oracle_max(ctx, g, ball=None, basis=None):
     dense = _dense_check(c_p, r_red, a_p, limit, g_p)
     agreed = abs(dense - value) <= 1e-7 * max(1.0, abs(value))
     return OracleResult(value=value, argmax=q @ z, certified=bool(agreed))
-
-
-def oracle_neg_min(ctx, fhat, **kwargs):
-    """-min theta' fhat over the region, mirroring screening.neg_min."""
-    return oracle_max(ctx, -np.asarray(fhat, dtype=np.float64), **kwargs).value

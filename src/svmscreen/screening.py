@@ -238,23 +238,6 @@ def _dot(p, q):
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
-def neg_min(ctx, fhat):
-    """-min over the screening region of theta' fhat, with the branch taken.
-
-    ``fhat`` is a dense label-weighted feature vector.  This is the scalar
-    reference entry point; screen_all evaluates the same arithmetic in
-    bulk from cached statistics.
-    """
-    fhat = np.asarray(fhat, dtype=np.float64)
-    y = ctx.dataset.labels
-    syf = float(fhat @ y)
-    s1f = float(fhat.sum())
-    sff = float(fhat @ fhat)
-    pyf = float(np.linalg.norm(fhat - (syf / y.shape[0]) * y))
-    sth = float(fhat @ ctx.theta1)
-    return kernels.neg_min_scalar(ctx, syf, s1f, sff, pyf, sth)
-
-
 def screen_all(ctx, cols=None):
     """Screen the features ``cols`` of ``ctx.dataset``, every feature by default.
 

@@ -40,6 +40,7 @@ safety guarantees assume.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,19 @@ FINISH_FROM = 1e-3
 FINISH_MAX_CELLS = 1 << 22
 
 
+def _positive(name, value):
+    """``value`` as a float if a positive finite real (numpy's too, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+    return value
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-9  # on the max KKT residual
@@ -57,8 +71,7 @@ class SolverOptions:
     keep_trace: bool = False  # record accepted objective values
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be positive and finite")
+        object.__setattr__(self, "tol", _positive("tol", self.tol))
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError(f"max_iter must be an integer, not {self.max_iter!r}")
         if self.max_iter < 0:
@@ -274,8 +287,7 @@ def solve_primal(dataset, lam, options=None, warm=None):
     the finish's point, finished, rather than an iterate that merely
     passes the check.
     """
-    if not 0 < lam < math.inf:
-        raise ValueError("lam must be positive and finite")
+    lam = _positive("lam", lam)
     opts = options or SolverOptions()
 
     m = dataset.n_features
@@ -455,8 +467,7 @@ def theta_from_primal(dataset, w, b, lam):
     solve_primal returns this point as ``PrimalModel.theta`` from the
     hinge it already holds; this recomputes it with one matvec.
     """
-    if not 0 < lam < math.inf:
-        raise ValueError("lam must be positive and finite")
+    lam = _positive("lam", lam)
     xi = _hinge(dataset, np.asarray(w, dtype=np.float64), b)
     return ThetaVector(values=xi / lam, lam=lam)
 
@@ -467,8 +478,7 @@ def kkt_report(dataset, model, lam):
     The residuals are computed as solve_primal computes them, so its
     kkt_residual equals max_residual here exactly.
     """
-    if not 0 < lam < math.inf:
-        raise ValueError("lam must be positive and finite")
+    lam = _positive("lam", lam)
     w = np.asarray(model.weights, dtype=np.float64)
     return _kkt_residuals(dataset, w, _hinge(dataset, w, model.bias), lam)
 

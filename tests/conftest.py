@@ -7,7 +7,7 @@ import dataclasses
 
 import numpy as np
 
-from svmscreen import Dataset, build_context, screening
+from svmscreen import Dataset, build_context, kernels, screening
 
 
 def random_labels(rng, n, p_positive=0.5):
@@ -95,6 +95,23 @@ def solved_context(rng, dataset, lam1_frac, lam2_frac, tol=1e-12):
             return None
         theta = theta_from_primal(dataset, model.weights, model.bias, lam1)
     return build_context(theta, lam1, lam2_frac * lam1, dataset)
+
+
+def neg_min(ctx, fhat):
+    """-min over the screening region of theta' fhat, with the branch taken.
+
+    An independent route to the bound: the five statistics come from the
+    dense label-weighted column ``fhat``, not from ``Dataset.stats``, and
+    go to the scalar reference ``kernels.neg_min_scalar``.
+    """
+    fhat = np.asarray(fhat, dtype=np.float64)
+    y = ctx.dataset.labels
+    syf = float(fhat @ y)
+    s1f = float(fhat.sum())
+    sff = float(fhat @ fhat)
+    pyf = float(np.linalg.norm(fhat - (syf / y.shape[0]) * y))
+    sth = float(fhat @ ctx.theta1)
+    return kernels.neg_min_scalar(ctx, syf, s1f, sff, pyf, sth)
 
 
 def reported_bounds(report, bounds):

@@ -24,7 +24,6 @@ from svmscreen import (
     grad_h,
     kkt_report,
     lambda_max,
-    min_radius_ball,
     oracle_max,
     run_path,
     screen_all,
@@ -269,7 +268,6 @@ def _uniform_ball(rng, count, dim):
 def test_criterion_5_ball_family_geometry():
     rng = np.random.default_rng(52026)
     configs = 60
-    grid_shortfall = 0.0  # closed-form radius minus the best grid radius
     slice_defect = 0.0
     nest_failures = 0
     nest_checked = 0
@@ -280,12 +278,6 @@ def test_criterion_5_ball_family_geometry():
         lam2 = (0.3 + 0.6 * rng.random()) * lam1
         u = 1.0 / lam1 - theta1
         a_hat = u / np.linalg.norm(u)
-
-        # the closed-form minimizer is never beaten by a dense t-grid
-        t_star, smallest = min_radius_ball(theta1, lam1, lam2, a_hat)
-        for t in np.linspace(0.0, max(5.0, 2.5 * abs(t_star)), 100):
-            member = ball_at_t(theta1, lam1, lam2, t)
-            grid_shortfall = max(grid_shortfall, smallest.radius - member.radius)
 
         # hyperplane sections of any two members coincide
         t1 = rng.uniform(0.0, 4.0)
@@ -321,13 +313,13 @@ def test_criterion_5_ball_family_geometry():
             nest_checked += hits.shape[0]
             dist2 = np.linalg.norm(hits - ball2.center, axis=1)
             nest_failures += int((dist2 > ball2.radius + 1e-9).sum())
-    ok = grid_shortfall <= 1e-12 and slice_defect <= 1e-9 and nest_failures == 0
+    ok = slice_defect <= 1e-9 and nest_failures == 0
     verdict(
         5,
         "ball family geometry",
         ok,
-        f"{configs} configs, grid shortfall {grid_shortfall:.2e}, "
-        f"slice defect {slice_defect:.2e}, {nest_failures}/{nest_checked} nesting failures",
+        f"{configs} configs, slice defect {slice_defect:.2e}, "
+        f"{nest_failures}/{nest_checked} nesting failures",
     )
 
 

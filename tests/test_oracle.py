@@ -10,7 +10,6 @@ from svmscreen import (
     ball_at_t,
     null_space_basis,
     oracle_max,
-    oracle_neg_min,
     screen_all,
 )
 from svmscreen import oracle
@@ -207,14 +206,6 @@ def test_basis_validation():
     assert partial.shape[1] < 3
     with pytest.raises(ValueError, match="must span"):
         oracle_max(ctx, rng.normal(size=4), basis=partial)
-
-
-def test_neg_min_is_negated_max():
-    rng = np.random.default_rng(37)
-    ctx = synthetic_context(rng, 5)
-    fhat = rng.normal(size=5)
-    res = oracle_max(ctx, -fhat)
-    assert res.certified and oracle_neg_min(ctx, fhat) == res.value
 
 
 @pytest.mark.parametrize(

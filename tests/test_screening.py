@@ -19,8 +19,6 @@ from svmscreen import (
     ball_at_t,
     build_context,
     lambda_max,
-    min_radius_ball,
-    neg_min,
     oracle_max,
     screen_all,
     solve_primal,
@@ -32,6 +30,7 @@ from svmscreen.screening import EPS_KEEP
 from conftest import (
     anchored_dataset,
     feasible_theta,
+    neg_min,
     random_dataset,
     solved_context,
     synthetic_context,
@@ -170,9 +169,6 @@ def test_context_scalar_cache_matches_vectors():
         assert ctx.pa1y == pytest.approx(float(pa1 @ pay), abs=1e-10)
         nested = pa1 - (float(pa1 @ pay) / float(pay @ pay)) * pay
         assert ctx.nested1_norm == pytest.approx(float(np.linalg.norm(nested)), abs=1e-9)
-        # minimal ball center sits on the slice hyperplane through theta1
-        _, min_ball = min_radius_ball(ctx.theta1, ctx.lambda1, ctx.lambda2, a)
-        assert abs(float(a @ (min_ball.center - ctx.theta1))) <= 1e-9
 
 
 @pytest.mark.parametrize("storage", ["dense", "sparse"])
@@ -316,9 +312,11 @@ def test_membership_and_safety_on_solved_instances():
         assert abs(float(theta2 @ ds.labels)) <= 1e-6
         if ctx.normal is not None:
             assert float(ctx.normal @ (theta2 - ctx.theta1)) <= 1e-7
-            _, min_ball = min_radius_ball(ctx.theta1, ctx.lambda1, ctx.lambda2, ctx.normal)
-            gap = float(np.linalg.norm(theta2 - min_ball.center))
-            assert gap <= min_ball.radius + 1e-7
+            # every member of the paper's ball family holds theta2 as well
+            for t in (0.5, 2.0, 10.0):
+                member = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, t)
+                gap = float(np.linalg.norm(theta2 - member.center))
+                assert gap <= member.radius + 1e-7
 
         report = screen_all(ctx)
         kept = set(report.kept.tolist())
@@ -423,8 +421,8 @@ def _boundary_chord(ball, basis, normal, limit):
 def test_corner_bound_equals_rim_max_for_any_family_ball():
     # The corner branch value is the maximum over the boundary-hyperplane
     # slice, and that slice is one fixed disk for every family member: the
-    # chords cut from the base ball and the minimal ball coincide, and the
-    # maximum over either chord reproduces the closed form.
+    # chords cut from the base ball and from members at t > 0 coincide,
+    # and the maximum over the chord reproduces the closed form.
     from svmscreen import null_space_basis
 
     rng = np.random.default_rng(61)
@@ -438,10 +436,11 @@ def test_corner_bound_equals_rim_max_for_any_family_ball():
         limit = float(ctx.normal @ ctx.theta1)
         base = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, 0.0)
         z0_base, rho_base, tan_base = _boundary_chord(base, basis, ctx.normal, limit)
-        _, min_ball = min_radius_ball(ctx.theta1, ctx.lambda1, ctx.lambda2, ctx.normal)
-        z0_min, rho_min, _ = _boundary_chord(min_ball, basis, ctx.normal, limit)
-        np.testing.assert_allclose(z0_min, z0_base, atol=1e-9)
-        assert rho_min == pytest.approx(rho_base, abs=1e-9)
+        for t in (0.5, 2.0, 10.0):
+            member = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, t)
+            z0_t, rho_t, _ = _boundary_chord(member, basis, ctx.normal, limit)
+            np.testing.assert_allclose(z0_t, z0_base, atol=1e-9)
+            assert rho_t == pytest.approx(rho_base, abs=1e-9)
 
         dense = ds.to_dense()
         report = screen_all(ctx)

@@ -198,6 +198,36 @@ def test_solver_options_need_an_integer_max_iter(max_iter):
         SolverOptions(max_iter=max_iter)
 
 
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "1e-9", "0.5", None, [0.5], 10**400])
+def test_tolerances_and_penalties_need_a_positive_finite_real(value):
+    # A bool would count as 0 or 1, and a string would fail later in `<`.
+    ds = parse_sparse_text(TWO_SAMPLE)
+    model = solve_primal(ds, 1.0)
+    with pytest.raises(ValueError, match="tol must be"):
+        SolverOptions(tol=value)
+    for call in (
+        lambda: solve_primal(ds, value),
+        lambda: kkt_report(ds, model, value),
+        lambda: theta_from_primal(ds, model.weights, model.bias, value),
+    ):
+        with pytest.raises(ValueError, match="lam must be"):
+            call()
+
+
+def test_tolerances_and_penalties_take_numpy_reals_as_floats():
+    ds = parse_sparse_text(TWO_SAMPLE)
+    options = SolverOptions(tol=np.float32(1e-6))
+    assert type(options.tol) is float and options.tol == float(np.float32(1e-6))
+    assert type(SolverOptions(tol=np.int64(1)).tol) is float
+    model = solve_primal(ds, np.int64(1), options=options)
+    reference = solve_primal(ds, 1.0, options=options)
+    assert type(model.theta.lam) is float and model.theta.lam == 1.0
+    np.testing.assert_array_equal(model.weights, reference.weights)
+    assert type(theta_from_primal(ds, model.weights, model.bias, np.float64(1)).lam) is float
+    residual = kkt_report(ds, model, 1.0).max_residual
+    assert kkt_report(ds, model, np.int64(1)).max_residual == residual
+
+
 def test_solver_options_take_a_numpy_integer_max_iter():
     ds = parse_sparse_text(TWO_SAMPLE)
     model = solve_primal(ds, 1.0, options=SolverOptions(max_iter=np.int64(50)))
