@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .solver import _positive
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -24,13 +26,6 @@ class Ball:
             raise ValueError("center must be finite")
 
 
-def _check_lambdas(lam1, lam2):
-    if lam2 <= 0 or lam1 <= 0:
-        raise ValueError("regularization weights must be positive")
-    if lam1 < lam2:
-        raise ValueError("require lambda1 >= lambda2")
-
-
 def ball_at_t(theta1, lam1, lam2, t):
     """Member t of the ball family around the step from lambda1 to lambda2.
 
@@ -38,9 +33,12 @@ def ball_at_t(theta1, lam1, lam2, t):
     ``c(t) = (t*theta1 - t/lam1 + 1/lam2 + theta1) / 2`` and
     ``l(t) = ||t*theta1 - t/lam1 + 1/lam2 - theta1|| / 2`` where the scalar
     reciprocals stand for constant vectors.  t = 0 gives the base ball that
-    contains the next dual point outright.
+    contains the next dual point outright.  The penalties must be positive
+    finite reals with lambda1 >= lambda2 (ValueError otherwise).
     """
-    _check_lambdas(lam1, lam2)
+    lam1, lam2 = _positive("lambda1", lam1), _positive("lambda2", lam2)
+    if lam1 < lam2:
+        raise ValueError("require lambda1 >= lambda2")
     if t < 0:
         raise ValueError("t must be nonnegative")
     theta1 = np.asarray(theta1, dtype=np.float64)

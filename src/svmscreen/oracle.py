@@ -53,24 +53,6 @@ def null_space_basis(y, vectors):
     return _span_basis(m)
 
 
-def _checked_basis(basis, y, vectors):
-    """``basis`` as an array, once it is n x k, orthonormal, orthogonal to
-    the labels and spans the columns of ``vectors`` off the labels."""
-    q = np.asarray(basis, dtype=np.float64)
-    n = y.shape[0]
-    if q.ndim != 2 or q.shape[0] != n:
-        raise ValueError("basis must be n x k")
-    if not np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-10):
-        raise ValueError("basis must be orthonormal")
-    if float(np.max(np.abs(y @ q), initial=0.0)) > 1e-10:
-        raise ValueError("basis must be orthogonal to the labels")
-    off_y = vectors - np.outer(y, (y @ vectors) / n)
-    missed = np.linalg.norm(off_y - q @ (q.T @ off_y), axis=0)
-    if np.any(missed > 1e-9 * np.linalg.norm(vectors, axis=0)):
-        raise ValueError("basis must span the centre, normal and objective off the labels")
-    return q
-
-
 def _plane(c_red, a_red, g_red):
     """c_red, a_red and g_red in an orthonormal basis of span{a_red,
     g_red}, the plane through the centre that holds the maximizer.  A
@@ -137,7 +119,7 @@ def _dense_check(c, r, a, limit, g):
     return best
 
 
-def oracle_max(ctx, g, ball=None, basis=None):
+def oracle_max(ctx, g, ball=None):
     """Maximize g' theta over the screening region by exact enumeration.
 
     Parameters
@@ -150,11 +132,6 @@ def oracle_max(ctx, g, ball=None, basis=None):
         The region's ball, by default the paper's ball_at_t(theta1,
         lambda1, lambda2, 0) formed apart from build_context; the
         halfspace and equality constraint stay as in ctx.
-    basis : array, optional
-        An n x k orthonormal basis, orthogonal to the labels, whose span
-        holds the ball's centre, the halfspace normal and g projected off
-        the labels, to use instead of the default ``null_space_basis`` of
-        those three, for invariance checks (ValueError otherwise).
 
     Returns
     -------
@@ -170,7 +147,7 @@ def oracle_max(ctx, g, ball=None, basis=None):
     radius = float(ball.radius)
 
     vectors = np.column_stack((center, g) if ctx.normal is None else (center, ctx.normal, g))
-    q = null_space_basis(y, vectors) if basis is None else _checked_basis(basis, y, vectors)
+    q = null_space_basis(y, vectors)
 
     c_red = q.T @ center
     off_subspace = center - q @ c_red

@@ -94,14 +94,13 @@ class DegenerateProblemError(ValueError):
 class PathConfig:
     """Knobs for a path run.
 
-    lambdas, when given, overrides the geometric grid; values must be
-    strictly decreasing, positive and below lambda_max.  screen=False
-    solves every step on all features, for A/B comparisons.
+    The grid is lambda_max * ratio**i for i = 1..grid_size (see
+    lambda_grid).  screen=False solves every step on all features, for
+    A/B comparisons.
     """
 
     grid_size: int = 10
     ratio: float = 0.8
-    lambdas: tuple = ()
     solver: SolverOptions = field(default_factory=SolverOptions)
     verify: bool = False
     screen: bool = True
@@ -208,27 +207,19 @@ class PathReport:
 
 
 def lambda_grid(lam_max, k, ratio):
-    """Geometric grid lam_max * ratio**i for i = 1..k (lam_max excluded);
-    k must be an integer (ValueError otherwise)."""
+    """Geometric grid lam_max * ratio**i for i = 1..k (lam_max excluded),
+    for an integer k >= 1, a positive finite lam_max and a ratio in (0, 1);
+    ValueError otherwise, or when the grid underflows."""
     if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise ValueError(f"grid size must be an integer, not {k!r}")
     if k < 1:
         raise ValueError("grid size must be at least 1")
-    if not 0.0 < ratio < 1.0:
+    lam_max, ratio = solver._positive("lam_max", lam_max), solver._positive("ratio", ratio)
+    if ratio >= 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
-    return float(lam_max) * float(ratio) ** np.arange(1, k + 1, dtype=np.float64)
-
-
-def _validated_grid(lambdas, lam_max):
-    grid = np.asarray(lambdas, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("path grid must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(grid)) or np.any(grid <= 0.0):
-        raise ValueError("path grid values must be positive and finite")
-    if np.any(np.diff(grid) >= 0.0):
-        raise ValueError("path grid must be strictly decreasing")
-    if grid[0] >= lam_max:
-        raise ValueError("path grid must start below lambda_max")
+    grid = lam_max * ratio ** np.arange(1, k + 1, dtype=np.float64)
+    if not (grid[-1] > 0.0 and np.all(np.diff(grid, prepend=lam_max) < 0.0)):
+        raise ValueError(f"path grid underflows: {k} steps at ratio {ratio!r}")
     return grid
 
 
@@ -257,11 +248,7 @@ def run_path(dataset, config=None):
             "lambda_max is zero for this dataset, so the zero-weight model is "
             "optimal at every positive lambda and the path is empty"
         )
-    if len(cfg.lambdas) > 0:
-        grid = _validated_grid(cfg.lambdas, lam_max)
-    else:
-        grid = lambda_grid(lam_max, cfg.grid_size, cfg.ratio)
-        grid = _validated_grid(grid, lam_max)
+    grid = lambda_grid(lam_max, cfg.grid_size, cfg.ratio)
 
     m = dataset.n_features
     threshold = 1.0 - screening.EPS_KEEP

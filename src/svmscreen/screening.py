@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import Branch
-from .solver import ThetaVector
+from .solver import ThetaVector, _real
 
 
 #: Keep a feature when its bound reaches 1 - EPS_KEEP.  The slack must
@@ -121,7 +121,7 @@ def build_context(theta1, lambda1, lambda2, dataset):
         Dual point at lambda1; must be (approximately) feasible:
         componentwise >= -1e-10 and |theta1' y| <= 1e-6.
     lambda1, lambda2 : float
-        Finite, and lambda_max >= lambda1 > lambda2 > 0.
+        Finite reals, not bools, and lambda_max >= lambda1 > lambda2 > 0.
     dataset : Dataset
         Its cached ``lambda_max`` bounds lambda1.
 
@@ -129,6 +129,7 @@ def build_context(theta1, lambda1, lambda2, dataset):
     -------
     ScreeningContext with all feature-independent quantities cached.
     """
+    lambda1, lambda2 = _real("lambda1", lambda1), _real("lambda2", lambda2)
     if isinstance(theta1, ThetaVector):
         if abs(theta1.lam - lambda1) > 1e-9 * max(lambda1, theta1.lam):
             raise ValueError("theta1 was computed at a different lambda1")

@@ -51,14 +51,19 @@ FINISH_FROM = 1e-3
 FINISH_MAX_CELLS = 1 << 22
 
 
-def _positive(name, value):
-    """``value`` as a float if a positive finite real (numpy's too, not a bool)."""
+def _real(name, value):
+    """``value`` as a float if a real number (numpy's too, not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, not {value!r}")
     try:
-        value = float(value)
+        return float(value)
     except OverflowError:  # an int beyond the float range
-        value = math.inf
+        return math.inf if value > 0 else -math.inf
+
+
+def _positive(name, value):
+    """``value`` as a float if a positive finite real (numpy's too, not a bool)."""
+    value = _real(name, value)
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite")
     return value
@@ -68,7 +73,6 @@ def _positive(name, value):
 class SolverOptions:
     tol: float = 1e-9  # on the max KKT residual
     max_iter: int = 100_000  # 0 evaluates the starting point alone
-    keep_trace: bool = False  # record accepted objective values
 
     def __post_init__(self):
         object.__setattr__(self, "tol", _positive("tol", self.tol))
@@ -85,7 +89,6 @@ class PrimalModel:
     objective: float
     iterations: int
     converged: bool
-    trace: tuple = ()  # accepted objective values when requested
     kkt_residual: float = float("nan")  # final max KKT residual
     finished: bool = False  # certified by the exact finish
     passes: int = 0  # data products (matvec and rmatvec calls)
@@ -96,7 +99,7 @@ class PrimalModel:
 
 
 #: The PrimalModel fields written to JSON as they are, by model_to_json and
-#: PathReport.to_json alike; weights, bias and trace are not among them.
+#: PathReport.to_json alike; weights, bias and theta are not among them.
 JSON_FIELDS = (
     "objective",
     "iterations",
@@ -316,7 +319,6 @@ def solve_primal(dataset, lam, options=None, warm=None):
     passes = 1  # data products, each counted where it is made
     xi = _slack(labels, scores, b)
     f_x = _objective(_smooth(xi), w, lam)
-    trace = [f_x] if opts.keep_trace else None
 
     # The extrapolated point z and its hinge, read from the accepted
     # points' scores: X z = X w + beta (X w - X w_prev) costs no product.
@@ -400,8 +402,6 @@ def solve_primal(dataset, lam, options=None, warm=None):
 
         w_prev, b_prev, s_prev = w, b, scores
         w, b, scores, xi, f_x = w_new, b_new, s_new, xi_new, f_new
-        if trace is not None:
-            trace.append(f_x)
 
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
         beta = (t_momentum - 1.0) / t_next
@@ -423,8 +423,6 @@ def solve_primal(dataset, lam, options=None, warm=None):
                 found = finish(w, f_x, rows)
                 if found is not None:
                     w, b, xi, f_x, residual = found
-                    if trace is not None:
-                        trace.append(f_x)
                     converged = finished = True
                     break
         # grad h(x+) - grad h(z) + M (z - x+) / step lies in the
@@ -450,7 +448,6 @@ def solve_primal(dataset, lam, options=None, warm=None):
         objective=f_x,
         iterations=iterations,
         converged=converged,
-        trace=tuple(trace) if trace is not None else (),
         kkt_residual=residual,
         finished=finished,
         passes=passes,

@@ -7,7 +7,7 @@ import dataclasses
 
 import numpy as np
 
-from svmscreen import Dataset, build_context, kernels, screening
+from svmscreen import Dataset, SolverOptions, build_context, kernels, screening, solve_primal
 
 
 def random_labels(rng, n, p_positive=0.5):
@@ -155,3 +155,15 @@ def skewed_dataset(rng, n=200, m=1000, spread=2.0, positive=0.03, density=0.02, 
     labels[np.argsort(-score, kind="stable")[: max(1, round(positive * n))]] = 1.0
     scales = 10.0 ** rng.uniform(-spread, spread, m)
     return Dataset.from_dense(raw * scales, labels)
+
+
+def objectives_by_iteration(ds, lam, options=SolverOptions()):
+    """One solve and its objective after each iteration k = 0..iterations,
+    read from the same solve stopped at max_iter = k.  At k = iterations
+    a finish's candidate stands in for the point accepted before it."""
+    model = solve_primal(ds, lam, options=options)
+    objectives = [
+        solve_primal(ds, lam, options=dataclasses.replace(options, max_iter=k)).objective
+        for k in range(model.iterations + 1)
+    ]
+    return model, np.asarray(objectives)

@@ -410,6 +410,12 @@ def test_nonfinite_penalties_and_tolerances_exit_2(capsys, two_sample_file, argv
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_path_refuses_an_underflowing_grid(capsys, two_sample_file):
+    argv = ("path", two_sample_file, "--grid-size", "1100", "--ratio", "0.5")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: path grid underflows: 1100 steps at ratio 0.5\n")
+
+
 def test_negative_max_iter_exits_2(capsys, two_sample_file):
     for command in (["solve", "--lambda", "0.1"], ["path"]):
         code, out, err = run_cli(

@@ -92,7 +92,7 @@ def test_lambda_grid_validation():
         lambda_grid(1.0, 0, 0.5)
     with pytest.raises(ValueError, match="ratio must lie strictly between 0 and 1"):
         lambda_grid(1.0, 3, 1.0)
-    with pytest.raises(ValueError, match="ratio must lie strictly between 0 and 1"):
+    with pytest.raises(ValueError, match="ratio must be positive and finite"):
         lambda_grid(1.0, 3, 0.0)
     # A size counts steps: 2.5 would round up to 3 values.
     for k in (2.5, 3.0, True):
@@ -104,17 +104,22 @@ def test_lambda_grid_validation():
         run_path(ds, PathConfig(grid_size=2.5))
 
 
-def test_custom_grid_validation():
-    rng = np.random.default_rng(3)
-    ds = random_dataset(rng, 6, 5)
-    lam_cap, _, _ = lambda_max(ds)
-    for lambdas, message in [
-        ((-1.0,), "positive and finite"),
-        ((0.5 * lam_cap, 0.6 * lam_cap), "strictly decreasing"),
-        ((2.0 * lam_cap,), "start below lambda_max"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            run_path(ds, PathConfig(lambdas=lambdas))
+@pytest.mark.parametrize(
+    "size, ratio",
+    [
+        (1100, 0.5),  # reaches 0
+        (7049, 0.9),  # positive to the end, but subnormal values stop falling
+    ],
+)
+def test_an_underflowing_grid_is_refused(size, ratio):
+    with pytest.raises(ValueError, match=f"path grid underflows: {size} steps"):
+        lambda_grid(1.0, size, ratio)
+    ds = random_dataset(np.random.default_rng(3), 6, 5)
+    with pytest.raises(ValueError, match="path grid underflows"):
+        run_path(ds, PathConfig(grid_size=size, ratio=ratio))
+    # Half as many steps stay positive and strictly decreasing.
+    grid = lambda_grid(1.0, size // 2, ratio)
+    assert grid[-1] > 0.0 and np.all(np.diff(grid) < 0.0)
 
 
 def test_degenerate_dataset_raises():
@@ -238,11 +243,11 @@ def test_certificates_start_from_the_dual_point_at_lambda_max(monkeypatch):
 
 def test_secant_start_is_the_optimum_on_one_linear_piece(monkeypatch):
     # On one pattern (margin rows, support and signs) the optimum is affine
-    # in lambda, so the line through the first two steps' models meets the
-    # third step's optimum, and its solve only has to certify it.
+    # in lambda, so the line through two steps' models meets the next
+    # step's optimum when all three share the pattern, and its solve only
+    # has to certify it.
     rng = np.random.default_rng(0)
     ds = random_dataset(rng, 40, 12, density=0.7)
-    lam_cap, _, _ = lambda_max(ds)
     starts, solve_primal = [], solver.solve_primal
 
     def solve(reduced, lam, options=None, warm=None):
@@ -250,19 +255,23 @@ def test_secant_start_is_the_optimum_on_one_linear_piece(monkeypatch):
         return solve_primal(reduced, lam, options=options, warm=warm)
 
     monkeypatch.setattr(solver, "solve_primal", solve)
-    report = run_path(ds, PathConfig(lambdas=tuple(lam_cap * np.array([0.3, 0.297, 0.294]))))
-    patterns = {
-        (theta_from_primal(ds, s.weights, s.bias, s.lam).values > 0.0).tobytes()
-        + np.sign(s.weights).tobytes()
-        for s in report.steps
-    }
-    assert len(patterns) == 1
-    step = report.steps[2]
-    w, b = starts[2]
-    scale = max(1.0, float(np.max(np.abs(step.weights))))
-    np.testing.assert_allclose(w, step.weights[step.kept_indices], rtol=0.0, atol=1e-12 * scale)
-    assert b == pytest.approx(step.bias, rel=0.0, abs=1e-12 * scale)
-    assert step.finished and step.iterations == 1
+    steps = run_path(ds, PathConfig(grid_size=30, ratio=0.9)).steps
+    patterns = [
+        (s.theta.values > 0.0).tobytes() + np.sign(s.weights).tobytes() for s in steps
+    ]
+    on_one_piece = [
+        i for i in range(2, len(steps)) if patterns[i - 2] == patterns[i - 1] == patterns[i]
+    ]
+    assert on_one_piece
+    for i in on_one_piece:
+        step = steps[i]
+        w, b = starts[i]
+        scale = max(1.0, float(np.max(np.abs(step.weights))))
+        np.testing.assert_allclose(
+            w, step.weights[step.kept_indices], rtol=0.0, atol=1e-12 * scale
+        )
+        assert b == pytest.approx(step.bias, rel=0.0, abs=1e-12 * scale)
+        assert step.finished and step.iterations == 1
 
 
 def test_verify_solves_once_per_step(monkeypatch):
@@ -387,15 +396,6 @@ def test_an_untrusted_step_does_not_end_screening(monkeypatch, fault):
     assert all(s.evaluated > 0 and s.screen_ms > 0.0 for s in steps[untrusted + 1 : stop + 1])
     assert all(s.evaluated == 0 and s.screen_ms == 0.0 for s in steps[stop + 1 :])
     assert stop + 1 < len(steps)
-
-
-def test_custom_grid_is_used_verbatim():
-    rng = np.random.default_rng(17)
-    ds = random_dataset(rng, 8, 12)
-    lam_cap, _, _ = lambda_max(ds)
-    grid = (0.9 * lam_cap, 0.5 * lam_cap, 0.1 * lam_cap)
-    report = run_path(ds, PathConfig(lambdas=grid))
-    assert [s.lam for s in report.steps] == [pytest.approx(v) for v in grid]
 
 
 def test_unconverged_steps_are_flagged_not_fatal():

@@ -18,22 +18,27 @@ import pytest
 
 from svmscreen import (
     Dataset,
+    PathConfig,
     SolverOptions,
+    ball_at_t,
+    build_context,
     first_features,
     grad_h,
     kkt_report,
+    lambda_grid,
     lambda_max,
     model_from_json,
     model_to_json,
     objective_value,
     parse_sparse_text,
+    run_path,
     solve_primal,
     theta_at_lambda_max,
     theta_from_primal,
 )
 from svmscreen import solver
 
-from conftest import random_dataset
+from conftest import objectives_by_iteration, random_dataset
 
 TWO_SAMPLE = "+1 1:2\n-1 2:1\n"
 
@@ -214,6 +219,38 @@ def test_tolerances_and_penalties_need_a_positive_finite_real(value):
             call()
 
 
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None, [0.5]])
+def test_screening_and_grid_penalties_need_a_real(value):
+    # The check the solver's penalties have, shared by the region, its ball
+    # and the path grid: a bool would count as 0 or 1.
+    ds = parse_sparse_text(TWO_SAMPLE)
+    theta = theta_at_lambda_max(ds).values
+    for name, call in (
+        ("lambda1", lambda: build_context(theta, value, 1.0, ds)),
+        ("lambda2", lambda: build_context(theta, 2.0, value, ds)),
+        ("lambda1", lambda: ball_at_t(theta, value, 0.5, 0.0)),
+        ("lambda2", lambda: ball_at_t(theta, 1.0, value, 0.0)),
+        ("lam_max", lambda: lambda_grid(value, 3, 0.5)),
+        ("ratio", lambda: lambda_grid(1.0, 3, value)),
+        ("ratio", lambda: run_path(ds, PathConfig(ratio=value))),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            call()
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, 10**400])
+def test_ball_and_grid_penalties_need_a_positive_finite_value(value):
+    theta = np.ones(2)
+    for name, call in (
+        ("lambda1", lambda: ball_at_t(theta, value, 0.5, 0.0)),
+        ("lambda2", lambda: ball_at_t(theta, 1.0, value, 0.0)),
+        ("lam_max", lambda: lambda_grid(value, 3, 0.5)),
+        ("ratio", lambda: lambda_grid(1.0, 3, value)),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            call()
+
+
 def test_tolerances_and_penalties_take_numpy_reals_as_floats():
     ds = parse_sparse_text(TWO_SAMPLE)
     options = SolverOptions(tol=np.float32(1e-6))
@@ -235,16 +272,16 @@ def test_solver_options_take_a_numpy_integer_max_iter():
 
 
 def test_trace_is_nonincreasing():
+    # The solves stopped at max_iter = k read one solve's objectives in turn.
     rng = np.random.default_rng(79)
     for _ in range(10):
         ds = random_dataset(rng, int(rng.integers(3, 15)), int(rng.integers(2, 10)), 0.8)
         lam_cap, _, _ = lambda_max(ds)
         if lam_cap <= 0:
             continue
-        model = solve_primal(ds, 0.3 * lam_cap, options=SolverOptions(keep_trace=True))
-        trace = np.asarray(model.trace)
-        assert trace.size >= 2
-        assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
+        _, objectives = objectives_by_iteration(ds, 0.3 * lam_cap)
+        assert objectives.size >= 2
+        assert np.all(np.diff(objectives) <= 1e-12 * np.maximum(1.0, np.abs(objectives[:-1])))
 
 
 def test_converged_means_kkt_within_tol():
@@ -460,21 +497,24 @@ def test_rejected_finish_leaves_the_proximal_gradient_answer(monkeypatch):
     rng = np.random.default_rng(109)
     ds = random_dataset(rng, 15, 10, 0.8)
     lam = 0.3 * lambda_max(ds)[0]
-    opts = SolverOptions(keep_trace=True)
 
     monkeypatch.setattr(solver, "_exact_finish", lambda *args: None)
-    plain = solve_primal(ds, lam, options=opts)
+    plain, plain_objectives = objectives_by_iteration(ds, lam)
     monkeypatch.undo()
 
     candidates = _reject_candidates(monkeypatch)
-    rejected = solve_primal(ds, lam, options=opts)
+    rejected, rejected_objectives = objectives_by_iteration(ds, lam)
     assert any(found is not None for found in candidates)
     assert not plain.finished and not rejected.finished
     assert rejected.converged and rejected.kkt_residual <= 1e-9
     np.testing.assert_array_equal(rejected.weights, plain.weights)
     assert rejected.bias == plain.bias
     assert rejected.iterations == plain.iterations
-    assert rejected.trace == plain.trace
+    # A rejected candidate costs products, so passes may differ.
+    assert (rejected.objective, rejected.backtracks, rejected.restarts) == (
+        plain.objective, plain.backtracks, plain.restarts
+    )
+    np.testing.assert_array_equal(rejected_objectives, plain_objectives)
 
 
 def test_finish_attempts_come_at_most_every_second_iteration(monkeypatch):
