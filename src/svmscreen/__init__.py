@@ -34,8 +34,6 @@ from .solver import (
     first_features,
     grad_h,
     kkt_report,
-    lambda_max,
-    model_from_json,
     model_to_json,
     objective_value,
     solve_primal,
@@ -66,8 +64,6 @@ __all__ = [
     "grad_h",
     "kkt_report",
     "lambda_grid",
-    "lambda_max",
-    "model_from_json",
     "model_to_json",
     "null_space_basis",
     "objective_value",

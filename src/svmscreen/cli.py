@@ -78,7 +78,7 @@ def _theta_for(args, dataset, lam1):
     """Dual point at lam1: from file, closed form at lambda_max, or a solve."""
     if args.theta1 is not None:
         return _load_theta1(args.theta1, dataset.n_samples)
-    lam_max = solver.lambda_max(dataset)[0]
+    lam_max = dataset.lambda_max[0]
     if abs(lam1 - lam_max) <= 1e-12 * max(lam_max, 1.0):
         return screening.theta_at_lambda_max(dataset)
     model = solver.solve_primal(dataset, lam1, options=_solver_options(args))
@@ -89,7 +89,7 @@ def _theta_for(args, dataset, lam1):
 
 def cmd_lambda_max(args):
     dataset = read_sparse_file(args.data)
-    lam_max, bias, direction = solver.lambda_max(dataset)
+    lam_max, bias, direction = dataset.lambda_max
     first = solver.first_features(direction)
     payload = {
         "lambda_max": lam_max,
@@ -102,12 +102,9 @@ def cmd_lambda_max(args):
 
 def cmd_solve(args):
     dataset = read_sparse_file(args.data)
-    lam = args.lam
-    if lam[1]:
-        lam_max, _, _ = solver.lambda_max(dataset)
-        lam = (lam[0] * lam_max, False)
-    model = solver.solve_primal(dataset, lam[0], options=_solver_options(args))
-    _emit(solver.model_to_json(model, lam[0]), args.output)
+    lam = _resolve(args.lam, dataset.lambda_max[0])
+    model = solver.solve_primal(dataset, lam, options=_solver_options(args))
+    _emit(solver.model_to_json(model, lam), args.output)
     if not model.converged:
         _warn(f"solver did not reach tolerance; KKT residual {model.kkt_residual:.3g}")
     return 0
@@ -115,7 +112,7 @@ def cmd_solve(args):
 
 def cmd_screen(args):
     dataset = read_sparse_file(args.data)
-    lam_max = solver.lambda_max(dataset)[0]
+    lam_max = dataset.lambda_max[0]
     lam1 = _resolve(args.lambda1, lam_max)
     lam2 = _resolve(args.lambda2, lam_max)
     if lam2 >= lam1:
@@ -155,7 +152,7 @@ def cmd_path(args):
 
 def cmd_verify(args):
     dataset = read_sparse_file(args.data)
-    lam_max = solver.lambda_max(dataset)[0]
+    lam_max = dataset.lambda_max[0]
     lam1 = _resolve(args.lambda1, lam_max)
     if args.lambda2 is not None:
         lam2_list = [_resolve(args.lambda2, lam_max)]

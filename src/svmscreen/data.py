@@ -1,5 +1,5 @@
 """Sparse classification data: container, text parser, and what the data
-alone decides (lambda_max, column norms, feature statistics).
+alone decides (lambda_max, column norms, feature statistics), each stored once.
 
 The on-disk format is the usual sparse text layout, one sample per line::
 
@@ -59,12 +59,13 @@ class Dataset:
     Columns are stored in CSC form: column j occupies the half-open slice
     ``col_ptr[j]:col_ptr[j+1]`` of ``row_idx``/``values``, with row indices
     strictly increasing inside each column.  What the data alone decides
-    is a cached property built on first use, each by one formula: the
-    class counts, ``lambda_max`` (one product), the column norms
-    ``sq_norm`` of the solver's step and the bound, the per-feature
-    ``stats`` of the bound (an O(nnz) pass that the first ``screen_all``
-    or path on the Dataset makes), and the form of the products,
-    ``dense_block`` for dense data or ``column_index`` for sparse data.
+    is a cached property built on first use, each by one formula and held
+    by no other name: the class counts, ``lambda_max`` (one product), the
+    column norms ``sq_norm`` of the solver's step and the bound, the
+    per-feature ``stats`` of the bound (an O(nnz) pass that the first
+    ``screen_all`` or screened path on the Dataset makes), and the form of
+    the products, ``dense_block`` for dense data or ``column_index`` for
+    sparse data.
     """
 
     n_samples: int
@@ -162,19 +163,16 @@ class Dataset:
     @cached_property
     def stats(self):
         """FeatureStats of every feature, from one O(nnz) pass on first use."""
-        dot_y, dot_one, proj_y_norm = kernels.feature_stats(
+        rows = kernels.feature_stats(
             self.col_ptr, self.row_idx, self.values, self.labels, cols=self.column_index
         )
-        columns = self.sq_norm.base  # the (4, m) array made around the norms
-        columns[0], columns[1], columns[3] = dot_y, dot_one, proj_y_norm
-        return FeatureStats(columns)
+        return FeatureStats(np.array(rows))
 
     @cached_property
     def sq_norm(self):
         """||f_j||^2 = ||fhat_j||^2 of every feature: the solver's step
-        metric and the bound's ||fhat||^2, stored as a row of ``stats``."""
-        norms = kernels.column_sq_norms(self.col_ptr, self.values, cols=self.column_index)
-        return _stats_row(norms)
+        metric and the bound's ||fhat||^2."""
+        return kernels.column_sq_norms(self.col_ptr, self.values, cols=self.column_index)
 
     @cached_property
     def dense_block(self):
@@ -332,7 +330,7 @@ class Dataset:
             row_idx=row_idx, values=values, labels=self.labels,
         )
         if "sq_norm" in self.__dict__:
-            child.__dict__["sq_norm"] = _stats_row(self.sq_norm[cols])
+            child.__dict__["sq_norm"] = self.sq_norm[cols]
         return child
 
     def to_dense(self):
@@ -342,26 +340,18 @@ class Dataset:
         return out
 
 
-def _stats_row(sq_norm):
-    """``sq_norm`` copied into row 2 of a new (4, m) array, which
-    ``Dataset.stats`` fills around it, so that the norms are stored once."""
-    columns = np.empty((4, sq_norm.shape[0]))
-    columns[2] = sq_norm
-    return columns[2]
-
-
 @dataclass(frozen=True)
 class FeatureStats:
     """Per-feature statistics of fhat_j = labels * f_j that the screening
-    bound reads, as the rows of one (4, m) array, so that the bound gathers
+    bound reads, as the rows of one (3, m) array, so that the bound gathers
     the features it screens in one indexing.
 
-    The rows are ``dot_y``, ``dot_one``, ||fhat_j||^2 (the memory of
-    ``Dataset.sq_norm``, not a copy) and ``proj_y_norm``, the norm of
-    fhat_j projected off the label vector.  That norm equals
+    The rows are ``dot_y``, ``dot_one`` and ``proj_y_norm``, the norm of
+    fhat_j projected off the label vector: the three arrays
+    ``kernels.feature_stats`` returns.  That norm equals
     sqrt(||fhat_j||^2 - dot_y^2 / n) because y'y = n, but is summed from
     the centred column, since that difference cancels for a nearly
-    constant one (see ``kernels.feature_stats``).
+    constant one.  ||fhat_j||^2 is ``Dataset.sq_norm``, stored apart.
     """
 
     columns: np.ndarray
@@ -379,7 +369,7 @@ class FeatureStats:
     @property
     def proj_y_norm(self):
         """||P_y(fhat_j)|| of every feature."""
-        return self.columns[3]
+        return self.columns[2]
 
 
 def parse_sparse_text(text):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import _positive
+from .solver import _positive, _real
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,14 @@ def ball_at_t(theta1, lam1, lam2, t):
     ``l(t) = ||t*theta1 - t/lam1 + 1/lam2 - theta1|| / 2`` where the scalar
     reciprocals stand for constant vectors.  t = 0 gives the base ball that
     contains the next dual point outright.  The penalties must be positive
-    finite reals with lambda1 >= lambda2 (ValueError otherwise).
+    finite reals with lambda1 >= lambda2, and t a nonnegative real, not a
+    bool (ValueError otherwise).
     """
     lam1, lam2 = _positive("lambda1", lam1), _positive("lambda2", lam2)
     if lam1 < lam2:
         raise ValueError("require lambda1 >= lambda2")
-    if t < 0:
+    t = _real("t", t)
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     theta1 = np.asarray(theta1, dtype=np.float64)
     shifted = t * theta1 - (t / lam1)

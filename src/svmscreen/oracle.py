@@ -2,18 +2,20 @@
 
 Validates every closed form in the screening module, at any n.  The
 region is a ball with centre c, a halfspace with normal a and the
-hyperplane theta'y = 0.  For an objective g, the part of a feasible
-theta orthogonal to y, P_y(c), P_y(a) and P_y(g) only moves theta away
-from the centre and adds nothing to a'theta or g'theta.  So the maximum
-over the region is the maximum over its slice Q z, for an orthonormal
-basis Q of span{P_y(c), P_y(a), P_y(g)}: at most three coordinates,
-whatever n is.  What remains is a ball intersected with one halfspace,
-where the maximizer of a linear objective is known in closed form (ball
-surface point, or the rim of the spherical cap).  By the same argument
-the maximizer lies in the plane through the reduced centre spanned by
-the reduced normal and objective, so a masked sweep of that circle, at a
-fixed number of angles refined around its best sample or chord end, gives
-a second, method-independent check at every n for a fixed cost.
+hyperplane theta'y = 0; the default ball and a are formed here from
+theta1 and the penalties, not taken from build_context.  For an
+objective g, the part of a feasible theta orthogonal to y, P_y(c),
+P_y(a) and P_y(g) only moves theta away from the centre and adds nothing
+to a'theta or g'theta.  So the maximum over the region is the maximum
+over its slice Q z, for an orthonormal basis Q of span{P_y(c), P_y(a),
+P_y(g)}: at most three coordinates, whatever n is.  What remains is a
+ball intersected with one halfspace, where the maximizer of a linear
+objective is known in closed form (ball surface point, or the rim of the
+spherical cap).  By the same argument the maximizer lies in the plane
+through the reduced centre spanned by the reduced normal and objective,
+so a masked sweep of that circle, at a fixed number of angles refined
+around its best sample or chord end, gives a second, method-independent
+check at every n for a fixed cost.
 """
 
 from dataclasses import dataclass
@@ -125,7 +127,10 @@ def oracle_max(ctx, g, ball=None):
     Parameters
     ----------
     ctx : ScreeningContext
-        Supplies theta1, the lambdas, the optional halfspace and the labels.
+        Supplies theta1, the lambdas, the labels and whether the halfspace
+        applies.  Its normal a = (1/lambda1 - theta1) / ||.|| and its
+        feasible side a'(theta - theta1) <= 0 are formed here from the
+        paper's definition, apart from build_context.
     g : array
         Objective direction (use -fhat to get -min theta' fhat).
     ball : Ball, optional
@@ -145,8 +150,10 @@ def oracle_max(ctx, g, ball=None):
         ball = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, 0.0)
     center = np.asarray(ball.center, dtype=np.float64)
     radius = float(ball.radius)
+    u = 1.0 / ctx.lambda1 - ctx.theta1
+    normal = u / np.linalg.norm(u) if ctx.has_normal else None
 
-    vectors = np.column_stack((center, g) if ctx.normal is None else (center, ctx.normal, g))
+    vectors = np.column_stack((center, g) if normal is None else (center, normal, g))
     q = null_space_basis(y, vectors)
 
     c_red = q.T @ center
@@ -162,8 +169,8 @@ def oracle_max(ctx, g, ball=None):
 
     a_red, limit = None, 0.0
     # A normal orthogonal to the subspace does not constrain it at all.
-    if ctx.has_normal and float(np.linalg.norm(q.T @ ctx.normal)) > 1e-15:
-        a_red, limit = q.T @ ctx.normal, float(ctx.normal @ ctx.theta1)
+    if normal is not None and float(np.linalg.norm(q.T @ normal)) > 1e-15:
+        a_red, limit = q.T @ normal, float(normal @ ctx.theta1)
 
     g_red = q.T @ g
     ng = float(np.linalg.norm(g_red))

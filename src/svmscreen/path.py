@@ -209,7 +209,9 @@ class PathReport:
 def lambda_grid(lam_max, k, ratio):
     """Geometric grid lam_max * ratio**i for i = 1..k (lam_max excluded),
     for an integer k >= 1, a positive finite lam_max and a ratio in (0, 1);
-    ValueError otherwise, or when the grid underflows."""
+    ValueError otherwise, or when the grid underflows: its values must
+    strictly decrease and stay normal floats, so that 1/lambda is finite
+    at every step."""
     if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise ValueError(f"grid size must be an integer, not {k!r}")
     if k < 1:
@@ -218,7 +220,8 @@ def lambda_grid(lam_max, k, ratio):
     if ratio >= 1.0:
         raise ValueError("ratio must lie strictly between 0 and 1")
     grid = lam_max * ratio ** np.arange(1, k + 1, dtype=np.float64)
-    if not (grid[-1] > 0.0 and np.all(np.diff(grid, prepend=lam_max) < 0.0)):
+    tiny = np.finfo(np.float64).tiny  # the smallest normal float
+    if not (grid[-1] >= tiny and np.all(np.diff(grid, prepend=lam_max) < 0.0)):
         raise ValueError(f"path grid underflows: {k} steps at ratio {ratio!r}")
     return grid
 
@@ -242,7 +245,7 @@ def run_path(dataset, config=None):
         and there is no path to trace.
     """
     cfg = config if config is not None else PathConfig()
-    lam_max, bias0, direction = solver.lambda_max(dataset)
+    lam_max, bias0, direction = dataset.lambda_max
     if lam_max <= 0.0:
         raise DegenerateProblemError(
             "lambda_max is zero for this dataset, so the zero-weight model is "
@@ -252,15 +255,18 @@ def run_path(dataset, config=None):
 
     m = dataset.n_features
     threshold = 1.0 - screening.EPS_KEEP
-    # Growth of each feature's certificate per unit of 1/lambda:
-    # ||P_y fhat_j|| * ||P_y 1||.
-    drift = dataset.stats.proj_y_norm * (
-        2.0 * np.sqrt(dataset.n_pos * dataset.n_neg / dataset.n_samples)
-    )
-    # The carried bound on |theta*'fhat_j| at lambda is base[j] + drift[j] /
-    # lambda, seeded at lambda_max from theta0'fhat_j = direction_j /
-    # lam_max; +inf certifies nothing.
-    base = (np.abs(direction) - drift) / lam_max
+    # Off for good once a trusted region keeps every feature.
+    screen = cfg.screen
+    if screen:
+        # Growth of each feature's certificate per unit of 1/lambda:
+        # ||P_y fhat_j|| * ||P_y 1||.
+        drift = dataset.stats.proj_y_norm * (
+            2.0 * np.sqrt(dataset.n_pos * dataset.n_neg / dataset.n_samples)
+        )
+        # The carried bound on |theta*'fhat_j| at lambda is base[j] +
+        # drift[j] / lambda, seeded at lambda_max from theta0'fhat_j =
+        # direction_j / lam_max; +inf certifies nothing.
+        base = (np.abs(direction) - drift) / lam_max
     # The closed-form model at lambda_max: w = 0, its bias and its dual
     # point theta0, whose hinge is lam_max * theta0.
     theta0 = screening.theta_at_lambda_max(dataset)
@@ -274,8 +280,6 @@ def run_path(dataset, config=None):
     # The features of the last subset made, and that subset.
     subset_of, kept_columns = np.zeros(0, dtype=np.int64), dataset
 
-    # Off for good once a trusted region keeps every feature.
-    screen = cfg.screen
     steps = []
     for lam2 in grid:
         lam2 = float(lam2)
@@ -321,9 +325,11 @@ def run_path(dataset, config=None):
                     reduced = kept_columns
             screen_ms = (time.perf_counter() - t0) * 1000.0
         if not (screen and trusted):
-            # Keep every feature; nothing is certified.
+            # Keep every feature; nothing is certified, and once screening
+            # is off no certificate is read again.
             kept_idx = np.arange(m, dtype=np.int64)
-            base.fill(np.inf)
+            if screen:
+                base.fill(np.inf)
 
         # The warm start lies on the line through the last two models, on
         # the kept columns: while the pattern holds the path is affine in

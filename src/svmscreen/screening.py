@@ -8,8 +8,10 @@ closed-form maximum of ±theta' fhat_j over that region discards features
 safely: a discarded feature provably has zero weight at lambda2.
 
 The halfspace normal is taken as ``a = (1/lambda1 - theta1) / ||.||`` and
-the feasible side is ``a'(theta - theta1) <= 0``; the brute-force oracle
-module certifies this orientation together with every closed form.
+the feasible side is ``a'(theta - theta1) <= 0``.  The context holds only
+a's scalars; the brute-force oracle module forms a itself from theta1 and
+lambda1, and so certifies this orientation together with every closed
+form.
 """
 
 import json
@@ -40,9 +42,9 @@ class ScreeningContext:
     The labels and sample count are read from ``dataset``; the region's
     ball enters only through its scalars (b_dot_y, pyb_norm).
 
-    ``normal`` is None when the halfspace is uninformative (theta1 equals
-    the ball-family anchor 1/lambda1 up to round-off, or its normal is
-    collinear with the labels); screening then uses the ball and the
+    ``has_normal`` is False when the halfspace is uninformative (theta1
+    equals the ball-family anchor 1/lambda1 up to round-off, or its normal
+    is collinear with the labels); screening then uses the ball and the
     equality constraint alone.
     """
 
@@ -50,7 +52,7 @@ class ScreeningContext:
     lambda2: float
     theta1: np.ndarray
     dataset: object
-    normal: np.ndarray | None
+    has_normal: bool
     # scalars shared by all features, which the bound kernels read
     norm_u: float  # ||1/lambda1 - theta1||
     a_dot_y: float
@@ -65,10 +67,6 @@ class ScreeningContext:
     nested1_norm: float  # ||P_{P_a(y)}(P_a(1))||
     half_dl: float  # (1/lambda2 - 1/lambda1) / 2
     slice_degenerate: bool
-
-    @property
-    def has_normal(self):
-        return self.normal is not None
 
 
 @dataclass(frozen=True)
@@ -180,19 +178,18 @@ def build_context(theta1, lambda1, lambda2, dataset):
     # the ball's centre less theta1 is b = (1/lambda2 - theta1) / 2.
     u = [inv_l1 * one_k - theta_k for one_k, theta_k in zip(one, theta)]
     norm_u = math.hypot(*u)
-    normal = None
+    has_normal = False
     if norm_u > 1e-12 * inv_l1 * root_n:
         a = [u_k / norm_u for u_k in u]
         pya_norm = math.hypot(a[1], a[2])
-        if pya_norm > 1e-12:
-            normal = (inv_l1 - theta1) / norm_u
+        has_normal = pya_norm > 1e-12
 
     b = [0.5 * (inv_l2 * one_k - theta_k) for one_k, theta_k in zip(one, theta)]
     b_dot_y = b[0] * root_n
     pyb_norm = math.hypot(b[1], b[2])
     slice_degenerate = pyb_norm <= 1e-12 * math.hypot(*b)
 
-    if normal is not None:
+    if has_normal:
         a_dot_y = a[0] * root_n
         a_dot_one = _dot(a, one)
         a_dot_theta1 = _dot(a, theta)
@@ -217,7 +214,7 @@ def build_context(theta1, lambda1, lambda2, dataset):
         lambda2=float(lambda2),
         theta1=theta1,
         dataset=dataset,
-        normal=normal,
+        has_normal=has_normal,
         norm_u=norm_u,
         a_dot_y=a_dot_y,
         a_dot_one=a_dot_one,
@@ -246,15 +243,20 @@ def screen_all(ctx, cols=None):
     one row per feature of ``cols``, equal bit for bit to those rows of
     the full report, and its ``kept`` indexes into ``cols``.  Total cost
     is one ``Dataset.rmatvec(u, cols)`` for theta1' fhat plus O(1) work
-    per feature, read from ``Dataset.stats`` in one gather; the first call
-    on a Dataset also makes its O(nnz) passes.
+    per feature, read from ``Dataset.stats`` and ``Dataset.sq_norm`` in
+    one gather each; the first call on a Dataset also makes their O(nnz)
+    passes.
     """
     start = time.perf_counter()
     dataset = ctx.dataset
-    if cols is None:
-        cols = np.arange(dataset.n_features)
+    cols = np.arange(dataset.n_features) if cols is None else np.asarray(cols)
     s_theta = dataset.rmatvec(ctx.theta1 * dataset.labels, cols=cols)
-    m1, m2, branch1, branch2 = kernels.screen_bulk(ctx, *dataset.stats.columns[:, cols], s_theta)
+    # rmatvec has checked the indices; an empty list arrives as float64.
+    cols = cols.astype(np.int64, copy=False)
+    dot_y, dot_one, proj_y_norm = dataset.stats.columns[:, cols]
+    m1, m2, branch1, branch2 = kernels.screen_bulk(
+        ctx, dot_y, dot_one, dataset.sq_norm[cols], proj_y_norm, s_theta
+    )
     bounds = np.maximum(m1, m2)
     kept = np.flatnonzero(bounds >= 1.0 - EPS_KEEP).astype(np.int64)
     return ScreenReport(

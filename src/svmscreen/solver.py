@@ -480,17 +480,6 @@ def kkt_report(dataset, model, lam):
     return _kkt_residuals(dataset, w, _hinge(dataset, w, model.bias), lam)
 
 
-def lambda_max(dataset):
-    """Smallest regularization weight with the all-zero weight vector optimal.
-
-    Returns (lambda_max, bias, direction): the threshold, the bias of the
-    trivial model, and the per-feature vector whose max-magnitude entry
-    attains the threshold: the Dataset's cached ``lambda_max``, whose one
-    product its first use makes.
-    """
-    return dataset.lambda_max
-
-
 def first_features(direction):
     """Indices attaining max |direction_j| within relative tie slack 1e-12.
 
@@ -517,19 +506,3 @@ def model_to_json(model, lam):
         },
         indent=2,
     )
-
-
-def model_from_json(text, n_features):
-    """Inverse of model_to_json; needs the feature count to size the array.
-
-    A weight index that is not an integer in 1..n_features raises
-    ValueError.
-    """
-    payload = json.loads(text)
-    w = np.zeros(n_features)
-    for index, value in payload["weights"]:
-        if type(index) is not int or not 1 <= index <= n_features:
-            raise ValueError(f"weight index {index!r} is not an integer in 1..{n_features}")
-        w[index - 1] = value
-    fields = {name: payload[name] for name in JSON_FIELDS}
-    return PrimalModel(weights=w, bias=float(payload["bias"]), **fields), float(payload["lambda"])

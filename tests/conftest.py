@@ -77,13 +77,12 @@ def solved_context(rng, dataset, lam1_frac, lam2_frac, tol=1e-12):
     """
     from svmscreen import (
         SolverOptions,
-        lambda_max,
         solve_primal,
         theta_at_lambda_max,
         theta_from_primal,
     )
 
-    lam_max = lambda_max(dataset)[0]
+    lam_max = dataset.lambda_max[0]
     if lam_max <= 0.0:
         return None
     lam1 = lam1_frac * lam_max
@@ -95,6 +94,16 @@ def solved_context(rng, dataset, lam1_frac, lam2_frac, tol=1e-12):
             return None
         theta = theta_from_primal(dataset, model.weights, model.bias, lam1)
     return build_context(theta, lam1, lam2_frac * lam1, dataset)
+
+
+def halfspace_normal(ctx):
+    """The halfspace normal a = (1/lambda1 - theta1) / ||.|| of ``ctx``,
+    formed from its theta1 and lambda1 with plain numpy; None when the
+    context screens without the halfspace."""
+    if not ctx.has_normal:
+        return None
+    u = 1.0 / ctx.lambda1 - ctx.theta1
+    return u / np.linalg.norm(u)
 
 
 def neg_min(ctx, fhat):

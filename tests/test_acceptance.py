@@ -23,7 +23,6 @@ from svmscreen import (
     first_features,
     grad_h,
     kkt_report,
-    lambda_max,
     oracle_max,
     run_path,
     screen_all,
@@ -79,7 +78,7 @@ def safety_suite():
         n = int(rng.integers(4, 51))
         m = int(rng.integers(10, 201))
         ds = random_dataset(rng, n, m, density=density, p_positive=balance)
-        lam_cap = lambda_max(ds)[0]
+        lam_cap = ds.lambda_max[0]
         if lam_cap <= 0.0:
             continue
         lam1 = frac * lam_cap
@@ -177,7 +176,7 @@ def test_criterion_3_closed_form_vs_oracle():
         x[:, 2] = 1.0  # constant column: fhat is collinear with the labels
         y = np.array([1.0, -1.0]) if n == 2 else random_labels(rng, 3)
         ds = Dataset.from_dense(x, y)
-        lam_cap, _, _ = lambda_max(ds)
+        lam_cap, _, _ = ds.lambda_max
         if lam_cap <= 0.0:
             continue
         mode = attempts % 3
@@ -223,7 +222,7 @@ def test_criterion_4_lambda_max_bracketing():
     while instances < 50 and attempts < 300:
         attempts += 1
         ds = random_dataset(rng, int(rng.integers(4, 31)), int(rng.integers(5, 61)))
-        lam_cap, _, direction = lambda_max(ds)
+        lam_cap, _, direction = ds.lambda_max
         if lam_cap <= 0.0:
             continue
         magnitudes = np.sort(np.abs(direction))
@@ -373,7 +372,7 @@ def test_criterion_6_solver_numerics():
     solves = 0
     while solves < 10:
         ds = random_dataset(rng, 20, 40)
-        lam_cap, _, _ = lambda_max(ds)
+        lam_cap, _, _ = ds.lambda_max
         if lam_cap <= 0.0:
             continue
         solves += 1
@@ -414,7 +413,7 @@ def test_criterion_7_screening_scales_linearly():
     small = big.subset(np.arange(m_big // 2))
     setups = {}
     for name, ds in (("m", small), ("2m", big)):
-        lam_cap = lambda_max(ds)[0]
+        lam_cap = ds.lambda_max[0]
         theta1 = theta_at_lambda_max(ds)
         ctx = build_context(theta1, lam_cap, 0.5 * lam_cap, ds)
         ds.stats, ds.sq_norm  # the Dataset's O(nnz) passes stay out of the timing

@@ -10,7 +10,6 @@ import pytest
 from svmscreen import (
     DataFormatError,
     Dataset,
-    lambda_max,
     parse_sparse_text,
     read_sparse_file,
     serialize_sparse_text,
@@ -414,9 +413,10 @@ def test_subset_matches_per_column_reference():
 
 
 def test_column_norms_are_stored_once():
-    # Once the stats exist, sq_norm is their third row, whichever of the
-    # two is built first, and holds a fresh sum's values bit for bit; a
-    # subset still takes the kept columns' norms as an array of its own.
+    # The norms and the statistics live in buffers of their own, whichever
+    # is built first: the stats are three rows, none of them the norms, and
+    # sq_norm holds a fresh sum's values bit for bit.  A subset takes the
+    # kept columns' norms as an array of k values, not a row of a larger one.
     rng = np.random.default_rng(47)
     x = rng.normal(size=(8, 6)) * (rng.random(size=(8, 6)) < 0.5)
     y = random_dataset(rng, 8, 1).labels
@@ -424,12 +424,13 @@ def test_column_norms_are_stored_once():
         ds = Dataset.from_dense(x, y)
         fresh = kernels.column_sq_norms(ds.col_ptr, ds.values)
         getattr(ds, first)
-        stats = ds.stats
-        assert np.shares_memory(ds.sq_norm, stats.columns[2])
+        assert ds.stats.columns.shape == (3, 6)
+        assert not np.shares_memory(ds.sq_norm, ds.stats.columns)
+        assert ds.sq_norm.shape == (6,) and ds.sq_norm.base is None
         assert ds.sq_norm.tobytes() == fresh.tobytes()
         sub = ds.subset([4, 1, 1])
+        assert sub.sq_norm.shape == (3,) and sub.sq_norm.base is None
         assert sub.sq_norm.tobytes() == fresh[[4, 1, 1]].tobytes()
-        assert not np.shares_memory(sub.sq_norm, ds.sq_norm)
 
 
 def test_subset_hands_down_the_statistics_bit_for_bit():
@@ -639,9 +640,10 @@ def test_subset_child_is_a_valid_dataset():
                     got, want = getattr(sub, name), getattr(ref, name)
                     assert got.dtype == want.dtype and got.flags.c_contiguous
                     assert got.tobytes() == want.tobytes(), name
-                # The stats hold the column norms, so building them builds sq_norm.
+                # The stats and the column norms are built apart, so only a
+                # parent that built its norms hands them down.
                 handed = {name for name in ("stats", "sq_norm") if name in sub.__dict__}
-                assert handed == (set() if build is None else {"sq_norm"})
+                assert handed == ({"sq_norm"} if build == "sq_norm" else set())
                 assert sub.sq_norm.tobytes() == ref.sq_norm.tobytes()
                 for name, want in vars(ref.stats).items():
                     assert getattr(sub.stats, name).tobytes() == want.tobytes(), name
@@ -762,7 +764,7 @@ def test_class_counts_are_read_from_the_labels():
     arrays = (ds.col_ptr, ds.row_idx, ds.values, ds.labels)
     with pytest.raises(TypeError):
         Dataset(ds.n_samples, ds.n_features, *arrays, n_pos=3, n_neg=7)
-    lam_cap, bias, _ = lambda_max(ds)
+    lam_cap, bias, _ = ds.lambda_max
     assert bias == (7 - 3) / 10
     assert lam_cap == float(np.max(np.abs(ds.to_dense().T @ (y - bias))))
 

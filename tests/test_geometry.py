@@ -42,8 +42,9 @@ def test_ball_at_t_frozen_base():
 
 
 def test_ball_at_t_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="nonnegative"):
-        ball_at_t(THETA1, LAM1, LAM2, -0.5)
+    for t in (-0.5, np.nan):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            ball_at_t(THETA1, LAM1, LAM2, t)
     with pytest.raises(ValueError, match="positive"):
         ball_at_t(THETA1, LAM1, 0.0, 0.0)
     with pytest.raises(ValueError, match="lambda1 >= lambda2"):

@@ -111,7 +111,7 @@ def test_numpy_kernels_match_dense_on_mixed_scale_columns():
         for stats, sq_norm in (
             (kernels.feature_stats(ds.col_ptr, ds.row_idx, ds.values, y),
              kernels.column_sq_norms(ds.col_ptr, ds.values)),
-            (every_cell.stats.columns[[0, 1, 3]], every_cell.stats.columns[2]),
+            (every_cell.stats.columns, every_cell.sq_norm),
         ):
             dot_y, dot_one, proj_y_norm = stats
             _assert_columns_close(dot_y, _exact_column_sums(x), ax.sum(axis=0))
@@ -194,13 +194,13 @@ def test_bulk_numpy_matches_scalar_reference():
         ("slice_degenerate", {deg, beta, corner}),
     ):
         ctx, ds, s_theta = _bound_inputs(kind)
-        assert (ctx.normal is None) == (kind == "no_normal")
+        assert ctx.has_normal == (kind != "no_normal")
         assert ctx.slice_degenerate == (kind == "slice_degenerate")
         cases.append((ctx, ds, s_theta, reached))
     # No valid labels make a context without a normal whose slice is
     # degenerate (that needs 1 parallel to y), but the kernel takes one.
     ctx, ds, s_theta, _ = cases[-1]
-    cases.append((dataclasses.replace(ctx, normal=None), ds, s_theta, {deg, ball}))
+    cases.append((dataclasses.replace(ctx, has_normal=False), ds, s_theta, {deg, ball}))
 
     for ctx, ds, s_theta, reached in cases:
         stats = ds.stats

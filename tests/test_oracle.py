@@ -15,7 +15,13 @@ from svmscreen import (
 from svmscreen import oracle
 from svmscreen.oracle import _dense_check
 
-from conftest import random_dataset, skewed_dataset, solved_context, synthetic_context
+from conftest import (
+    halfspace_normal,
+    random_dataset,
+    skewed_dataset,
+    solved_context,
+    synthetic_context,
+)
 
 
 def test_null_space_basis_properties():
@@ -55,8 +61,9 @@ def test_argmax_is_feasible_and_value_consistent():
         ball = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, 0.0)
         assert abs(float(z @ ctx.dataset.labels)) <= 1e-8
         assert float(np.linalg.norm(z - ball.center)) <= ball.radius + 1e-8
-        if ctx.normal is not None:
-            assert float(ctx.normal @ (z - ctx.theta1)) <= 1e-8
+        a = halfspace_normal(ctx)
+        if a is not None:
+            assert float(a @ (z - ctx.theta1)) <= 1e-8
         assert res.value == pytest.approx(float(g @ z), abs=1e-10)
 
 
@@ -142,10 +149,11 @@ def test_rejects_halfspace_excluding_ball():
     rng = np.random.default_rng(29)
     for trial in range(50):
         ctx = synthetic_context(rng, 4)
-        if ctx.normal is None:
+        a = halfspace_normal(ctx)
+        if a is None:
             continue
         y = ctx.dataset.labels
-        pya = ctx.normal - (float(ctx.normal @ y) / y.shape[0]) * y
+        pya = a - (float(a @ y) / y.shape[0]) * y
         direction = pya / np.linalg.norm(pya)
         radius = 0.25
         # Center three radii deep on the excluded side of the boundary.

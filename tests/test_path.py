@@ -18,7 +18,6 @@ from svmscreen import (
     PathReport,
     SolverOptions,
     lambda_grid,
-    lambda_max,
     run_path,
     theta_from_primal,
 )
@@ -109,17 +108,22 @@ def test_lambda_grid_validation():
     [
         (1100, 0.5),  # reaches 0
         (7049, 0.9),  # positive to the end, but subnormal values stop falling
+        (2, 1e-160),  # strictly falling, but the last value is subnormal
     ],
 )
 def test_an_underflowing_grid_is_refused(size, ratio):
+    # Refused before any solve: at a subnormal penalty 1/lambda overflows,
+    # and a solve there runs to max_iter without converging.
+    start = time.perf_counter()
     with pytest.raises(ValueError, match=f"path grid underflows: {size} steps"):
         lambda_grid(1.0, size, ratio)
     ds = random_dataset(np.random.default_rng(3), 6, 5)
     with pytest.raises(ValueError, match="path grid underflows"):
         run_path(ds, PathConfig(grid_size=size, ratio=ratio))
-    # Half as many steps stay positive and strictly decreasing.
+    assert time.perf_counter() - start < 1.0
+    # Half as many steps stay normal floats and strictly decreasing.
     grid = lambda_grid(1.0, size // 2, ratio)
-    assert grid[-1] > 0.0 and np.all(np.diff(grid) < 0.0)
+    assert grid[-1] >= np.finfo(np.float64).tiny and np.all(np.diff(grid) < 0.0)
 
 
 def test_degenerate_dataset_raises():
@@ -131,7 +135,7 @@ def test_degenerate_dataset_raises():
 def test_path_steps_follow_grid_and_chain():
     rng = np.random.default_rng(7)
     ds = random_dataset(rng, 10, 25, density=0.7)
-    lam_cap, bias0, _ = lambda_max(ds)
+    lam_cap, bias0, _ = ds.lambda_max
     report = run_path(ds, PathConfig(grid_size=5, ratio=0.7))
     assert report.lambda_max == pytest.approx(lam_cap)
     assert report.bias_at_lambda_max == pytest.approx(bias0)
@@ -223,7 +227,7 @@ def test_certificates_start_from_the_dual_point_at_lambda_max(monkeypatch):
     # product.  On planted data the seeded path keeps what the rule that
     # starts from no certificate keeps, and evaluates fewer bounds.
     ds = _planted()
-    lam_cap, _, direction = lambda_max(ds)
+    lam_cap, _, direction = ds.lambda_max
     theta0 = screening.theta_at_lambda_max(ds)
     corr = ds.rmatvec(theta0.values * ds.labels)
     np.testing.assert_allclose(np.abs(direction) / lam_cap, np.abs(corr), rtol=0.0, atol=1e-12)
@@ -492,19 +496,18 @@ def _count_builds(monkeypatch, name):
 
 def test_one_lambda_max_pass_per_path(monkeypatch):
     # One lambda_max product per Dataset, however many paths and contexts
-    # read it: the first use makes it, a second path and build_context make
-    # none.  Each path asks solver.lambda_max once.  One statistics pass
-    # per Dataset however many paths and screens read it.
+    # read it: the first use builds Dataset.lambda_max, a second path and
+    # build_context build none.  One statistics pass per Dataset however
+    # many paths and screens read it.
     rng = np.random.default_rng(31)
     fresh = random_dataset(rng, 12, 60, density=0.3)
     products = _counting(monkeypatch, Dataset, "rmatvec")
-    assert lambda_max(fresh) is lambda_max(fresh)
+    assert fresh.lambda_max is fresh.lambda_max
     assert len(products) == 1
     monkeypatch.undo()
 
     ds = random_dataset(rng, 12, 60, density=0.3)
     builds = _count_builds(monkeypatch, "lambda_max")
-    calls = _counting(monkeypatch, solver, "lambda_max")
     stats_calls = _counting(monkeypatch, kernels, "feature_stats")
     # The solver reads its column metric from sq_norm: every reduced
     # Dataset arrives holding the parent's, handed down by subset.
@@ -516,19 +519,43 @@ def test_one_lambda_max_pass_per_path(monkeypatch):
 
     monkeypatch.setattr(solver, "solve_primal", solve)
     report = run_path(ds, PathConfig(grid_size=5, ratio=0.8))
-    assert builds == [ds] and len(calls) == 1
+    assert builds == [ds]
     assert all(s.trusted for s in report.steps)
     assert any(s.kept < ds.n_features for s in report.steps)
     assert len(stats_calls) == 1
     assert len(arrived_with_norms) == 5 and all(arrived_with_norms)
     run_path(ds, PathConfig(grid_size=3, ratio=0.5))
-    assert builds == [ds] and len(calls) == 2
+    assert builds == [ds]
     step = report.steps[-1]
     products = _counting(monkeypatch, Dataset, "rmatvec")
     ctx = screening.build_context(step.theta, step.lam, 0.5 * step.lam, ds)
-    assert products == [] and builds == [ds] and len(calls) == 2
+    assert products == [] and builds == [ds]
     screening.screen_all(ctx)
     assert len(stats_calls) == 1
+
+
+def test_an_unscreened_path_builds_no_screening_state(monkeypatch):
+    # screen=False makes no statistics pass, and its steps equal bit for
+    # bit those of the same path on a Dataset whose statistics exist.
+    rng = np.random.default_rng(37)
+    x = rng.normal(size=(12, 60)) * (rng.random(size=(12, 60)) < 0.3)
+    y = random_labels(rng, 12)
+    config = PathConfig(grid_size=5, ratio=0.7, screen=False)
+    fresh, built = Dataset.from_dense(x, y), Dataset.from_dense(x, y)
+    built.stats
+    stats_calls = _counting(monkeypatch, kernels, "feature_stats")
+    report = run_path(fresh, config)
+    assert stats_calls == [] and "stats" not in fresh.__dict__
+    reference = run_path(built, config)
+    for step, ref in zip(report.steps, reference.steps, strict=True):
+        for f in dataclasses.fields(step):
+            got, want = getattr(step, f.name), getattr(ref, f.name)
+            if f.name == "theta":
+                got, want = (got.lam, got.values.tobytes()), (want.lam, want.values.tobytes())
+            elif isinstance(got, np.ndarray):
+                got, want = got.tobytes(), want.tobytes()
+            if f.name not in ("screen_ms", "solve_ms"):
+                assert type(got) is type(want) and got == want, f.name
 
 
 @pytest.mark.parametrize("density", [0.15, 1.0])
@@ -622,7 +649,7 @@ def test_dual_point_moves_at_most_the_projected_drift(seed, p_positive, scaled, 
     # ||theta*(l2) - theta*(l1)|| <= ||P_y 1|| (1/l2 - 1/l1), the lemma the
     # carried certificates rest on, checked between two tight full solves.
     ds = _instance(seed, 14, 30, p_positive, scaled)
-    lam_cap, _, _ = lambda_max(ds)
+    lam_cap, _, _ = ds.lambda_max
     lam1 = frac1 * lam_cap
     lam2 = ratio * lam1
     thetas = []

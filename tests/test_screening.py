@@ -18,7 +18,6 @@ from svmscreen import (
     SolverOptions,
     ball_at_t,
     build_context,
-    lambda_max,
     oracle_max,
     screen_all,
     solve_primal,
@@ -30,6 +29,7 @@ from svmscreen.screening import EPS_KEEP
 from conftest import (
     anchored_dataset,
     feasible_theta,
+    halfspace_normal,
     neg_min,
     random_dataset,
     solved_context,
@@ -62,7 +62,7 @@ def test_frozen_context_values():
     assert not ctx.slice_degenerate
     # 1/lambda1 - theta1 = (0.5, 0.5, -0.5) is collinear with the labels:
     # the halfspace constrains nothing on {theta' y = 0} and is dropped.
-    assert ctx.normal is None
+    assert ctx.has_normal is False
     assert ctx.norm_u == pytest.approx(np.sqrt(0.75), abs=1e-12)
 
 
@@ -117,10 +117,10 @@ def test_normal_absent_for_balanced_labels_at_lambda_max():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(6, 5))
     ds = Dataset.from_dense(x, [1, 1, 1, -1, -1, -1])
-    lam_cap, bias, _ = lambda_max(ds)
+    lam_cap, bias, _ = ds.lambda_max
     assert bias == 0.0
     ctx = build_context(theta_at_lambda_max(ds), lam_cap, 0.6 * lam_cap, ds)
-    assert ctx.normal is None
+    assert ctx.has_normal is False
     assert ctx.norm_u <= 1e-12
     report = screen_all(ctx)
     assert np.all(np.isfinite(report.bounds))
@@ -128,17 +128,17 @@ def test_normal_absent_for_balanced_labels_at_lambda_max():
 
 def test_normal_present_for_unbalanced_labels_at_lambda_max():
     ctx, _ = frozen_context()
-    assert ctx.normal is None  # collinear case, see module docstring
+    assert ctx.has_normal is False  # collinear case, see module docstring
     rng = np.random.default_rng(19)
     ds = random_dataset(rng, 7, 5, p_positive=0.7)
-    lam_cap, bias, _ = lambda_max(ds)
+    lam_cap, bias, _ = ds.lambda_max
     if bias == 0.0:
         pytest.skip("draw came out balanced")
     solved = solve_primal(ds, 0.7 * lam_cap, options=SolverOptions(tol=1e-12))
     theta = theta_from_primal(ds, solved.weights, solved.bias, 0.7 * lam_cap)
     ctx = build_context(theta, 0.7 * lam_cap, 0.5 * lam_cap, ds)
-    assert ctx.normal is not None
-    np.testing.assert_allclose(np.linalg.norm(ctx.normal), 1.0, atol=1e-12)
+    assert ctx.has_normal is True
+    assert ctx.pya_norm > 1e-12
 
 
 def test_context_scalar_cache_matches_vectors():
@@ -151,12 +151,11 @@ def test_context_scalar_cache_matches_vectors():
         assert ctx.b_dot_y == pytest.approx(float(b @ y), abs=1e-12)
         pyb = b - (float(b @ y) / n) * y
         assert ctx.pyb_norm == pytest.approx(float(np.linalg.norm(pyb)), abs=1e-12)
-        if ctx.normal is None:
+        a = halfspace_normal(ctx)
+        if a is None:
             continue
-        a = ctx.normal
-        np.testing.assert_allclose(
-            a, (1.0 / ctx.lambda1 - ctx.theta1) / ctx.norm_u, atol=1e-12
-        )
+        u = 1.0 / ctx.lambda1 - ctx.theta1
+        assert ctx.norm_u == pytest.approx(float(np.linalg.norm(u)), rel=1e-12)
         assert ctx.a_dot_y == pytest.approx(float(a @ y), abs=1e-12)
         assert ctx.a_dot_one == pytest.approx(float(a.sum()), abs=1e-12)
         assert ctx.a_dot_theta1 == pytest.approx(float(a @ ctx.theta1), abs=1e-12)
@@ -185,7 +184,7 @@ def test_constant_and_zero_features_are_degenerate(constant, storage):
         x = np.column_stack([x, np.zeros((6, 4))])  # 18 of 48 cells stored
     ds = Dataset.from_dense(x, [1, -1, 1, -1, 1, -1])
     assert (ds.dense_block is None) == (storage == "sparse")
-    lam_cap, _, _ = lambda_max(ds)
+    lam_cap, _, _ = ds.lambda_max
     ctx = build_context(theta_at_lambda_max(ds), lam_cap, 0.5 * lam_cap, ds)
     report = screen_all(ctx)
     for j in (1, 2):
@@ -310,8 +309,9 @@ def test_membership_and_safety_on_solved_instances():
         ball = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, 0.0)
         assert float(np.linalg.norm(theta2 - ball.center)) <= ball.radius + 1e-7
         assert abs(float(theta2 @ ds.labels)) <= 1e-6
-        if ctx.normal is not None:
-            assert float(ctx.normal @ (theta2 - ctx.theta1)) <= 1e-7
+        a = halfspace_normal(ctx)
+        if a is not None:
+            assert float(a @ (theta2 - ctx.theta1)) <= 1e-7
             # every member of the paper's ball family holds theta2 as well
             for t in (0.5, 2.0, 10.0):
                 member = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, t)
@@ -336,7 +336,7 @@ def test_only_entering_features_survive_adjacent_penalties():
     rng = np.random.default_rng(47)
     for trial in range(10):
         ds = random_dataset(rng, int(rng.integers(4, 12)), int(rng.integers(3, 15)))
-        lam_cap, bias, direction = lambda_max(ds)
+        lam_cap, bias, direction = ds.lambda_max
         if lam_cap <= 0:
             continue
         ctx = build_context(theta_at_lambda_max(ds), lam_cap, 0.999 * lam_cap, ds)
@@ -382,7 +382,7 @@ def test_beta_branch_fires_on_active_features_and_matches_oracle():
         m = int(rng.integers(3, 8))
         ds = random_dataset(rng, n, m)
         ctx = solved_context(rng, ds, 0.7, 0.8, tol=1e-12)
-        if ctx is None or ctx.normal is None:
+        if ctx is None or not ctx.has_normal:
             continue
         dense = ds.to_dense()
         report = screen_all(ctx)
@@ -429,16 +429,17 @@ def test_corner_bound_equals_rim_max_for_any_family_ball():
     corner_checked = 0
     for trial in range(60):
         ctx = synthetic_context(rng, 3, m=4)
-        if ctx.normal is None:
+        a = halfspace_normal(ctx)
+        if a is None:
             continue
         ds = ctx.dataset
         basis = null_space_basis(ds.labels, np.eye(3))
-        limit = float(ctx.normal @ ctx.theta1)
+        limit = float(a @ ctx.theta1)
         base = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, 0.0)
-        z0_base, rho_base, tan_base = _boundary_chord(base, basis, ctx.normal, limit)
+        z0_base, rho_base, tan_base = _boundary_chord(base, basis, a, limit)
         for t in (0.5, 2.0, 10.0):
             member = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, t)
-            z0_t, rho_t, _ = _boundary_chord(member, basis, ctx.normal, limit)
+            z0_t, rho_t, _ = _boundary_chord(member, basis, a, limit)
             np.testing.assert_allclose(z0_t, z0_base, atol=1e-9)
             assert rho_t == pytest.approx(rho_base, abs=1e-9)
 
@@ -468,7 +469,7 @@ def test_features_active_at_lambda1_survive_adjacent_step():
     active_seen = 0
     for trial in range(12):
         ds = random_dataset(rng, int(rng.integers(5, 14)), int(rng.integers(4, 16)))
-        lam_cap, _, _ = lambda_max(ds)
+        lam_cap, _, _ = ds.lambda_max
         if lam_cap <= 0:
             continue
         lam1 = 0.6 * lam_cap
@@ -488,7 +489,7 @@ def test_features_active_at_lambda1_survive_adjacent_step():
 def test_large_instance_rejects_features_and_stays_safe():
     rng = np.random.default_rng(71)
     ds = random_dataset(rng, 50, 500, density=0.5)
-    lam_cap, _, _ = lambda_max(ds)
+    lam_cap, _, _ = ds.lambda_max
     ctx = build_context(theta_at_lambda_max(ds), lam_cap, 0.5 * lam_cap, ds)
     report = screen_all(ctx)
     assert report.rejection_rate > 0.0

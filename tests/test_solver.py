@@ -26,8 +26,6 @@ from svmscreen import (
     grad_h,
     kkt_report,
     lambda_grid,
-    lambda_max,
-    model_from_json,
     model_to_json,
     objective_value,
     parse_sparse_text,
@@ -50,7 +48,7 @@ def three_sample():
 
 def test_lambda_max_two_sample_frozen():
     ds = parse_sparse_text(TWO_SAMPLE)
-    lam_max, bias, direction = lambda_max(ds)
+    lam_max, bias, direction = ds.lambda_max
     assert lam_max == 2.0
     assert bias == 0.0
     np.testing.assert_allclose(direction, [2.0, -1.0])
@@ -59,7 +57,7 @@ def test_lambda_max_two_sample_frozen():
 
 def test_lambda_max_three_sample_frozen_with_tie():
     ds = three_sample()
-    lam_max, bias, direction = lambda_max(ds)
+    lam_max, bias, direction = ds.lambda_max
     assert lam_max == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert bias == pytest.approx(1.0 / 3.0, abs=1e-15)
     np.testing.assert_allclose(direction, [-2.0 / 3.0, -2.0 / 3.0], atol=1e-15)
@@ -77,7 +75,7 @@ def test_first_features_tie_slack_and_zero():
 
 def test_lambda_max_single_class_is_zero():
     ds = Dataset.from_dense(np.ones((3, 2)), [1.0, 1.0, 1.0])
-    lam_max, bias, direction = lambda_max(ds)
+    lam_max, bias, direction = ds.lambda_max
     assert lam_max == 0.0
     assert bias == 1.0
     np.testing.assert_allclose(direction, 0.0, atol=1e-15)
@@ -145,7 +143,7 @@ def test_nonfinite_warm_start_is_rejected(weight, bias):
     ds = random_dataset(rng, 20, 5)
     with pytest.raises(ValueError, match="warm start must be finite"):
         solve_primal(
-            ds, 0.5 * lambda_max(ds)[0], SolverOptions(max_iter=2000), warm=(np.full(5, weight), bias)
+            ds, 0.5 * ds.lambda_max[0], SolverOptions(max_iter=2000), warm=(np.full(5, weight), bias)
         )
 
 
@@ -166,7 +164,7 @@ def test_recompute_helpers_need_one_weight_per_feature(density, size):
     ds = random_dataset(rng, 20, 30, density)
     assert (ds.dense_block is None) == (density < 1.0)
     w = rng.normal(size=size)
-    model = dataclasses.replace(solve_primal(ds, 0.5 * lambda_max(ds)[0]), weights=w)
+    model = dataclasses.replace(solve_primal(ds, 0.5 * ds.lambda_max[0]), weights=w)
     for call in (
         lambda: theta_from_primal(ds, w, 0.1, 1.0),
         lambda: grad_h(ds, w, 0.1),
@@ -219,10 +217,10 @@ def test_tolerances_and_penalties_need_a_positive_finite_real(value):
             call()
 
 
-@pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None, [0.5]])
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None, [0.5], "1", [1]])
 def test_screening_and_grid_penalties_need_a_real(value):
     # The check the solver's penalties have, shared by the region, its ball
-    # and the path grid: a bool would count as 0 or 1.
+    # and its member t, and the path grid: a bool would count as 0 or 1.
     ds = parse_sparse_text(TWO_SAMPLE)
     theta = theta_at_lambda_max(ds).values
     for name, call in (
@@ -230,6 +228,7 @@ def test_screening_and_grid_penalties_need_a_real(value):
         ("lambda2", lambda: build_context(theta, 2.0, value, ds)),
         ("lambda1", lambda: ball_at_t(theta, value, 0.5, 0.0)),
         ("lambda2", lambda: ball_at_t(theta, 1.0, value, 0.0)),
+        ("t", lambda: ball_at_t(theta, 1.0, 0.5, value)),
         ("lam_max", lambda: lambda_grid(value, 3, 0.5)),
         ("ratio", lambda: lambda_grid(1.0, 3, value)),
         ("ratio", lambda: run_path(ds, PathConfig(ratio=value))),
@@ -276,7 +275,7 @@ def test_trace_is_nonincreasing():
     rng = np.random.default_rng(79)
     for _ in range(10):
         ds = random_dataset(rng, int(rng.integers(3, 15)), int(rng.integers(2, 10)), 0.8)
-        lam_cap, _, _ = lambda_max(ds)
+        lam_cap, _, _ = ds.lambda_max
         if lam_cap <= 0:
             continue
         _, objectives = objectives_by_iteration(ds, 0.3 * lam_cap)
@@ -289,7 +288,7 @@ def test_converged_means_kkt_within_tol():
     tol = 1e-8
     for _ in range(10):
         ds = random_dataset(rng, int(rng.integers(3, 15)), int(rng.integers(2, 10)), 0.8)
-        lam_cap, _, _ = lambda_max(ds)
+        lam_cap, _, _ = ds.lambda_max
         if lam_cap <= 0:
             continue
         model = solve_primal(ds, 0.5 * lam_cap, options=SolverOptions(tol=tol))
@@ -302,7 +301,7 @@ def test_converged_means_kkt_within_tol():
 def test_warm_start_agrees_with_cold():
     rng = np.random.default_rng(89)
     ds = random_dataset(rng, 12, 8, 0.9)
-    lam_cap, _, _ = lambda_max(ds)
+    lam_cap, _, _ = ds.lambda_max
     lam_hi, lam_lo = 0.6 * lam_cap, 0.4 * lam_cap
     hi = solve_primal(ds, lam_hi)
     cold = solve_primal(ds, lam_lo)
@@ -331,7 +330,7 @@ def test_theta_from_primal_matches_hinge():
     # dense and sparse data, finished or stopped at the iteration cap.
     for density, max_iter in ((1.0, 100_000), (0.3, 100_000), (1.0, 2)):
         data = random_dataset(rng, 12, 8, density)
-        lam = 0.5 * lambda_max(data)[0]
+        lam = 0.5 * data.lambda_max[0]
         model = solve_primal(data, lam, options=SolverOptions(max_iter=max_iter))
         assert model.converged == (max_iter > 2)
         again = theta_from_primal(data, model.weights, model.bias, lam)
@@ -343,7 +342,7 @@ def test_zero_model_exactly_above_threshold():
     rng = np.random.default_rng(101)
     for _ in range(8):
         ds = random_dataset(rng, int(rng.integers(4, 12)), int(rng.integers(2, 12)), 0.8)
-        lam_cap, bias, _ = lambda_max(ds)
+        lam_cap, bias, _ = ds.lambda_max
         if lam_cap <= 0:
             continue
         high = solve_primal(ds, 1.01 * lam_cap)
@@ -356,37 +355,27 @@ def test_zero_model_exactly_above_threshold():
 
 
 def test_model_json_round_trip():
-    ds = parse_sparse_text(TWO_SAMPLE)
+    # The two-sample problem behind an empty first column: its one nonzero
+    # weight, on the second feature, is written with index 2.
+    ds = parse_sparse_text("+1 2:2\n-1 3:1\n")
     model = solve_primal(ds, 1.0)
-    text = model_to_json(model, 1.0)
-    back, lam = model_from_json(text, ds.n_features)
-    assert lam == 1.0
-    np.testing.assert_allclose(back.weights, model.weights, atol=0.0)
-    assert back.bias == model.bias
+    payload = json.loads(model_to_json(model, 1.0))
+    assert payload["lambda"] == 1.0
+    assert payload["weights"] == [[2, float(model.weights[1])]]
+    np.testing.assert_array_equal(model.weights, [0.0, 0.5, 0.0])
+    assert payload["bias"] == model.bias
     for name in solver.JSON_FIELDS:
-        assert getattr(back, name) == getattr(model, name)
-        assert type(getattr(back, name)) is type(getattr(model, name))
-    assert back.kkt_residual <= 1e-9
-    assert back.finished is True
+        assert payload[name] == getattr(model, name)
+        assert type(payload[name]) is type(getattr(model, name))
+    assert payload["kkt_residual"] <= 1e-9
+    assert payload["finished"] is True
     assert model.passes > 0 and model.finish_attempts >= 1
-
-
-def test_model_json_rejects_a_weight_index_that_is_not_a_feature():
-    # Index 0 once set the last weight, -1 the second to last and true the
-    # first; n_features + 1 and 1.5 failed with a bare IndexError.
-    fields = {name: 0 for name in solver.JSON_FIELDS}
-    for index in (0, -1, 3, True, 1.5, "1"):
-        text = json.dumps({"lambda": 1.0, "bias": 0.0, "weights": [[index, 0.5]], **fields})
-        with pytest.raises(ValueError, match=r"is not an integer in 1\.\.2"):
-            model_from_json(text, 2)
-    text = json.dumps({"lambda": 1.0, "bias": 0.0, "weights": [[2, 0.5]], **fields})
-    np.testing.assert_array_equal(model_from_json(text, 2)[0].weights, [0.0, 0.5])
 
 
 def test_kkt_report_recompute():
     rng = np.random.default_rng(103)
     ds = random_dataset(rng, 8, 5, 0.9)
-    lam_cap, _, _ = lambda_max(ds)
+    lam_cap, _, _ = ds.lambda_max
     lam = 0.5 * lam_cap
     model = solve_primal(ds, lam)
     report = kkt_report(ds, model, lam)
@@ -407,7 +396,7 @@ def _unscaled_problem():
     x = rng.standard_normal((30, 200))
     x[:, 7] *= 1e3
     ds = Dataset.from_dense(x, np.where(rng.standard_normal(30) > 0, 1.0, -1.0))
-    return ds, 0.3 * lambda_max(ds)[0]
+    return ds, 0.3 * ds.lambda_max[0]
 
 
 def test_unscaled_column_converges_at_default_options():
@@ -442,9 +431,9 @@ def test_finish_skipped_without_a_unique_pattern_optimum(monkeypatch):
     rng = np.random.default_rng(107)
     x = rng.standard_normal((20, 8))
     y = random_dataset(rng, 20, 1).labels
-    j = int(first_features(lambda_max(Dataset.from_dense(x, y))[2])[0])
+    j = int(first_features(Dataset.from_dense(x, y).lambda_max[2])[0])
     ds = Dataset.from_dense(np.column_stack([x, x[:, j]]), y)
-    lam = 0.3 * lambda_max(ds)[0]
+    lam = 0.3 * ds.lambda_max[0]
     model = solve_primal(ds, lam)
     assert model.weights[8] != 0.0
     assert model.weights[j] == pytest.approx(model.weights[8], rel=1e-12)
@@ -496,7 +485,7 @@ def _reject_candidates(monkeypatch):
 def test_rejected_finish_leaves_the_proximal_gradient_answer(monkeypatch):
     rng = np.random.default_rng(109)
     ds = random_dataset(rng, 15, 10, 0.8)
-    lam = 0.3 * lambda_max(ds)[0]
+    lam = 0.3 * ds.lambda_max[0]
 
     monkeypatch.setattr(solver, "_exact_finish", lambda *args: None)
     plain, plain_objectives = objectives_by_iteration(ds, lam)
@@ -524,7 +513,7 @@ def test_finish_attempts_come_at_most_every_second_iteration(monkeypatch):
     # most every second iteration; proximal gradient then converges alone.
     rng = np.random.default_rng(109)
     ds = random_dataset(rng, 15, 10, 0.8)
-    lam = 0.3 * lambda_max(ds)[0]
+    lam = 0.3 * ds.lambda_max[0]
     candidates = _reject_candidates(monkeypatch)
     model = solve_primal(ds, lam)
     assert model.finish_attempts == len(candidates) >= 2
@@ -541,7 +530,7 @@ def _coin_problem():
     x = rng.standard_normal((300, 20))
     rng.standard_normal(300)  # the planted labels' noise, drawn for dense.txt
     ds = Dataset.from_dense(x, np.where(rng.standard_normal(300) > 0, 1.0, -1.0))
-    return ds, 0.4 * lambda_max(ds)[0]
+    return ds, 0.4 * ds.lambda_max[0]
 
 
 def test_cell_cap_leaves_the_gram_finish_alone(monkeypatch):
@@ -566,7 +555,7 @@ def test_cell_cap_leaves_the_gram_finish_alone(monkeypatch):
 def _sparse_problem():
     rng = np.random.default_rng(113)
     ds = random_dataset(rng, 100, 500, 0.1)
-    return ds, 0.5 * lambda_max(ds)[0]
+    return ds, 0.5 * ds.lambda_max[0]
 
 
 def test_step_starts_at_one_in_the_column_metric_on_every_solve():
@@ -575,7 +564,7 @@ def test_step_starts_at_one_in_the_column_metric_on_every_solve():
     # step 1 is halved at most ceil(log2(L)) times; nothing carries over
     # from an earlier solve.
     dense = random_dataset(np.random.default_rng(5), 60, 8)
-    problems = [(dense, 0.3 * lambda_max(dense)[0]), _sparse_problem(), _unscaled_problem()]
+    problems = [(dense, 0.3 * dense.lambda_max[0]), _sparse_problem(), _unscaled_problem()]
     for ds, lam in problems:
         fresh = solve_primal(ds, lam)
         again = solve_primal(ds, lam)
@@ -629,7 +618,7 @@ def _tall_dense_problem():
     labels = np.where(x[:, :3] @ [2.0, -1.5, 1.0] + 0.3 * rng.normal(size=80) > 0, 1.0, -1.0)
     ds = Dataset.from_dense(x, labels)
     assert ds.gram is not None
-    return ds, lambda_max(ds)[0]
+    return ds, ds.lambda_max[0]
 
 
 def _optimum_patterns(fractions):
@@ -679,7 +668,7 @@ def test_off_pattern_candidate_rejected_on_its_block(monkeypatch, column, lam, c
     # One feature with s = +1, labels (+1, +1, -1, -1), all rows margin rows.
     ds = Dataset.from_dense(np.array(column)[:, None], [1.0, 1.0, -1.0, -1.0])
     assert ds.gram is not None  # the system comes from the cached Gram
-    above_lambda_max = lam >= lambda_max(ds)[0]
+    above_lambda_max = lam >= ds.lambda_max[0]
     matvecs = _count_calls(monkeypatch, Dataset, "matvec")
     rmatvecs = _count_calls(monkeypatch, Dataset, "rmatvec")
     found = solver._exact_finish(ds, lam, np.ones(1), np.arange(4))
@@ -751,7 +740,7 @@ def test_finish_drops_a_weight_that_leaves_its_sign(monkeypatch):
     # alone: w_0 = -9/35, b = 61/140, the optimum.
     x = np.array([[2.0, 1.0], [0.0, -1.0], [-1.0, -2.0], [-2.0, -2.0]])
     ds = Dataset.from_dense(x, [-1.0, 1.0, 1.0, 1.0])
-    lam = 0.5 * lambda_max(ds)[0]
+    lam = 0.5 * ds.lambda_max[0]
     assert lam == 2.25 and ds.gram is not None
     a = np.column_stack([x, np.ones(4)])
     signs = np.array([-1.0, -1.0])
@@ -807,7 +796,7 @@ def test_every_evaluated_point_costs_one_matvec(monkeypatch):
     problems = [
         _sparse_problem(),
         (dense, 0.2 * lam_dense),
-        (unscaled, 0.3 * lambda_max(unscaled)[0]),
+        (unscaled, 0.3 * unscaled.lambda_max[0]),
     ]
     results = _finish_results(monkeypatch)
     matvecs = _count_calls(monkeypatch, Dataset, "matvec")
