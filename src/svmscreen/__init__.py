@@ -10,16 +10,16 @@ the optimal model, no matter the solver.
 from .data import (
     DataFormatError,
     Dataset,
-    FeatureStats,
     parse_sparse_text,
     read_sparse_file,
     serialize_sparse_text,
 )
 from .geometry import Ball, ball_at_t
 from .oracle import OracleResult, null_space_basis, oracle_max
-from .path import DegenerateProblemError, PathConfig, PathReport, lambda_grid, run_path
+from .path import PathConfig, PathReport, lambda_grid, run_path
 from .screening import (
     Branch,
+    DegenerateProblemError,
     ScreeningContext,
     ScreenReport,
     build_context,
@@ -30,7 +30,6 @@ from .solver import (
     KktReport,
     PrimalModel,
     SolverOptions,
-    ThetaVector,
     first_features,
     grad_h,
     kkt_report,
@@ -48,7 +47,6 @@ __all__ = [
     "DataFormatError",
     "Dataset",
     "DegenerateProblemError",
-    "FeatureStats",
     "KktReport",
     "OracleResult",
     "PathConfig",
@@ -57,7 +55,6 @@ __all__ = [
     "ScreenReport",
     "ScreeningContext",
     "SolverOptions",
-    "ThetaVector",
     "ball_at_t",
     "build_context",
     "first_features",

@@ -11,8 +11,8 @@ verify      cross-check closed-form screening bounds against brute force
 Penalty flags accept an absolute number or a multiple of lambda_max in
 ``xMAX`` notation, e.g. ``--lambda2 0.5xMAX``.
 
-Exit codes: 0 success, 1 input or parse failure, 2 invalid arguments,
-3 verification failure.
+Exit codes: 0 success, 1 input or parse failure, 2 invalid arguments or
+data whose lambda_max is 0, 3 verification failure.
 """
 
 import argparse
@@ -26,6 +26,7 @@ from . import screening
 from . import solver
 from .data import DataFormatError, read_sparse_file
 from .path import PathConfig, run_path
+from .solver import SolverOptions
 
 VERIFY_TOL = 1e-6
 
@@ -57,7 +58,7 @@ def _warn(text):
 
 
 def _solver_options(args):
-    return solver.SolverOptions(tol=args.tol, max_iter=args.max_iter)
+    return SolverOptions(tol=args.tol, max_iter=args.max_iter)
 
 
 def _load_theta1(path, n_samples):
@@ -74,13 +75,13 @@ def _load_theta1(path, n_samples):
     return arr
 
 
-def _theta_for(args, dataset, lam1):
-    """Dual point at lam1: from file, closed form at lambda_max, or a solve."""
+def _theta_for(args, dataset, lam1, theta0):
+    """Dual point at lam1: from file, theta0 at lambda_max, or a solve."""
     if args.theta1 is not None:
         return _load_theta1(args.theta1, dataset.n_samples)
     lam_max = dataset.lambda_max[0]
     if abs(lam1 - lam_max) <= 1e-12 * max(lam_max, 1.0):
-        return screening.theta_at_lambda_max(dataset)
+        return theta0
     model = solver.solve_primal(dataset, lam1, options=_solver_options(args))
     if not model.converged:
         _warn("solver did not reach tolerance at lambda1; the screening bound may not be safe")
@@ -112,12 +113,13 @@ def cmd_solve(args):
 
 def cmd_screen(args):
     dataset = read_sparse_file(args.data)
+    theta0 = screening.theta_at_lambda_max(dataset)  # refuses lambda_max = 0 first
     lam_max = dataset.lambda_max[0]
     lam1 = _resolve(args.lambda1, lam_max)
     lam2 = _resolve(args.lambda2, lam_max)
     if lam2 >= lam1:
         raise ValueError("lambda2 must be < lambda1")
-    theta1 = _theta_for(args, dataset, lam1)
+    theta1 = _theta_for(args, dataset, lam1, theta0)
     ctx = screening.build_context(theta1, lam1, lam2, dataset)
     report = screening.screen_all(ctx)
     _emit(report.to_json(), args.output)
@@ -152,13 +154,14 @@ def cmd_path(args):
 
 def cmd_verify(args):
     dataset = read_sparse_file(args.data)
+    theta0 = screening.theta_at_lambda_max(dataset)  # refuses lambda_max = 0 first
     lam_max = dataset.lambda_max[0]
     lam1 = _resolve(args.lambda1, lam_max)
     if args.lambda2 is not None:
         lam2_list = [_resolve(args.lambda2, lam_max)]
     else:
         lam2_list = [f * lam1 for f in (0.5, 0.8, 0.95)]
-    theta1 = _theta_for(args, dataset, lam1)
+    theta1 = _theta_for(args, dataset, lam1, theta0)
 
     worst = {}
     counts = {}
@@ -215,8 +218,8 @@ def build_parser():
         p.add_argument("--output", help="write the result to this file instead of stdout")
 
     def add_solver_flags(p):
-        p.add_argument("--tol", type=float, default=1e-9, help="optimality tolerance")
-        p.add_argument("--max-iter", type=int, default=100_000, help="iteration cap")
+        p.add_argument("--tol", type=float, default=SolverOptions.tol, help="optimality tolerance")
+        p.add_argument("--max-iter", type=int, default=SolverOptions.max_iter, help="iteration cap")
 
     p = sub.add_parser("lambda-max", help="penalty above which the model is all zeros")
     add_common(p)
@@ -243,8 +246,10 @@ def build_parser():
 
     p = sub.add_parser("path", help="trace models along a decreasing penalty grid")
     add_common(p)
-    p.add_argument("--grid-size", type=int, default=10, help="number of grid points")
-    p.add_argument("--ratio", type=float, default=0.8, help="geometric grid ratio")
+    p.add_argument(
+        "--grid-size", type=int, default=PathConfig.grid_size, help="number of grid points"
+    )
+    p.add_argument("--ratio", type=float, default=PathConfig.ratio, help="geometric grid ratio")
     p.add_argument(
         "--verify",
         action="store_true",

@@ -129,12 +129,14 @@ class Dataset:
 
     @classmethod
     def from_dense(cls, matrix, labels):
-        """Build from a dense n x m array, keeping exact nonzeros as entries.
+        """Build from a 2-d n x m array (ValueError otherwise), keeping exact nonzeros as entries.
 
         Labels are mapped like the text parser: positive to +1, the rest
         to -1.
         """
         matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise ValueError(f"matrix must be 2-d, not {matrix.ndim}-d")
         labels = np.where(np.asarray(labels, dtype=np.float64) > 0, 1.0, -1.0)
         cols = [(np.flatnonzero(column), column[column != 0.0]) for column in matrix.T]
         return cls.from_columns(cols, labels, n_samples=matrix.shape[0])
@@ -162,11 +164,16 @@ class Dataset:
 
     @cached_property
     def stats(self):
-        """FeatureStats of every feature, from one O(nnz) pass on first use."""
+        """(3, m) array of what the screening bound reads of fhat_j =
+        labels * f_j, from one O(nnz) pass on first use, so that the bound
+        gathers the features it screens in one indexing.  Its rows are
+        ``dot_y`` = fhat_j' y, ``dot_one`` = fhat_j' 1 and ``proj_y_norm``
+        = ||P_y(fhat_j)||, as ``kernels.feature_stats`` returns them;
+        ||fhat_j||^2 is ``sq_norm``, stored apart."""
         rows = kernels.feature_stats(
             self.col_ptr, self.row_idx, self.values, self.labels, cols=self.column_index
         )
-        return FeatureStats(np.array(rows))
+        return np.array(rows)
 
     @cached_property
     def sq_norm(self):
@@ -223,7 +230,7 @@ class Dataset:
         return out
 
     def matvec(self, v):
-        """X @ v for a weight vector v of length n_features.
+        """X @ v for a weight vector v of length n_features (ValueError otherwise).
 
         Sparse data with at least SPARSE_MATVEC_FROM stored entries and
         fewer than an eighth of v nonzero reads the stored entries of those
@@ -231,6 +238,7 @@ class Dataset:
         are summed per row in the same order, so the result is equal bit
         for bit.
         """
+        _check_length(v, self.n_features, "weights")
         if self.column_index is not None and self.values.size >= SPARSE_MATVEC_FROM:
             nonzero = np.flatnonzero(v)
             if 8 * nonzero.size < self.n_features:
@@ -241,7 +249,7 @@ class Dataset:
         )
 
     def rmatvec(self, u, cols=None):
-        """X.T @ u for a sample vector u of length n_samples.
+        """X.T @ u for a sample vector u of length n_samples (ValueError otherwise).
 
         With ``cols``, a 1-d sequence of integer feature indices in
         [0, n_features), in any order (ValueError otherwise), only
@@ -253,18 +261,19 @@ class Dataset:
         Sparse data reads the stored entries of fewer columns alone, summed
         per column in the same order as the full product sums them.
         """
-        if cols is None:
-            return kernels.csc_rmatvec(
-                self.col_ptr, self.row_idx, self.values, u,
-                block=self.dense_block, cols=self.column_index,
-            )
-        cols = np.asarray(cols)
-        if cols.size == 0:  # np.asarray of an empty list or tuple is float64
-            cols = cols.astype(np.int64)
-        self._check_features(cols)
-        if self.dense_block is not None or 2 * cols.size >= self.n_features:
-            return self.rmatvec(u)[cols]
-        return kernels.csc_rmatvec(*self._columns(cols), u)
+        _check_length(u, self.n_samples, "sample vector")
+        if cols is not None:
+            cols = np.asarray(cols)
+            if cols.size == 0:  # np.asarray of an empty list or tuple is float64
+                cols = cols.astype(np.int64)
+            self._check_features(cols)
+            if self.dense_block is None and 2 * cols.size < self.n_features:
+                return kernels.csc_rmatvec(*self._columns(cols), u)
+        full = kernels.csc_rmatvec(
+            self.col_ptr, self.row_idx, self.values, u,
+            block=self.dense_block, cols=self.column_index,
+        )
+        return full if cols is None else full[cols]
 
     def _check_features(self, cols):
         """Raise ValueError unless cols is a 1-d integer array of indices in
@@ -340,36 +349,10 @@ class Dataset:
         return out
 
 
-@dataclass(frozen=True)
-class FeatureStats:
-    """Per-feature statistics of fhat_j = labels * f_j that the screening
-    bound reads, as the rows of one (3, m) array, so that the bound gathers
-    the features it screens in one indexing.
-
-    The rows are ``dot_y``, ``dot_one`` and ``proj_y_norm``, the norm of
-    fhat_j projected off the label vector: the three arrays
-    ``kernels.feature_stats`` returns.  That norm equals
-    sqrt(||fhat_j||^2 - dot_y^2 / n) because y'y = n, but is summed from
-    the centred column, since that difference cancels for a nearly
-    constant one.  ||fhat_j||^2 is ``Dataset.sq_norm``, stored apart.
-    """
-
-    columns: np.ndarray
-
-    @property
-    def dot_y(self):
-        """fhat_j' y of every feature."""
-        return self.columns[0]
-
-    @property
-    def dot_one(self):
-        """fhat_j' 1 of every feature."""
-        return self.columns[1]
-
-    @property
-    def proj_y_norm(self):
-        """||P_y(fhat_j)|| of every feature."""
-        return self.columns[2]
+def _check_length(vector, length, name):
+    """Raise ValueError unless vector has shape (length,)."""
+    if np.shape(vector) != (length,):
+        raise ValueError(f"{name} must have shape ({length},), not {np.shape(vector)}")
 
 
 def parse_sparse_text(text):
@@ -533,6 +516,6 @@ def serialize_sparse_text(dataset):
 
 
 def read_sparse_file(path):
-    """Parse a sparse text file from disk (UTF-8)."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """Parse a sparse text file from disk (UTF-8, a byte-order mark skipped)."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_sparse_text(handle.read())

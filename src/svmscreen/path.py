@@ -86,10 +86,6 @@ from . import solver
 from .solver import SolverOptions
 
 
-class DegenerateProblemError(ValueError):
-    """The dataset admits no regularization path (lambda_max is 0)."""
-
-
 @dataclass(frozen=True)
 class PathConfig:
     """Knobs for a path run.
@@ -241,16 +237,12 @@ def run_path(dataset, config=None):
     Raises
     ------
     DegenerateProblemError
-        When lambda_max is 0, i.e. the zero model is optimal everywhere
-        and there is no path to trace.
+        From ``screening.theta_at_lambda_max`` when lambda_max is 0, i.e.
+        the zero model is optimal everywhere and there is no path to trace.
     """
     cfg = config if config is not None else PathConfig()
+    theta0 = screening.theta_at_lambda_max(dataset)  # refuses lambda_max = 0 first
     lam_max, bias0, direction = dataset.lambda_max
-    if lam_max <= 0.0:
-        raise DegenerateProblemError(
-            "lambda_max is zero for this dataset, so the zero-weight model is "
-            "optimal at every positive lambda and the path is empty"
-        )
     grid = lambda_grid(lam_max, cfg.grid_size, cfg.ratio)
 
     m = dataset.n_features
@@ -260,23 +252,22 @@ def run_path(dataset, config=None):
     if screen:
         # Growth of each feature's certificate per unit of 1/lambda:
         # ||P_y fhat_j|| * ||P_y 1||.
-        drift = dataset.stats.proj_y_norm * (
-            2.0 * np.sqrt(dataset.n_pos * dataset.n_neg / dataset.n_samples)
-        )
+        _, _, proj_y_norm = dataset.stats
+        drift = proj_y_norm * (2.0 * np.sqrt(dataset.n_pos * dataset.n_neg / dataset.n_samples))
         # The carried bound on |theta*'fhat_j| at lambda is base[j] +
         # drift[j] / lambda, seeded at lambda_max from theta0'fhat_j =
         # direction_j / lam_max; +inf certifies nothing.
         base = (np.abs(direction) - drift) / lam_max
     # The closed-form model at lambda_max: w = 0, its bias and its dual
     # point theta0, whose hinge is lam_max * theta0.
-    theta0 = screening.theta_at_lambda_max(dataset)
-    xi0 = lam_max * theta0.values
+    xi0 = lam_max * theta0
     prev = solver.PrimalModel(
         weights=np.zeros(m), bias=float(bias0), objective=0.5 * float(xi0 @ xi0),
         iterations=0, converged=True, theta=theta0,
     )
-    # The model before prev, for the secant; prev itself at the first step.
-    before = prev
+    # The model before prev, for the secant, and the penalties of the two;
+    # prev itself at the first step.
+    before, lam1, lam0 = prev, lam_max, lam_max
     # The features of the last subset made, and that subset.
     subset_of, kept_columns = np.zeros(0, dtype=np.int64), dataset
 
@@ -289,7 +280,7 @@ def run_path(dataset, config=None):
         if screen and trusted:
             t0 = time.perf_counter()
             try:
-                ctx = screening.build_context(prev.theta, prev.theta.lam, lam2, dataset)
+                ctx = screening.build_context(prev.theta, lam1, lam2, dataset)
             except ValueError:
                 # A converged step's theta can still fall outside
                 # build_context's tolerances, e.g. at a loose --tol.
@@ -336,7 +327,6 @@ def run_path(dataset, config=None):
         # lambda, so there the start is the optimum.  A weight that would
         # change sign starts at 0.
         w1 = prev.weights[kept_idx]
-        lam1, lam0 = prev.theta.lam, before.theta.lam
         r = 0.0 if before is prev else (lam2 - lam1) / (lam1 - lam0)
         w = w1 + r * (w1 - before.weights[kept_idx])
         w[np.sign(w) != np.sign(w1)] = 0.0
@@ -358,7 +348,7 @@ def run_path(dataset, config=None):
             # test is the solver's own r1 test at its tolerance.
             violations = 0
             if kept_idx.size < m:
-                corr = np.abs(dataset.rmatvec(model.theta.values * dataset.labels))
+                corr = np.abs(dataset.rmatvec(model.theta * dataset.labels))
                 corr[kept_idx] = 0.0
                 violations = int(np.count_nonzero(corr - 1.0 > cfg.solver.tol))
                 discarded_corr = float(corr.max())
@@ -378,6 +368,7 @@ def run_path(dataset, config=None):
             )
         )
         before, prev = prev, steps[-1]
+        lam0, lam1 = lam1, lam2
 
     return PathReport(
         lambda_max=float(lam_max),

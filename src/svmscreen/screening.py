@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import Branch
-from .solver import ThetaVector, _real
+from .solver import _real
 
 
 #: Keep a feature when its bound reaches 1 - EPS_KEEP.  The slack must
@@ -33,6 +33,10 @@ from .solver import ThetaVector, _real
 #: solve as 1 minus a few 1e-9.  1e-7 keeps three orders of margin while
 #: discarding anything meaningfully below 1.
 EPS_KEEP = 1e-7
+
+
+class DegenerateProblemError(ValueError):
+    """The dataset admits no screening and no path: lambda_max is 0."""
 
 
 @dataclass(frozen=True)
@@ -115,9 +119,9 @@ def build_context(theta1, lambda1, lambda2, dataset):
 
     Parameters
     ----------
-    theta1 : array or ThetaVector
-        Dual point at lambda1; must be (approximately) feasible:
-        componentwise >= -1e-10 and |theta1' y| <= 1e-6.
+    theta1 : array
+        Dual point at lambda1, an n-vector; must be (approximately)
+        feasible: componentwise >= -1e-10 and |theta1' y| <= 1e-6.
     lambda1, lambda2 : float
         Finite reals, not bools, and lambda_max >= lambda1 > lambda2 > 0.
     dataset : Dataset
@@ -128,10 +132,6 @@ def build_context(theta1, lambda1, lambda2, dataset):
     ScreeningContext with all feature-independent quantities cached.
     """
     lambda1, lambda2 = _real("lambda1", lambda1), _real("lambda2", lambda2)
-    if isinstance(theta1, ThetaVector):
-        if abs(theta1.lam - lambda1) > 1e-9 * max(lambda1, theta1.lam):
-            raise ValueError("theta1 was computed at a different lambda1")
-        theta1 = theta1.values
     theta1 = np.ascontiguousarray(theta1, dtype=np.float64)
 
     if not (math.isfinite(lambda1) and math.isfinite(lambda2)):
@@ -253,7 +253,7 @@ def screen_all(ctx, cols=None):
     s_theta = dataset.rmatvec(ctx.theta1 * dataset.labels, cols=cols)
     # rmatvec has checked the indices; an empty list arrives as float64.
     cols = cols.astype(np.int64, copy=False)
-    dot_y, dot_one, proj_y_norm = dataset.stats.columns[:, cols]
+    dot_y, dot_one, proj_y_norm = dataset.stats[:, cols]
     m1, m2, branch1, branch2 = kernels.screen_bulk(
         ctx, dot_y, dot_one, dataset.sq_norm[cols], proj_y_norm, s_theta
     )
@@ -273,10 +273,13 @@ def screen_all(ctx, cols=None):
 
 
 def theta_at_lambda_max(dataset):
-    """Dual point of the trivial model (w = 0) at lambda1 = lambda_max,
-    from the Dataset's cached ``lambda_max`` and its bias."""
+    """Dual point of the trivial model (w = 0) at lambda1 = lambda_max, an
+    n-vector, from the Dataset's cached ``lambda_max`` and its bias; every
+    screen and path starts here, so this alone refuses lambda_max = 0."""
     lam_max, bias, _ = dataset.lambda_max
-    if lam_max <= 0:
-        raise ValueError("lambda_max is zero; the trivial dual point is undefined")
-    values = (1.0 - dataset.labels * bias) / lam_max
-    return ThetaVector(values=values, lam=lam_max)
+    if lam_max <= 0.0:
+        raise DegenerateProblemError(
+            "lambda_max is zero for this dataset, so the zero-weight model is "
+            "optimal at every positive lambda: there is nothing to screen or trace"
+        )
+    return (1.0 - dataset.labels * bias) / lam_max

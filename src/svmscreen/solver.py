@@ -95,7 +95,7 @@ class PrimalModel:
     backtracks: int = 0  # step halvings of the line search
     restarts: int = 0  # momentum restarts
     finish_attempts: int = 0  # linear systems tried by the exact finish
-    theta: object = None  # ThetaVector xi / lam at the returned point
+    theta: np.ndarray = None  # scaled dual point xi / lam at the returned point
 
 
 #: The PrimalModel fields written to JSON as they are, by model_to_json and
@@ -111,14 +111,6 @@ JSON_FIELDS = (
     "restarts",
     "finish_attempts",
 )
-
-
-@dataclass(frozen=True)
-class ThetaVector:
-    """Scaled dual point theta = alpha / lam; theta >= 0 and theta'y = 0 at optimum."""
-
-    values: np.ndarray
-    lam: float
 
 
 @dataclass(frozen=True)
@@ -155,8 +147,6 @@ def _slack(labels, scores, b):
 def _hinge(dataset, w, b):
     """xi_i = max(1 - y_i (w'x_i + b), 0) for all samples, from weights w
     of shape (n_features,) (ValueError otherwise)."""
-    if w.shape != (dataset.n_features,):
-        raise ValueError(f"weights must have shape ({dataset.n_features},), not {w.shape}")
     return _slack(dataset.labels, dataset.matvec(w), b)
 
 
@@ -454,19 +444,19 @@ def solve_primal(dataset, lam, options=None, warm=None):
         backtracks=backtracks,
         restarts=restarts,
         finish_attempts=attempts,
-        theta=ThetaVector(values=xi / lam, lam=lam),
+        theta=xi / lam,
     )
 
 
 def theta_from_primal(dataset, w, b, lam):
-    """Recover the scaled dual point: theta_i = max(1 - y_i (w'x_i + b), 0) / lam.
+    """The scaled dual point theta_i = max(1 - y_i (w'x_i + b), 0) / lam,
+    an n-vector; theta >= 0 and theta'y = 0 at the optimum.
 
     solve_primal returns this point as ``PrimalModel.theta`` from the
     hinge it already holds; this recomputes it with one matvec.
     """
     lam = _positive("lam", lam)
-    xi = _hinge(dataset, np.asarray(w, dtype=np.float64), b)
-    return ThetaVector(values=xi / lam, lam=lam)
+    return _hinge(dataset, np.asarray(w, dtype=np.float64), b) / lam
 
 
 def kkt_report(dataset, model, lam):

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from svmscreen import data, screening, serialize_sparse_text
-from svmscreen.cli import main, penalty
+from svmscreen import PathConfig, SolverOptions, data, screening, serialize_sparse_text
+from svmscreen.cli import build_parser, main, penalty
 
 from conftest import random_dataset, unsafe_screening
 
@@ -68,6 +68,31 @@ def test_lambda_max_single_class(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["lambda_max"] == 0.0
     assert payload["first_features"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["screen", "--lambda2", "0.5xMAX"],
+        ["screen", "--lambda1", "0.5", "--lambda2", "0.9"],
+        ["verify"],
+        ["verify", "--lambda1", "0.5", "--lambda2", "0.3"],
+        ["path"],
+        ["path", "--grid-size", "0"],
+    ],
+    ids=["screen", "screen-absolute", "verify", "verify-absolute", "path", "path-bad-grid"],
+)
+def test_single_class_data_gets_one_refusal(capsys, tmp_path, argv):
+    # lambda_max is 0: screen, verify and path refuse the data itself,
+    # before any penalty, grid or theta1 is looked at.
+    path = tmp_path / "pos.txt"
+    path.write_text("+1 1:1\n+1 2:1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: lambda_max is zero for this dataset") and err.count("\n") == 1
+    # solve still fits a model at a positive penalty.
+    code, out, _ = run_cli(capsys, "solve", str(path), "--lambda", "0.5")
+    assert code == 0 and json.loads(out)["weights"] == []
 
 
 def test_lambda_max_output_file(capsys, two_sample_file, tmp_path):
@@ -426,6 +451,20 @@ def test_negative_max_iter_exits_2(capsys, two_sample_file):
     code, out, err = run_cli(capsys, "solve", two_sample_file, "--lambda", "0.1", "--max-iter", "0")
     assert code == 0 and json.loads(out)["iterations"] == 0
     assert "did not reach tolerance" in err
+
+
+def test_parser_defaults_are_the_config_defaults():
+    parser = build_parser()
+    solve = parser.parse_args(["solve", "data.txt", "--lambda", "1"])
+    path = parser.parse_args(["path", "data.txt"])
+    for args in (solve, path):
+        assert SolverOptions(tol=args.tol, max_iter=args.max_iter) == SolverOptions()
+    config = PathConfig(
+        grid_size=path.grid_size, ratio=path.ratio,
+        solver=SolverOptions(tol=path.tol, max_iter=path.max_iter),
+        verify=path.verify, screen=path.screen,
+    )
+    assert config == PathConfig()
 
 
 def test_solver_flags_are_plumbed(capsys, two_sample_file):

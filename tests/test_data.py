@@ -358,6 +358,18 @@ def test_read_sparse_file(tmp_path):
     np.testing.assert_array_equal(ds.to_dense(), [[2.0, 0.0], [0.0, 1.0]])
 
 
+def test_read_sparse_file_skips_a_byte_order_mark(tmp_path):
+    text = "+1 1:2\n-1 2:1.5 3:-4\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    want, got = read_sparse_file(plain), read_sparse_file(marked)
+    assert (got.n_samples, got.n_features) == (want.n_samples, want.n_features) == (2, 3)
+    for name in ("col_ptr", "row_idx", "values", "labels"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 def test_from_dense_round_trip_and_exact_nonzeros():
     x = np.array([[0.0, 1.0, -2.0], [3.0, 0.0, 0.0]])
     ds = Dataset.from_dense(x, [1, -1])
@@ -372,6 +384,15 @@ def test_from_dense_round_trip_and_exact_nonzeros():
 def test_from_dense_maps_labels_by_sign():
     ds = Dataset.from_dense(np.ones((3, 1)), [2.0, 0.0, -7.0])
     np.testing.assert_array_equal(ds.labels, [1.0, -1.0, -1.0])
+
+
+@pytest.mark.parametrize(
+    "matrix", [np.float64(1.0), np.array([1.0, 2.0, 0.0]), np.ones((3, 2, 2))], ids=["0d", "1d", "3d"]
+)
+def test_from_dense_needs_a_2d_matrix(matrix):
+    # A 1-d array would iterate as scalars and a 3-d one as matrices.
+    with pytest.raises(ValueError, match=f"matrix must be 2-d, not {np.ndim(matrix)}-d"):
+        Dataset.from_dense(matrix, [1, -1, 1])
 
 
 def test_subset_preserves_columns_and_order():
@@ -424,8 +445,8 @@ def test_column_norms_are_stored_once():
         ds = Dataset.from_dense(x, y)
         fresh = kernels.column_sq_norms(ds.col_ptr, ds.values)
         getattr(ds, first)
-        assert ds.stats.columns.shape == (3, 6)
-        assert not np.shares_memory(ds.sq_norm, ds.stats.columns)
+        assert ds.stats.shape == (3, 6)
+        assert not np.shares_memory(ds.sq_norm, ds.stats)
         assert ds.sq_norm.shape == (6,) and ds.sq_norm.base is None
         assert ds.sq_norm.tobytes() == fresh.tobytes()
         sub = ds.subset([4, 1, 1])
@@ -454,8 +475,8 @@ def test_subset_hands_down_the_statistics_bit_for_bit():
             fresh = kernels.column_sq_norms(sub.col_ptr, sub.values)
             assert sub.sq_norm.tobytes() == fresh.tobytes()
             assert sub.sq_norm.tobytes() == ds.sq_norm[indices].tobytes()
-            for name in ("dot_y", "dot_one", "proj_y_norm"):
-                got, want = getattr(sub.stats, name), getattr(ds.stats, name)[indices]
+            rows = zip(("dot_y", "dot_one", "proj_y_norm"), sub.stats, ds.stats[:, indices])
+            for name, got, want in rows:
                 assert got.tobytes() == want.tobytes(), name
 
 
@@ -503,6 +524,31 @@ def test_column_restricted_rmatvec_takes_any_index_sequence():
         full = ds.rmatvec(u)
         for cols in ([1, 2], (29, 0, 7), np.array([17, 3, 3, 11]), list(range(29, 0, -2))):
             assert ds.rmatvec(u, cols=cols).tobytes() == full[np.array(cols)].tobytes()
+
+
+def test_products_need_a_vector_of_the_right_length():
+    # The sparse products would read only the first entries of a long
+    # vector and fail on a short one with an IndexError; BLAS refuses both.
+    rng = np.random.default_rng(67)
+    x = rng.normal(size=(8, 12))
+    y = random_dataset(rng, 8, 1).labels
+    sparse = Dataset.from_dense(x * (rng.random(size=x.shape) < 0.3), y)
+    dense = Dataset.from_dense(x, y)
+    assert sparse.dense_block is None and dense.dense_block is not None
+    for ds in (sparse, dense):
+        for size in (0, 7, 10, 64):
+            with pytest.raises(ValueError, match=r"sample vector must have shape \(8,\)"):
+                ds.rmatvec(np.ones(size))
+            with pytest.raises(ValueError, match=r"sample vector must have shape \(8,\)"):
+                ds.rmatvec(np.ones(size), cols=[1, 2])
+        for size in (0, 11, 17):
+            with pytest.raises(ValueError, match=r"weights must have shape \(12,\)"):
+                ds.matvec(np.ones(size))
+        with pytest.raises(ValueError, match=r"weights must have shape \(12,\), not \(12, 1\)"):
+            ds.matvec(np.ones((12, 1)))
+        # The right lengths still give the products.
+        np.testing.assert_allclose(ds.rmatvec(np.ones(8)), ds.to_dense().sum(axis=0))
+        np.testing.assert_allclose(ds.matvec(np.ones(12)), ds.to_dense().sum(axis=1))
 
 
 def test_column_restricted_rmatvec_of_no_features_is_empty():
@@ -645,8 +691,7 @@ def test_subset_child_is_a_valid_dataset():
                 handed = {name for name in ("stats", "sq_norm") if name in sub.__dict__}
                 assert handed == ({"sq_norm"} if build == "sq_norm" else set())
                 assert sub.sq_norm.tobytes() == ref.sq_norm.tobytes()
-                for name, want in vars(ref.stats).items():
-                    assert getattr(sub.stats, name).tobytes() == want.tobytes(), name
+                assert sub.stats.tobytes() == ref.stats.tobytes()
 
 
 def test_dense_block_from_half_the_cells_stored():
@@ -787,19 +832,15 @@ def test_feature_stats_match_dense_recompute():
         n = int(rng.integers(2, 12))
         m = int(rng.integers(1, 15))
         ds = random_dataset(rng, n, m, density=float(rng.uniform(0.2, 1.0)))
-        stats = ds.stats
+        dot_y, dot_one, proj_y_norm = ds.stats
         fhat = ds.labels[:, None] * ds.to_dense()
-        np.testing.assert_allclose(stats.dot_y, fhat.T @ ds.labels, atol=1e-12)
-        np.testing.assert_allclose(stats.dot_one, fhat.sum(axis=0), atol=1e-12)
+        np.testing.assert_allclose(dot_y, fhat.T @ ds.labels, atol=1e-12)
+        np.testing.assert_allclose(dot_one, fhat.sum(axis=0), atol=1e-12)
         np.testing.assert_allclose(ds.sq_norm, (fhat * fhat).sum(axis=0), atol=1e-12)
-        proj = fhat - np.outer(ds.labels, stats.dot_y / n)
-        np.testing.assert_allclose(
-            stats.proj_y_norm, np.linalg.norm(proj, axis=0), atol=1e-9
-        )
+        proj = fhat - np.outer(ds.labels, dot_y / n)
+        np.testing.assert_allclose(proj_y_norm, np.linalg.norm(proj, axis=0), atol=1e-9)
         # pythagoras ties the four columns together
-        np.testing.assert_allclose(
-            stats.proj_y_norm**2 + stats.dot_y**2 / n, ds.sq_norm, atol=1e-9
-        )
+        np.testing.assert_allclose(proj_y_norm**2 + dot_y**2 / n, ds.sq_norm, atol=1e-9)
 
 
 def test_feature_stats_zero_and_constant_columns():
@@ -809,6 +850,7 @@ def test_feature_stats_zero_and_constant_columns():
     x = np.column_stack([np.zeros(3), np.ones(3), 2.5 * np.ones(3)])
     ds = Dataset.from_dense(x, y)
     stats = ds.stats
-    np.testing.assert_allclose(stats.proj_y_norm, 0.0, atol=1e-12)
-    np.testing.assert_allclose(stats.dot_y, [0.0, 3.0, 7.5])
+    dot_y, _, proj_y_norm = stats
+    np.testing.assert_allclose(proj_y_norm, 0.0, atol=1e-12)
+    np.testing.assert_allclose(dot_y, [0.0, 3.0, 7.5])
     assert ds.stats is stats  # cached on the Dataset

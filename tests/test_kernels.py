@@ -111,7 +111,7 @@ def test_numpy_kernels_match_dense_on_mixed_scale_columns():
         for stats, sq_norm in (
             (kernels.feature_stats(ds.col_ptr, ds.row_idx, ds.values, y),
              kernels.column_sq_norms(ds.col_ptr, ds.values)),
-            (every_cell.stats.columns, every_cell.sq_norm),
+            (every_cell.stats, every_cell.sq_norm),
         ):
             dot_y, dot_one, proj_y_norm = stats
             _assert_columns_close(dot_y, _exact_column_sums(x), ax.sum(axis=0))
@@ -203,8 +203,8 @@ def test_bulk_numpy_matches_scalar_reference():
     cases.append((dataclasses.replace(ctx, has_normal=False), ds, s_theta, {deg, ball}))
 
     for ctx, ds, s_theta, reached in cases:
-        stats = ds.stats
-        columns = (stats.dot_y, stats.dot_one, ds.sq_norm, stats.proj_y_norm, s_theta)
+        dot_y, dot_one, proj_y_norm = ds.stats
+        columns = (dot_y, dot_one, ds.sq_norm, proj_y_norm, s_theta)
         m1, m2, br1, br2 = kernels.screen_bulk(ctx, *columns)
         for sign, values, branches in ((1.0, m1, br1), (-1.0, m2, br2)):
             # fhat' y, fhat' 1 and theta1' fhat flip with the sign of fhat

@@ -54,10 +54,10 @@ def _certified_bounds(ds, contexts, seeded=True):
     # cert[j] bounds |theta*'fhat_j| where 1/lambda = inv[j].
     theta0 = screening.theta_at_lambda_max(ds)
     if seeded:
-        cert = np.abs((ds.labels[:, None] * ds.to_dense()).T @ theta0.values)
+        cert = np.abs((ds.labels[:, None] * ds.to_dense()).T @ theta0)
     else:
         cert = np.full(ds.n_features, np.inf)
-    inv = np.full(ds.n_features, 1.0 / theta0.lam)
+    inv = np.full(ds.n_features, 1.0 / ds.lambda_max[0])
     replayed = []
     for ctx in contexts:
         fresh = screening.screen_all(ctx).bounds
@@ -229,7 +229,7 @@ def test_certificates_start_from_the_dual_point_at_lambda_max(monkeypatch):
     ds = _planted()
     lam_cap, _, direction = ds.lambda_max
     theta0 = screening.theta_at_lambda_max(ds)
-    corr = ds.rmatvec(theta0.values * ds.labels)
+    corr = ds.rmatvec(theta0 * ds.labels)
     np.testing.assert_allclose(np.abs(direction) / lam_cap, np.abs(corr), rtol=0.0, atol=1e-12)
 
     contexts = _recording_contexts(monkeypatch)
@@ -261,7 +261,7 @@ def test_secant_start_is_the_optimum_on_one_linear_piece(monkeypatch):
     monkeypatch.setattr(solver, "solve_primal", solve)
     steps = run_path(ds, PathConfig(grid_size=30, ratio=0.9)).steps
     patterns = [
-        (s.theta.values > 0.0).tobytes() + np.sign(s.weights).tobytes() for s in steps
+        (s.theta > 0.0).tobytes() + np.sign(s.weights).tobytes() for s in steps
     ]
     on_one_piece = [
         i for i in range(2, len(steps)) if patterns[i - 2] == patterns[i - 1] == patterns[i]
@@ -550,9 +550,7 @@ def test_an_unscreened_path_builds_no_screening_state(monkeypatch):
     for step, ref in zip(report.steps, reference.steps, strict=True):
         for f in dataclasses.fields(step):
             got, want = getattr(step, f.name), getattr(ref, f.name)
-            if f.name == "theta":
-                got, want = (got.lam, got.values.tobytes()), (want.lam, want.values.tobytes())
-            elif isinstance(got, np.ndarray):
+            if isinstance(got, np.ndarray):
                 got, want = got.tobytes(), want.tobytes()
             if f.name not in ("screen_ms", "solve_ms"):
                 assert type(got) is type(want) and got == want, f.name
@@ -569,11 +567,11 @@ def test_next_theta_from_reduced_solve_matches_full_data(monkeypatch, density):
     assert recomputed == []
     assert any(s.kept < ds.n_features for s in report.steps)
     assert len(calls) == len(report.steps)
-    for step, (theta, *_) in zip(report.steps, calls[1:]):
+    for step, (theta, lam1, *_) in zip(report.steps, calls[1:]):
         full = theta_from_primal(ds, step.weights, step.bias, step.lam)
-        assert theta.lam == step.lam
-        scale = np.max(np.abs(full.values))
-        np.testing.assert_allclose(theta.values, full.values, rtol=0.0, atol=1e-12 * scale)
+        assert lam1 == step.lam
+        scale = np.max(np.abs(full))
+        np.testing.assert_allclose(theta, full, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_screen_ms_covers_context_and_subset(monkeypatch):
@@ -656,7 +654,7 @@ def test_dual_point_moves_at_most_the_projected_drift(seed, p_positive, scaled, 
     for lam in (lam1, lam2):
         model = solver.solve_primal(ds, lam, options=SolverOptions(tol=1e-12))
         assert model.converged
-        thetas.append(theta_from_primal(ds, model.weights, model.bias, lam).values)
+        thetas.append(theta_from_primal(ds, model.weights, model.bias, lam))
     y = ds.labels
     r = np.linalg.norm(1.0 - (y.sum() / ds.n_samples) * y)
     assert r == pytest.approx(2.0 * np.sqrt(ds.n_pos * ds.n_neg / ds.n_samples), rel=1e-12)
@@ -693,7 +691,7 @@ def test_fine_grid_certificates_are_safe(seed, p_positive, scaled, ratio, steps)
             step.kept_indices, np.flatnonzero(bounds >= 1.0 - screening.EPS_KEEP)
         )
         # Every certified bound holds for the dual point at this lambda.
-        theta = theta_from_primal(ds, step.weights, step.bias, step.lam).values
+        theta = theta_from_primal(ds, step.weights, step.bias, step.lam)
         true = np.abs(ds.rmatvec(theta * ds.labels))
         assert np.all(bounds >= true - 1e-9)
         # Below lambda_max the optimum has a feature with |theta'fhat_j| = 1,
@@ -778,7 +776,7 @@ def test_no_region_after_the_stop_would_discard(monkeypatch):
             continue
         stopped += 1
         for prev, step in zip(steps[stop:], steps[stop + 1 :]):
-            contexts.append(screening.build_context(prev.theta, prev.theta.lam, step.lam, ds))
+            contexts.append(screening.build_context(prev.theta, prev.lam, step.lam, ds))
             assert screening.screen_all(contexts[-1]).kept.size == m
             replayed += 1
         for bounds, _ in _certified_bounds(ds, contexts)[stop + 1 :]:

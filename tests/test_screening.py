@@ -15,6 +15,7 @@ import pytest
 from svmscreen import (
     Branch,
     Dataset,
+    DegenerateProblemError,
     SolverOptions,
     ball_at_t,
     build_context,
@@ -76,15 +77,6 @@ def test_frozen_feature_bounds():
         assert report.bounds[j] == pytest.approx(2.0, abs=1e-12)
         assert report.branch1[j] == Branch.ALPHA_ZERO
         assert report.branch2[j] == Branch.ALPHA_ZERO
-
-
-def test_build_context_accepts_theta_vector_and_checks_lambda():
-    ds = three_sample()
-    theta = theta_at_lambda_max(ds)
-    ctx = build_context(theta, 2.0 / 3.0, 0.5 * 2.0 / 3.0, ds)
-    assert ctx.lambda1 == pytest.approx(2.0 / 3.0)
-    with pytest.raises(ValueError, match="different lambda1"):
-        build_context(theta, 0.5, 0.4, ds)
 
 
 def test_build_context_validation():
@@ -304,7 +296,7 @@ def test_membership_and_safety_on_solved_instances():
         model2 = solve_primal(ds, ctx.lambda2, options=SolverOptions(tol=1e-10))
         if not model2.converged:
             continue
-        theta2 = theta_from_primal(ds, model2.weights, model2.bias, ctx.lambda2).values
+        theta2 = theta_from_primal(ds, model2.weights, model2.bias, ctx.lambda2)
 
         ball = ball_at_t(ctx.theta1, ctx.lambda1, ctx.lambda2, 0.0)
         assert float(np.linalg.norm(theta2 - ball.center)) <= ball.radius + 1e-7
@@ -501,5 +493,5 @@ def test_large_instance_rejects_features_and_stays_safe():
 
 def test_theta_at_lambda_max_rejects_degenerate():
     ds = Dataset.from_dense(np.ones((3, 2)), [1.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="lambda_max is zero"):
+    with pytest.raises(DegenerateProblemError, match="lambda_max is zero"):
         theta_at_lambda_max(ds)

@@ -62,9 +62,7 @@ def test_lambda_max_three_sample_frozen_with_tie():
     assert bias == pytest.approx(1.0 / 3.0, abs=1e-15)
     np.testing.assert_allclose(direction, [-2.0 / 3.0, -2.0 / 3.0], atol=1e-15)
     np.testing.assert_array_equal(first_features(direction), [0, 1])
-    theta = theta_at_lambda_max(ds)
-    np.testing.assert_allclose(theta.values, [1.0, 1.0, 2.0], atol=1e-12)
-    assert theta.lam == lam_max
+    np.testing.assert_allclose(theta_at_lambda_max(ds), [1.0, 1.0, 2.0], atol=1e-12)
 
 
 def test_first_features_tie_slack_and_zero():
@@ -222,7 +220,7 @@ def test_screening_and_grid_penalties_need_a_real(value):
     # The check the solver's penalties have, shared by the region, its ball
     # and its member t, and the path grid: a bool would count as 0 or 1.
     ds = parse_sparse_text(TWO_SAMPLE)
-    theta = theta_at_lambda_max(ds).values
+    theta = theta_at_lambda_max(ds)
     for name, call in (
         ("lambda1", lambda: build_context(theta, value, 1.0, ds)),
         ("lambda2", lambda: build_context(theta, 2.0, value, ds)),
@@ -257,9 +255,11 @@ def test_tolerances_and_penalties_take_numpy_reals_as_floats():
     assert type(SolverOptions(tol=np.int64(1)).tol) is float
     model = solve_primal(ds, np.int64(1), options=options)
     reference = solve_primal(ds, 1.0, options=options)
-    assert type(model.theta.lam) is float and model.theta.lam == 1.0
     np.testing.assert_array_equal(model.weights, reference.weights)
-    assert type(theta_from_primal(ds, model.weights, model.bias, np.float64(1)).lam) is float
+    np.testing.assert_array_equal(model.theta, reference.theta)
+    theta = theta_from_primal(ds, model.weights, model.bias, np.float64(1))
+    assert theta.dtype == np.float64
+    np.testing.assert_array_equal(theta, theta_from_primal(ds, model.weights, model.bias, 1.0))
     residual = kkt_report(ds, model, 1.0).max_residual
     assert kkt_report(ds, model, np.int64(1)).max_residual == residual
 
@@ -321,9 +321,9 @@ def test_theta_from_primal_matches_hinge():
     theta = theta_from_primal(ds, w, b, lam)
     scores = ds.to_dense() @ w + b
     xi = np.maximum(1.0 - ds.labels * scores, 0.0)
-    np.testing.assert_allclose(theta.values, xi / lam, atol=1e-12)
-    assert theta.lam == lam
-    assert np.all(theta.values >= 0.0)
+    assert theta.shape == (6,)
+    np.testing.assert_allclose(theta, xi / lam, atol=1e-12)
+    assert np.all(theta >= 0.0)
     with pytest.raises(ValueError, match="lam must be positive"):
         theta_from_primal(ds, w, b, 0.0)
     # solve_primal returns this point from the hinge it already holds, on
@@ -334,8 +334,7 @@ def test_theta_from_primal_matches_hinge():
         model = solve_primal(data, lam, options=SolverOptions(max_iter=max_iter))
         assert model.converged == (max_iter > 2)
         again = theta_from_primal(data, model.weights, model.bias, lam)
-        np.testing.assert_array_equal(model.theta.values, again.values)
-        assert model.theta.lam == lam
+        np.testing.assert_array_equal(model.theta, again)
 
 
 def test_zero_model_exactly_above_threshold():
@@ -379,7 +378,7 @@ def test_kkt_report_recompute():
     lam = 0.5 * lam_cap
     model = solve_primal(ds, lam)
     report = kkt_report(ds, model, lam)
-    theta = theta_from_primal(ds, model.weights, model.bias, lam).values
+    theta = theta_from_primal(ds, model.weights, model.bias, lam)
     fhat = ds.labels[:, None] * ds.to_dense()
     corr = fhat.T @ theta
     np.testing.assert_allclose(report.correlations, corr, atol=1e-10)
